@@ -116,10 +116,6 @@ class ActionTheory:
     definitions: list[DefClause]
     executability: list[Exec]
 
-    def statements(self):
-        return (list(self.dynamic) + list(self.constraints)
-                + list(self.definitions) + list(self.executability))
-
 
 # ------------------------------------------------------------------ terms
 

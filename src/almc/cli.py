@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from almc.bat import build_action_theory
@@ -22,10 +21,7 @@ from almc.modular import (
     LIBRARY_PATH_VAR, flatten, library_search_paths, resolve_theory,
 )
 from almc.ontology import build_signature
-from almc.semantics import (
-    Diagram, Grounder, State, compute_transitions, enumerate_states,
-    system_pre_models,
-)
+from almc.semantics import State, build_diagrams
 from almc.syntax import ast, parse_file, parse_literal_text, pretty
 from almc.errors import DiagnosticSink
 from almc.tasks import (
@@ -35,6 +31,10 @@ from almc.tasks import (
 )
 
 EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_SEMANTIC, EXIT_BUDGET = 0, 1, 2, 3, 4
+
+
+class UsageError(Exception):
+    """A flag value that only the command's inputs show to be invalid."""
 
 
 # ------------------------------------------------------------ rendering
@@ -113,13 +113,16 @@ def emit_json(record: dict) -> None:
 
 # ------------------------------------------------------------ loading
 
-def load_source(path: str):
+def read_input(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}")
-    return parse_file(text, path)
+
+
+def load_source(path: str):
+    return parse_file(read_input(path), path)
 
 
 def flatten_any(node, search_paths: list[str], sink: DiagnosticSink):
@@ -133,6 +136,15 @@ def flatten_any(node, search_paths: list[str], sink: DiagnosticSink):
     flat = flatten(modules, node.name, sink)
     sink.raise_if_errors()
     return flat, None
+
+
+def signature_and_theory(flat: ast.Module, cs: Optional[CompiledSystem],
+                         sink: DiagnosticSink):
+    """Signature and action theory, reusing those a compiled system has."""
+    if cs is not None:
+        return cs.sig, cs.theory
+    sig = build_signature(flat, sink)
+    return sig, build_action_theory(flat, sig, sink)
 
 
 def compile_from_path(path: str, search_paths: list[str],
@@ -155,39 +167,24 @@ def search_paths_of(args) -> list[str]:
     return library_search_paths(args.lib or [])
 
 
-def parallel_map(fn, items, jobs: int):
-    """Apply fn to items, optionally on a thread pool; order preserved."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ------------------------------------------------------------ subcommands
 
 def cmd_check(args) -> int:
     sink = DiagnosticSink()
     node = load_source(args.file)
-    if isinstance(node, ast.System):
-        cs = compile_system(node, search_paths_of(args), sink)
-        wf = check_well_founded(cs, make_budget(args)) if args.well_founded \
-            else None
-        _print_warnings(sink)
-        print(f"{args.file}: ok "
-              f"({len(cs.sig.sorts)} sorts, {len(cs.sig.functions)} functions)")
-        if wf is not None:
-            verdict = "well-founded" if wf.well_founded else "not well-founded"
-            print(f"{args.file}: {verdict} ({wf.method} check)")
-            if not wf.well_founded:
-                return EXIT_SEMANTIC
-        return EXIT_OK
-    # theory file: validate the union of all modules with imports expanded
-    flat, _ = flatten_any(node, search_paths_of(args), sink)
-    sig = build_signature(flat, sink)
-    build_action_theory(flat, sig, sink)
+    # a theory file is validated as the union of its modules, imports expanded
+    flat, cs = flatten_any(node, search_paths_of(args), sink)
+    sig, _ = signature_and_theory(flat, cs, sink)
+    wf = check_well_founded(cs, make_budget(args)) \
+        if args.well_founded and cs is not None else None
     _print_warnings(sink)
-    print(f"{args.file}: ok ({len(sig.sorts)} sorts, "
-          f"{len(sig.functions)} functions)")
+    print(f"{args.file}: ok "
+          f"({len(sig.sorts)} sorts, {len(sig.functions)} functions)")
+    if wf is not None:
+        verdict = "well-founded" if wf.well_founded else "not well-founded"
+        print(f"{args.file}: {verdict} ({wf.method} check)")
+        if not wf.well_founded:
+            return EXIT_SEMANTIC
     return EXIT_OK
 
 
@@ -208,8 +205,8 @@ def cmd_flatten(args) -> int:
 def cmd_hierarchy(args) -> int:
     sink = DiagnosticSink()
     node = load_source(args.file)
-    flat, _ = flatten_any(node, search_paths_of(args), sink)
-    sig = build_signature(flat, sink)
+    flat, cs = flatten_any(node, search_paths_of(args), sink)
+    sig = cs.sig if cs is not None else build_signature(flat, sink)
     for name in sorted(sig.sorts):
         for parent in sorted(sig.parents(name)):
             if args.json_lines:
@@ -222,9 +219,8 @@ def cmd_hierarchy(args) -> int:
 def cmd_bat(args) -> int:
     sink = DiagnosticSink()
     node = load_source(args.file)
-    flat, _ = flatten_any(node, search_paths_of(args), sink)
-    sig = build_signature(flat, sink)
-    theory = build_action_theory(flat, sig, sink)
+    flat, cs = flatten_any(node, search_paths_of(args), sink)
+    sig, theory = signature_and_theory(flat, cs, sink)
     _print_warnings(sink)
     print(f"functions: {len(sig.functions)}")
     for f in sorted(sig.functions.values(), key=lambda f: f.name):
@@ -238,25 +234,11 @@ def cmd_bat(args) -> int:
     return EXIT_OK
 
 
-def _diagrams(cs: CompiledSystem, args, with_transitions: bool) -> list[Diagram]:
-    budget = make_budget(args)
-    mode = "powerset" if args.action_sets == "powerset" else "upto1"
-    pms = system_pre_models(cs.theory, cs.structure, cs.sink)
-
-    def build(pm) -> Diagram:
-        g = Grounder(cs.theory, pm)
-        space = enumerate_states(g, budget)
-        trans = compute_transitions(g, space.states, mode, budget) \
-            if with_transitions else []
-        return Diagram(pm, g, space.states, trans, space.well_founded)
-
-    return [d for d in parallel_map(build, pms, args.jobs) if d.states]
-
-
 def cmd_states(args) -> int:
     sink = DiagnosticSink()
     cs = compile_from_path(args.file, search_paths_of(args), sink)
-    diagrams = _diagrams(cs, args, with_transitions=False)
+    diagrams = build_diagrams(cs.grounders, budget=make_budget(args),
+                              with_transitions=False)
     for m, d in enumerate(diagrams):
         if not args.json_lines:
             print(f"model {m}: {len(d.states)} state(s)"
@@ -274,7 +256,8 @@ def cmd_states(args) -> int:
 def cmd_transitions(args) -> int:
     sink = DiagnosticSink()
     cs = compile_from_path(args.file, search_paths_of(args), sink)
-    diagrams = _diagrams(cs, args, with_transitions=True)
+    mode = "powerset" if args.action_sets == "powerset" else "upto1"
+    diagrams = build_diagrams(cs.grounders, mode, make_budget(args))
     for m, d in enumerate(diagrams):
         if not args.json_lines:
             print(f"model {m}: {len(d.states)} state(s), "
@@ -294,13 +277,15 @@ def cmd_transitions(args) -> int:
 def cmd_project(args) -> int:
     sink = DiagnosticSink()
     cs = compile_from_path(args.file, search_paths_of(args), sink)
-    with open(args.history, encoding="utf-8") as fh:
-        hist = parse_history(fh.read(), args.history)
+    hist = parse_history(read_input(args.history), args.history)
+    horizon = hist.max_step if args.horizon is None else args.horizon
+    if args.at is not None and args.at > horizon:
+        raise UsageError(f"--at {args.at} is beyond the horizon {horizon}")
     covered, total = initial_coverage(cs, hist)
     if covered < total and not args.json_lines:
         print(f"note: initial situation observes {covered} of {total} basic "
               "fluent instances; the rest default to undefined", file=sys.stderr)
-    result = temporal_project(cs, hist, horizon=args.horizon,
+    result = temporal_project(cs, hist, horizon=horizon,
                               budget=make_budget(args))
     if not result.consistent:
         print("inconsistent history: no models", file=sys.stderr)
@@ -321,7 +306,7 @@ def cmd_project(args) -> int:
                 print(f"  occurs: {', '.join(sorted(map(str, t.occurrences[i])))}")
     for q in args.query or []:
         lit = parse_literal_text(q)
-        step = result.horizon if args.at is None else args.at
+        step = horizon if args.at is None else args.at
         verdict = entails_at(cs, result, lit, step)
         if args.json_lines:
             emit_json({"type": "query", "literal": q, "step": step,
@@ -335,10 +320,8 @@ def cmd_project(args) -> int:
 def cmd_plan(args) -> int:
     sink = DiagnosticSink()
     cs = compile_from_path(args.file, search_paths_of(args), sink)
-    with open(args.history, encoding="utf-8") as fh:
-        hist = parse_history(fh.read(), args.history)
-    with open(args.goal, encoding="utf-8") as fh:
-        goal = parse_goal(fh.read(), args.goal)
+    hist = parse_history(read_input(args.history), args.history)
+    goal = parse_goal(read_input(args.goal), args.goal)
     result = find_plans(cs, hist, goal, args.horizon,
                         budget=make_budget(args),
                         max_plans=args.max_plans,
@@ -366,11 +349,9 @@ def cmd_plan(args) -> int:
 def cmd_emit_asp(args) -> int:
     sink = DiagnosticSink()
     cs = compile_from_path(args.file, search_paths_of(args), sink)
-    pms = system_pre_models(cs.theory, cs.structure, cs.sink)
-    if not pms:
+    if not cs.grounders:
         raise SemanticError("no pre-model: structure is inconsistent")
-    g = Grounder(cs.theory, pms[0])
-    prog = g.build_program(args.horizon or 0, sink)
+    prog = cs.grounders[0].build_program(args.horizon, sink)
     text = program_text(prog)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -390,6 +371,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def step_number(text: str) -> int:
+    """Type of --horizon and --at: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="almc", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -401,16 +390,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
                             f"also ${LIBRARY_PATH_VAR})")
         p.add_argument("--json-lines", action="store_true",
                        help="machine-readable line-delimited output")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for independent pre-models")
         if budgeted:
             p.add_argument("--budget-nodes", type=int, default=None,
                            help="search decision limit")
             p.add_argument("--budget-seconds", type=float, default=None,
                            help="wall-clock limit for solving")
-        p.add_argument("--action-sets", choices=["singleton", "powerset"],
-                       default="singleton",
-                       help="action sets labelling transitions")
 
     p = sub.add_parser("check", help="parse and validate")
     common(p)
@@ -436,15 +420,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transitions", help="compute the transition diagram")
     common(p)
+    p.add_argument("--action-sets", choices=["singleton", "powerset"],
+                   default="singleton",
+                   help="action sets labelling transitions")
     p.set_defaults(fn=cmd_transitions)
 
     p = sub.add_parser("project", help="temporal projection over a history")
     common(p)
     p.add_argument("--history", required=True, help="history fact file")
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=step_number, default=None)
     p.add_argument("--query", action="append", default=[],
                    help="literal to test for entailment (repeatable)")
-    p.add_argument("--at", type=int, default=None,
+    p.add_argument("--at", type=step_number, default=None,
                    help="step for --query (default: final step)")
     p.set_defaults(fn=cmd_project)
 
@@ -452,7 +439,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--history", required=True, help="initial facts file")
     p.add_argument("--goal", required=True, help="goal literal file")
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=step_number, required=True)
     p.add_argument("--cr-min", choices=["card", "set"], default="card")
     p.add_argument("--max-plans", type=int, default=None)
     p.add_argument("--concurrent", action="store_true",
@@ -465,7 +452,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("emit-asp", help="export the ground program as text")
     common(p, budgeted=False)
-    p.add_argument("--horizon", type=int, default=0)
+    p.add_argument("--horizon", type=step_number, default=0)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(fn=cmd_emit_asp)
 
@@ -476,6 +463,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as exc:
+        print(f"almc {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"almc: budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET

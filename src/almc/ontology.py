@@ -149,15 +149,6 @@ class Signature:
     def is_range(self, key: str) -> bool:
         return key in self.ranges
 
-    def function(self, name: str) -> Optional[FuncInfo]:
-        return self.functions.get(name)
-
-    def fluents(self) -> list[FuncInfo]:
-        return [f for f in self.functions.values() if f.is_fluent]
-
-    def statics(self) -> list[FuncInfo]:
-        return [f for f in self.functions.values() if not f.is_fluent]
-
 
 def _check_fresh(name: str, kind: str, taken: dict[str, str],
                  span: Span, sink: DiagnosticSink) -> None:

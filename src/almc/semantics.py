@@ -15,6 +15,9 @@ logic programs for the solver:
   a domain guard, and the per-step closed-world assumption for defined
   fluents.  `horizon = 0` is exactly the single-state program.
 
+Pre-models come from `system_pre_models`; callers build one grounder per
+pre-model once and pass the grounders around (`build_diagrams` takes them).
+
 States are enumerated by adding free choices over the values of basic
 fluents (with the companion domain atoms closed as "false unless a value
 exists", a generation aid only).  Every candidate is then certified: the
@@ -409,14 +412,18 @@ class Grounder:
                         add(("v", f.name, args, v, step + 1),
                             guard + [("v", f.name, args, v, step)], [nk])
 
-        # definitions of the disequality atoms
-        for key in sorted(neqs, key=repr):
+        self.define_neqs(prog, neqs)
+        return prog
+
+    def define_neqs(self, prog: Program, keys) -> None:
+        """Define each disequality atom ``('neq', f, args, v, step)`` by one
+        rule per sibling value of f."""
+        for key in sorted(keys, key=repr):
             _, fname, args, v, step = key
             for w in self.values[fname]:
                 if w != v:
-                    add(key, [("v", fname, args, w, step)], ())
-
-        return prog
+                    prog.add_rule(prog.atom(key),
+                                  (prog.atom(("v", fname, args, w, step)),))
 
     def _is_fluent_lit(self, lit: FunLit) -> bool:
         info = self.sig.functions.get(lit.func)
@@ -456,11 +463,17 @@ class Grounder:
                 vals[(key[1], key[2])] = key[3]
         return State.of(vals)
 
-    def full_state_atoms(self, state: State, prog: Program,
-                         step: int) -> set:
-        out = set()
-        for f, args, v in state.atoms():
-            out.add(prog.atom(("v", f, args, v, step)))
+    def unsettled_domains(self, state: State) -> list[tuple[str, tuple]]:
+        """The ``(dom_f, args)`` instances of basic fluents f whose domain
+        atom has no value in the state."""
+        vals = state.as_dict()
+        out = []
+        for f in self.basic_nondom_fluents():
+            if not f.args:
+                continue
+            dn = dom_name(f.name)
+            out.extend((dn, args) for args in self.tuples[f.name]
+                       if (dn, args) not in vals)
         return out
 
 
@@ -511,15 +524,7 @@ def certify_state(g: Grounder, cand: State,
     if got != cand:
         return "rejected"
     # the domain of every basic fluent must be settled one way or the other
-    vals = cand.as_dict()
-    for f in g.basic_nondom_fluents():
-        if not f.args:
-            continue
-        dn = dom_name(f.name)
-        for args in g.tuples[f.name]:
-            if (dn, args) not in vals:
-                return "rejected"
-    return "state"
+    return "rejected" if g.unsettled_domains(cand) else "state"
 
 
 Transition = tuple[int, frozenset, int]
@@ -557,7 +562,6 @@ def compute_transitions(g: Grounder, states: list[State],
 
 @dataclass
 class Diagram:
-    pm: PreModel
     grounder: Grounder
     states: list[State]
     transitions: list[Transition]
@@ -575,21 +579,18 @@ def system_pre_models(theory: ActionTheory, structure: ast.Structure,
     return out
 
 
-def build_diagrams(theory: ActionTheory, structure: ast.Structure,
-                   sink: DiagnosticSink, action_sets: str = "upto1",
+def build_diagrams(grounders: list[Grounder], action_sets: str = "upto1",
                    budget: Optional[Budget] = None,
                    with_transitions: bool = True) -> list[Diagram]:
     """One diagram per pre-model with a non-empty set of states."""
     diagrams = []
-    for pm in system_pre_models(theory, structure, sink):
-        g = Grounder(theory, pm)
+    for g in grounders:
         space = enumerate_states(g, budget)
         if not space.states:
             continue
         trans = compute_transitions(g, space.states, action_sets, budget) \
             if with_transitions else []
-        diagrams.append(Diagram(pm, g, space.states, trans,
-                                space.well_founded))
+        diagrams.append(Diagram(g, space.states, trans, space.well_founded))
     return diagrams
 
 

@@ -14,8 +14,10 @@ horizon, one action per step, with no gaps, using as few occurrences as
 possible (iterative deepening over consistency-restoring occurrence rules).
 
 Systems can have several pre-models that differ only in how objects are
-placed into source sorts; the ground programs such pre-models induce are
-often literally identical because statics are evaluated away.  Both tasks
+placed into source sorts.  A `CompiledSystem` computes its pre-models once,
+on first use, and keeps one `Grounder` per pre-model (`grounders`); every
+task iterates that list.  The ground programs such pre-models induce are
+often literally identical because statics are evaluated away, so both tasks
 fingerprint the ground program and solve each distinct program once,
 merging trajectories/plans across pre-models.
 """
@@ -23,6 +25,7 @@ merging trajectories/plans across pre-models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from almc.bat import (
@@ -32,7 +35,7 @@ from almc.errors import DiagnosticSink, InputError, SemanticError
 from almc.lpcore import Budget, Program
 from almc.modular import Value, compare, eval_ground_term, flatten_system
 from almc.ontology import (
-    ACTIONS, BASIC_FLUENT, TRUE, Signature, build_signature,
+    ACTIONS, BASIC_FLUENT, FALSE, TRUE, Signature, build_signature,
 )
 from almc.semantics import (
     Grounder, State, certify_state, enumerate_states, system_pre_models,
@@ -51,6 +54,13 @@ class CompiledSystem:
     theory: ActionTheory
     structure: ast.Structure
     sink: DiagnosticSink
+
+    @cached_property
+    def grounders(self) -> list[Grounder]:
+        """One grounder per pre-model, computed on first use: `check`,
+        `flatten` and `bat` never need the pre-models."""
+        return [Grounder(self.theory, pm) for pm in
+                system_pre_models(self.theory, self.structure, self.sink)]
 
 
 def compile_system(node: ast.System, search_paths: list[str],
@@ -162,16 +172,6 @@ class ProjectionResult:
     def consistent(self) -> bool:
         return bool(self.trajectories)
 
-    def holds_at(self, f: str, args: tuple, value: Value, step: int) -> str:
-        """'entailed', 'rejected', or 'undecided' across trajectories."""
-        results = {t.states[step].value(f, args) == value
-                   for t in self.trajectories}
-        if results == {True}:
-            return "entailed"
-        if results == {False}:
-            return "rejected"
-        return "undecided"
-
 
 def _ground_history(cs: CompiledSystem, g: Grounder, hist: History,
                     prog: Program, horizon: int) -> None:
@@ -203,17 +203,11 @@ def _ground_history(cs: CompiledSystem, g: Grounder, hist: History,
             nk = ("neq", lit.func, args, val, step)
             prog.add_constraint((prog.atom(nk),))
             neq_keys.add(nk)
-    for nk in sorted(neq_keys, key=repr):
-        _, fname, args, v, step = nk
-        for w in g.values[fname]:
-            if w != v:
-                prog.add_rule(prog.atom(nk),
-                              (prog.atom(("v", fname, args, w, step)),))
+    g.define_neqs(prog, neq_keys)
     # default closure of the initial situation: a boolean basic fluent that
     # is not derivably true at step 0 is false there (defeasible, so
     # observations and state constraints win); dom_f companions are boolean
     # basic fluents, so this also closes unobserved domains
-    from almc.ontology import FALSE
     for f in cs.sig.functions.values():
         if f.kind != BASIC_FLUENT:
             continue
@@ -257,18 +251,12 @@ def program_fingerprint(prog: Program) -> str:
 def _close_domains(g: Grounder, state: State) -> State:
     """Make the minimal reading explicit: a basic fluent with no derived
     value has a false domain atom in the state."""
-    from almc.ontology import FALSE, dom_name
-    vals = dict(state.as_dict())
-    added = False
-    for f in g.basic_nondom_fluents():
-        if not f.args:
-            continue
-        dn = dom_name(f.name)
-        for args in g.tuples[f.name]:
-            if (dn, args) not in vals:
-                vals[(dn, args)] = FALSE
-                added = True
-    return State.of(vals) if added else state
+    unsettled = g.unsettled_domains(state)
+    if not unsettled:
+        return state
+    vals = state.as_dict()
+    vals.update(dict.fromkeys(unsettled, FALSE))
+    return State.of(vals)
 
 
 def temporal_project(cs: CompiledSystem, hist: History,
@@ -279,10 +267,8 @@ def temporal_project(cs: CompiledSystem, hist: History,
     n = hist.max_step if horizon is None else horizon
     seen_programs: set[str] = set()
     found: dict[Trajectory, None] = {}
-    pms = system_pre_models(cs.theory, cs.structure, cs.sink)
-    consts = pms[0].consts if pms else {}
-    for pm in pms:
-        g = Grounder(cs.theory, pm)
+    consts = cs.grounders[0].pm.consts if cs.grounders else {}
+    for g in cs.grounders:
         prog = g.build_program(n, cs.sink)
         _ground_history(cs, g, hist, prog, n)
         fp = program_fingerprint(prog)
@@ -345,10 +331,9 @@ def initial_coverage(cs: CompiledSystem, hist: History) -> tuple[int, int]:
     Unobserved instances default to "undefined at step 0"; the count lets
     callers report how much of the initial situation was stated explicitly.
     """
-    pms = system_pre_models(cs.theory, cs.structure, cs.sink)
-    if not pms:
+    if not cs.grounders:
         return (0, 0)
-    g = Grounder(cs.theory, pms[0])
+    g = cs.grounders[0]
     total = sum(len(g.tuples[f.name]) for f in g.basic_nondom_fluents())
     norm = _Normalizer(cs.sig, cs.sink)
     seen = set()
@@ -400,8 +385,7 @@ def find_plans(cs: CompiledSystem, hist: History, goal: list[ast.Lit],
 
     seen_programs: set[str] = set()
     plans: dict[Plan, None] = {}
-    for pm in system_pre_models(cs.theory, cs.structure, cs.sink):
-        g = Grounder(cs.theory, pm)
+    for g in cs.grounders:
         prog = g.build_program(horizon, cs.sink)
         _ground_history(cs, g, hist, prog, horizon)
 
@@ -417,12 +401,7 @@ def find_plans(cs: CompiledSystem, hist: History, goal: list[ast.Lit],
             prog.add_rule(gi, [prog.atom(k) for k in pos],
                           [prog.atom(k) for k in neg])
             prog.add_rule(success, (gi,))
-        for key in sorted(goal_neqs, key=repr):
-            _, fname, args, v, i = key
-            for w in g.values[fname]:
-                if w != v:
-                    prog.add_rule(prog.atom(key),
-                                  (prog.atom(("v", fname, args, w, i)),))
+        g.define_neqs(prog, goal_neqs)
         prog.add_constraint((), (success,))
 
         # occurrences: one consistency-restoring switch per action and step,
@@ -489,10 +468,9 @@ def prefer_most_specific(cs: CompiledSystem,
     that one replaces an action by a strictly more specific one (instance of
     strictly more action sorts, agreeing on all shared attribute values),
     keep only the more specific plan."""
-    pms = system_pre_models(cs.theory, cs.structure, cs.sink)
-    if not pms:
+    if not cs.grounders:
         return result
-    pm = pms[0]
+    pm = cs.grounders[0].pm
     action_sorts = [s for s in cs.sig.sorts
                     if s == ACTIONS or cs.sig.is_subsort(s, ACTIONS)]
     attr_names = {f.name for f in cs.sig.functions.values()
@@ -545,25 +523,10 @@ def validate_plan(cs: CompiledSystem, hist: History, goal: list[ast.Lit],
     for i, acts in enumerate(plan.steps):
         for a in acts:
             run.happened.append((_term_of(a), i, True))
-    result = temporal_project(cs, run, horizon=len(plan.steps),
-                              budget=budget)
-    if not result.consistent:
-        return False
-    consts = result.consts
     end = len(plan.steps)
-    for fl in _normalize_goal(cs, goal):
-        if isinstance(fl, CmpLit):
-            if not compare(fl.op, eval_ground_term(fl.lhs, consts),
-                           eval_ground_term(fl.rhs, consts), fl.span):
-                return False
-            continue
-        g_args = tuple(eval_ground_term(a, consts) for a in fl.args)
-        val = eval_ground_term(fl.value, consts)
-        status = result.holds_at(fl.func, g_args, val, end)
-        want = "entailed" if fl.op == "=" else "rejected"
-        if status != want:
-            return False
-    return True
+    result = temporal_project(cs, run, horizon=end, budget=budget)
+    return result.consistent \
+        and all(entails_at(cs, result, lit, end) for lit in goal)
 
 
 def _term_of(value: Value) -> ast.Term:
@@ -596,8 +559,7 @@ def check_well_founded(cs: CompiledSystem,
     """
     if _stratified_definitions(cs.theory):
         return WellFoundedReport(True, "syntactic")
-    for pm in system_pre_models(cs.theory, cs.structure, cs.sink):
-        g = Grounder(cs.theory, pm)
+    for g in cs.grounders:
         space = enumerate_states(g, budget)
         if space.ambiguous:
             return WellFoundedReport(False, "semantic",

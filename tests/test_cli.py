@@ -159,3 +159,73 @@ def test_budget_exhaustion_exit_code(capsys):
                        "--budget-nodes", "5")
     assert code == 4
     assert "budget" in err
+
+
+def test_bat_prints_each_warning_once(capsys, tmp_path):
+    system = tmp_path / "warn.alm"
+    system.write_text("""system description warn
+  theory warn_theory
+    module main
+      sort declarations
+        c1 :: universe
+      object constants
+        o : c1
+      function declarations
+        statics
+          basic
+            s : c1 -> booleans
+        fluents
+          basic
+            g : c1 -> c1
+      axioms
+        s(X) if g(X) = o.
+  structure base
+    instances
+      x in c1
+""")
+    code, _, err = run(capsys, "bat", str(system))
+    assert code == 0
+    assert err.count("warning: state constraint fixes static 's'") == 1
+
+
+def run_to_exit(capsys, *argv):
+    """Exit code and stderr, whether the error is caught by argparse or
+    by the command."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+GAMMA1 = ["project", str(CORPUS / "monkey_and_banana.alm"), *LIB,
+          "--history", str(CORPUS / "gamma1.hist")]
+MB_PLAN = ["plan", str(CORPUS / "monkey_and_banana.alm"), *LIB,
+           "--history", str(CORPUS / "mb.hist"),
+           "--goal", str(CORPUS / "mb.goal")]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (GAMMA1 + ["--query", "loc_in(monkey) = initial_box", "--at", "9"],
+     "--at"),
+    (GAMMA1 + ["--query", "loc_in(monkey) = initial_box", "--at", "-1"],
+     "--at"),
+    (GAMMA1 + ["--horizon", "-1"], "--horizon"),
+    (MB_PLAN + ["--horizon", "-1"], "--horizon"),
+    (["emit-asp", str(CORPUS / "t0.alm"), "--horizon", "-1"], "--horizon"),
+], ids=["at-beyond-horizon", "at-negative", "project-horizon",
+        "plan-horizon", "emit-asp-horizon"])
+def test_out_of_range_step_is_usage_error(capsys, argv, flag):
+    code, err = run_to_exit(capsys, *argv)
+    assert code == 1
+    assert flag in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--history", "--goal"])
+def test_missing_history_or_goal_is_input_error(capsys, flag, tmp_path):
+    argv = list(MB_PLAN) + ["--horizon", "1"]
+    argv[argv.index(flag) + 1] = str(tmp_path / "missing.txt")
+    code, err = run_to_exit(capsys, *argv)
+    assert code == 2
+    assert "cannot read" in err and "missing.txt" in err

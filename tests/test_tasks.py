@@ -4,7 +4,7 @@ from almc.errors import DiagnosticSink, InputError
 from almc.syntax.parser import parse_file, parse_literal_text
 from almc.tasks import (
     check_well_founded, compile_file, compile_system, entails_at, find_plans,
-    initial_coverage, parse_goal, parse_history, prefer_most_specific,
+    Plan, initial_coverage, parse_goal, parse_history, prefer_most_specific,
     temporal_project, validate_plan,
 )
 
@@ -175,6 +175,16 @@ def test_monkey_projection_unique_trajectory(monkey):
     assert t.states[1].value("loc_in", ("monkey",)) == "initial_box"
     lit = parse_literal_text("loc_in(monkey) = initial_box")
     assert entails_at(monkey, res, lit, 1)
+
+
+def test_validation_reads_disequality_goals_like_queries(monkey):
+    """`f != v` holds only where f is defined, in validation as in
+    projection queries and in the planner's goal rule."""
+    goal = parse_goal("loc_in(monkey) != initial_box.")
+    observed = parse_history("observed(loc_in(monkey), initial_monkey, 0).")
+    assert validate_plan(monkey, observed, goal, Plan(()))
+    # unobserved, loc_in(monkey) is undefined at step 0
+    assert not validate_plan(monkey, parse_history(""), goal, Plan(()))
 
 
 def test_monkey_is_well_founded(monkey):

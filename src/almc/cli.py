@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -148,7 +149,9 @@ def signature_and_theory(flat: ast.Module, cs: Optional[CompiledSystem],
 
 
 def compile_from_path(path: str, search_paths: list[str],
-                      sink: DiagnosticSink) -> CompiledSystem:
+                      sink: Optional[DiagnosticSink] = None
+                      ) -> CompiledSystem:
+    """Read, parse and compile a system description file."""
     node = load_source(path)
     if not isinstance(node, ast.System):
         raise InputError(
@@ -354,8 +357,11 @@ def cmd_emit_asp(args) -> int:
     prog = cs.grounders[0].build_program(args.horizon, sink)
     text = program_text(prog)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc.strerror}")
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)
@@ -371,12 +377,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def step_number(text: str) -> int:
-    """Type of --horizon and --at: a non-negative integer."""
+def natural(text: str) -> int:
+    """Type of --horizon, --at and --budget-nodes: a non-negative integer."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def positive(text: str) -> int:
+    """Type of --max-plans: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def seconds(text: str) -> float:
+    """Type of --budget-seconds: a finite, non-negative number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite non-negative number, got {text!r}")
+    return value
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -391,9 +417,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--json-lines", action="store_true",
                        help="machine-readable line-delimited output")
         if budgeted:
-            p.add_argument("--budget-nodes", type=int, default=None,
+            p.add_argument("--budget-nodes", type=natural, default=None,
                            help="search decision limit")
-            p.add_argument("--budget-seconds", type=float, default=None,
+            p.add_argument("--budget-seconds", type=seconds, default=None,
                            help="wall-clock limit for solving")
 
     p = sub.add_parser("check", help="parse and validate")
@@ -428,10 +454,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="temporal projection over a history")
     common(p)
     p.add_argument("--history", required=True, help="history fact file")
-    p.add_argument("--horizon", type=step_number, default=None)
+    p.add_argument("--horizon", type=natural, default=None)
     p.add_argument("--query", action="append", default=[],
                    help="literal to test for entailment (repeatable)")
-    p.add_argument("--at", type=step_number, default=None,
+    p.add_argument("--at", type=natural, default=None,
                    help="step for --query (default: final step)")
     p.set_defaults(fn=cmd_project)
 
@@ -439,9 +465,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--history", required=True, help="initial facts file")
     p.add_argument("--goal", required=True, help="goal literal file")
-    p.add_argument("--horizon", type=step_number, required=True)
+    p.add_argument("--horizon", type=natural, required=True)
     p.add_argument("--cr-min", choices=["card", "set"], default="card")
-    p.add_argument("--max-plans", type=int, default=None)
+    p.add_argument("--max-plans", type=positive, default=None)
     p.add_argument("--concurrent", action="store_true",
                    help="allow several actions per step")
     p.add_argument("--most-specific", action="store_true",
@@ -452,7 +478,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("emit-asp", help="export the ground program as text")
     common(p, budgeted=False)
-    p.add_argument("--horizon", type=step_number, default=0)
+    p.add_argument("--horizon", type=natural, default=0)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(fn=cmd_emit_asp)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Iterator, Optional
 
 from almc.errors import BudgetExceeded
@@ -47,7 +48,7 @@ class Budget:
     def of(max_decisions: Optional[int] = None,
            seconds: Optional[float] = None) -> "Budget":
         return Budget(max_decisions,
-                      time.monotonic() + seconds if seconds else None)
+                      None if seconds is None else time.monotonic() + seconds)
 
 
 class Program:
@@ -95,15 +96,41 @@ class Program:
     def add_atmost(self, keys, bound: int) -> None:
         self.atmost.append((tuple(self.atom(k) for k in keys), bound))
 
+    def copy(self) -> "Program":
+        """A copy that can be extended without changing this program."""
+        new = Program()
+        new._ids = dict(self._ids)
+        new.keys = list(self.keys)
+        new.choice = set(self.choice)
+        new.rules = list(self.rules)
+        new.cr_rules = list(self.cr_rules)
+        new.atmost = list(self.atmost)
+        return new
+
     # ------------------------------------------------------------ solving
 
     def answer_sets(self, max_models: Optional[int] = None,
                     budget: Optional[Budget] = None,
-                    prefer_true: bool = False) -> Iterator[frozenset]:
-        """Answer sets of the regular rules, as frozensets of atom keys."""
-        solver = _Search(self, (), set(), prefer_true)
+                    prefer_true: bool = False,
+                    facts=()) -> Iterator[frozenset]:
+        """Answer sets of the regular rules, as frozensets of atom keys.
+
+        `facts` are atom keys that hold for this call only, as if added with
+        `add_fact` after the other rules; the program itself is unchanged, so
+        one ground program serves many calls.
+        """
+        unknown: dict[Hashable, int] = {}  # keys the program never mentions
+        fact_rules = []
+        for key in facts:
+            a = self._ids.get(key)
+            if a is None:
+                a = unknown.setdefault(key, len(self.keys) + len(unknown))
+            fact_rules.append((a, (), ()))
+        keys = self.keys + list(unknown) if unknown else self.keys
+        solver = _Search(self, fact_rules, set(), prefer_true,
+                         n_extra=len(unknown))
         for model in solver.run(max_models, budget):
-            yield frozenset(self.keys[a] for a in model)
+            yield frozenset(keys[a] for a in model)
 
     def solve_cr(self, max_models: Optional[int] = None,
                  budget: Optional[Budget] = None,
@@ -158,8 +185,7 @@ class Program:
                       extra_rules=(), n_extra: int = 0,
                       extra_choice: frozenset = frozenset()) -> bool:
         """Reduct + least-model certification of a candidate."""
-        rules = self.rules if not extra_rules else \
-            list(self.rules) + list(extra_rules)
+        rules = chain(self.rules, extra_rules)
         n = len(self.keys) + n_extra
         choice = self.choice | set(extra_choice)
         # Constraint violation and reduct construction in one pass.
@@ -215,8 +241,8 @@ class _Search:
         self.n = len(program.keys) + n_extra
         self.choice = program.choice | extra_choice
         self.prefer_true = prefer_true
-        rules = list(program.rules) + list(extra_rules)
         self.extra_rules = tuple(extra_rules)
+        rules = chain(program.rules, self.extra_rules)
         self.n_extra = n_extra
         self.extra_choice = frozenset(extra_choice)
 
@@ -458,8 +484,10 @@ class _Search:
                             raise BudgetExceeded(
                                 f"decision budget ({budget.max_decisions}) "
                                 "exhausted")
+                        # the clock is read at the first decision and at
+                        # every 64th after it
                         if budget.deadline is not None \
-                                and decisions % 64 == 0 \
+                                and decisions % 64 == 1 \
                                 and time.monotonic() > budget.deadline:
                             raise BudgetExceeded("time budget exhausted")
                     stack.append([len(self.trail), a, second])

@@ -18,18 +18,26 @@ logic programs for the solver:
 Pre-models come from `system_pre_models`; callers build one grounder per
 pre-model once and pass the grounders around (`build_diagrams` takes them).
 
+Only the facts of a state change from one solve to the next, so each
+program shape is ground once and solved many times with a state's facts
+passed to the solver (`Program.answer_sets(facts=...)`): a grounder keeps
+its horizon-0 program (`state_program`) for state generation and for every
+certification, and `compute_transitions` grounds one horizon-1 program for
+all its source states.
+
 States are enumerated by adding free choices over the values of basic
 fluents (with the companion domain atoms closed as "false unless a value
-exists", a generation aid only).  Every candidate is then certified: the
-program with the candidate's non-defined atoms as facts must have exactly
-one answer set, equal to the candidate.  Candidates sharing a fluent
-assignment whose certification finds two answer sets witness that the theory
-is not well-founded.
+exists", a generation aid only) to a copy of the horizon-0 program.  Every
+candidate is then certified: the program with the candidate's non-defined
+atoms as facts must have exactly one answer set, equal to the candidate.
+Candidates sharing a fluent assignment whose certification finds two answer
+sets witness that the theory is not well-founded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional, Union
 
@@ -415,6 +423,12 @@ class Grounder:
         self.define_neqs(prog, neqs)
         return prog
 
+    @cached_property
+    def state_program(self) -> Program:
+        """The horizon-0 program, ground on first use and then shared:
+        solve it with a state's facts (`state_facts`), or extend a copy."""
+        return self.build_program(0)
+
     def define_neqs(self, prog: Program, keys) -> None:
         """Define each disequality atom ``('neq', f, args, v, step)`` by one
         rule per sibling value of f."""
@@ -448,13 +462,10 @@ class Grounder:
                         prog.atom(("v", f.name, args, FALSE, step)), (),
                         (prog.atom(("v", f.name, args, TRUE, step)),))
 
-    def add_state_facts(self, prog: Program, state: State,
-                        step: int) -> None:
-        for f, args, v in state.atoms():
-            info = self.sig.functions[f]
-            if info.is_defined:
-                continue
-            prog.add_fact(("v", f, args, v, step))
+    def state_facts(self, state: State, step: int) -> list[tuple]:
+        """The value atoms of the state's non-defined fluents at `step`."""
+        return [("v", f, args, v, step) for f, args, v in state.atoms()
+                if not self.sig.functions[f].is_defined]
 
     def state_from_model(self, model: frozenset, step: int) -> State:
         vals = {}
@@ -488,7 +499,7 @@ class StateSpace:
 def enumerate_states(g: Grounder, budget: Optional[Budget] = None,
                      max_states: Optional[int] = None) -> StateSpace:
     """States of the diagram defined by `g.pm`, each certified."""
-    gen = g.build_program(0)
+    gen = g.state_program.copy()
     g.add_generation(gen, 0)
     seen: set[State] = set()
     states: list[State] = []
@@ -513,11 +524,8 @@ def certify_state(g: Grounder, cand: State,
                   budget: Optional[Budget] = None) -> str:
     """Definitional check: 'state', 'ambiguous' (several answer sets), or
     'rejected'."""
-    prog = g.build_program(0)
-    g.add_state_facts(prog, cand, 0)
-    answers = []
-    for model in prog.answer_sets(max_models=2, budget=budget):
-        answers.append(model)
+    answers = list(g.state_program.answer_sets(
+        max_models=2, budget=budget, facts=g.state_facts(cand, 0)))
     if len(answers) != 1:
         return "ambiguous" if len(answers) == 2 else "rejected"
     got = g.state_from_model(answers[0], 0)
@@ -539,16 +547,16 @@ def compute_transitions(g: Grounder, states: list[State],
     """
     index = {s: i for i, s in enumerate(states)}
     out: list[Transition] = []
+    prog = g.build_program(1)
+    occ_keys = [("occ", a, 0) for a in g.actions]
+    for k in occ_keys:
+        prog.add_choice(k)
+    if action_sets == "upto1":
+        prog.add_atmost(occ_keys, 1)
     for i, s0 in enumerate(states):
-        prog = g.build_program(1)
-        g.add_state_facts(prog, s0, 0)
-        occ_keys = [("occ", a, 0) for a in g.actions]
-        for k in occ_keys:
-            prog.add_choice(k)
-        if action_sets == "upto1":
-            prog.add_atmost(occ_keys, 1)
         seen: set[tuple[frozenset, int]] = set()
-        for model in prog.answer_sets(budget=budget):
+        for model in prog.answer_sets(budget=budget,
+                                      facts=g.state_facts(s0, 0)):
             acts = frozenset(k[1] for k in model if k[0] == "occ")
             s1 = g.state_from_model(model, 1)
             j = index.get(s1)

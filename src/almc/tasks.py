@@ -40,7 +40,7 @@ from almc.ontology import (
 from almc.semantics import (
     Grounder, State, certify_state, enumerate_states, system_pre_models,
 )
-from almc.syntax import ast, parse_file, tokenize
+from almc.syntax import ast, tokenize
 from almc.syntax.parser import _Parser
 
 
@@ -70,15 +70,6 @@ def compile_system(node: ast.System, search_paths: list[str],
     sig = build_signature(module, sink)
     theory = build_action_theory(module, sig, sink)
     return CompiledSystem(node, module, sig, theory, node.structure, sink)
-
-
-def compile_file(path: str, search_paths: list[str],
-                 sink: Optional[DiagnosticSink] = None) -> CompiledSystem:
-    with open(path, encoding="utf-8") as fh:
-        node = parse_file(fh.read(), path)
-    if not isinstance(node, ast.System):
-        raise InputError(f"{path} does not contain a system description")
-    return compile_system(node, search_paths, sink)
 
 
 # ================================================================ histories

@@ -4,7 +4,7 @@ import pytest
 
 from almc.errors import DiagnosticSink
 from almc.syntax.parser import parse_file
-from almc.tasks import compile_file
+from almc.cli import compile_from_path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -27,17 +27,18 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def monkey_system():
-    return compile_file(str(CORPUS / "monkey_and_banana.alm"), [str(CORPUS)])
+    return compile_from_path(str(CORPUS / "monkey_and_banana.alm"),
+                             [str(CORPUS)])
 
 
 @pytest.fixture(scope="session")
 def t0_system():
-    return compile_file(str(CORPUS / "t0.alm"), [])
+    return compile_from_path(str(CORPUS / "t0.alm"), [])
 
 
 @pytest.fixture(scope="session")
 def travel_system():
-    return compile_file(str(CORPUS / "travel.alm"), [])
+    return compile_from_path(str(CORPUS / "travel.alm"), [])
 
 
 @pytest.fixture

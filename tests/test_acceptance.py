@@ -12,13 +12,14 @@ same thing.
 import time
 from contextlib import contextmanager
 
+from almc.cli import compile_from_path
 from almc.semantics import (
     Grounder, compute_transitions, enumerate_states, system_pre_models,
 )
 from almc.syntax.parser import parse_file, parse_literal_text
 from almc.syntax.printer import pretty
 from almc.tasks import (
-    check_well_founded, compile_file, entails_at, find_plans, parse_goal,
+    check_well_founded, entails_at, find_plans, parse_goal,
     parse_history, temporal_project, validate_plan,
 )
 
@@ -72,7 +73,7 @@ def test_02_flattening_matches_reference():
 
 def test_03_six_state_fixture_semantics():
     with criterion(3, "6-state fixture: exact states + transitions", 5.0):
-        cs = compile_file(str(CORPUS / "t0.alm"), [])
+        cs = compile_from_path(str(CORPUS / "t0.alm"), [])
         (pm,) = system_pre_models(cs.theory, cs.structure, cs.sink)
         g = Grounder(cs.theory, pm)
         space = enumerate_states(g)
@@ -100,7 +101,7 @@ def test_03_six_state_fixture_semantics():
 
 def test_04_underspecified_hierarchy_three_models():
     with criterion(4, "underspecified hierarchy: 3 models", 1.0):
-        cs = compile_file(str(CORPUS / "professors.alm"), [])
+        cs = compile_from_path(str(CORPUS / "professors.alm"), [])
         pms = system_pre_models(cs.theory, cs.structure, cs.sink)
         assert len(pms) == 3
         placements = set()
@@ -114,7 +115,7 @@ def test_04_underspecified_hierarchy_three_models():
 
 def test_05_travel_diagram_arcs():
     with criterion(5, "travel diagram structure", 10.0):
-        cs = compile_file(str(CORPUS / "travel.alm"), [])
+        cs = compile_from_path(str(CORPUS / "travel.alm"), [])
         pms = system_pre_models(cs.theory, cs.structure, cs.sink)
         assert len(pms) == 1
         g = Grounder(cs.theory, pms[0])
@@ -152,8 +153,8 @@ def test_05_travel_diagram_arcs():
 
 def test_06_temporal_projection_unique_trajectory():
     with criterion(6, "projection: unique trajectory", 5.0):
-        cs = compile_file(str(CORPUS / "monkey_and_banana.alm"),
-                          [str(CORPUS)])
+        cs = compile_from_path(str(CORPUS / "monkey_and_banana.alm"),
+                               [str(CORPUS)])
         hist = parse_history(read(CORPUS / "gamma1.hist"))
         res = temporal_project(cs, hist)
         assert res.consistent
@@ -166,8 +167,8 @@ def test_06_temporal_projection_unique_trajectory():
 
 def test_07_planning_two_minimal_plans():
     with criterion(7, "planning: exactly 2 minimal plans", 60.0):
-        cs = compile_file(str(CORPUS / "monkey_and_banana.alm"),
-                          [str(CORPUS)])
+        cs = compile_from_path(str(CORPUS / "monkey_and_banana.alm"),
+                               [str(CORPUS)])
         hist = parse_history(read(CORPUS / "mb.hist"))
         goal = parse_goal(read(CORPUS / "mb.goal"))
         res = find_plans(cs, hist, goal, horizon=6)
@@ -189,10 +190,10 @@ def test_07_planning_two_minimal_plans():
 
 def test_08_well_foundedness_classification():
     with criterion(8, "well-foundedness classification", 5.0):
-        cs = compile_file(str(CORPUS / "monkey_and_banana.alm"),
-                          [str(CORPUS)])
+        cs = compile_from_path(str(CORPUS / "monkey_and_banana.alm"),
+                               [str(CORPUS)])
         assert check_well_founded(cs).well_founded
-        bad = compile_file(str(CORPUS / "n_w_f.alm"), [])
+        bad = compile_from_path(str(CORPUS / "n_w_f.alm"), [])
         report = check_well_founded(bad)
         assert not report.well_founded
         # the witness: some state program admits more than one answer set
@@ -214,7 +215,8 @@ def test_10_inertia_cwa_property_suite():
 
 def test_11_cell_division_scenarios():
     with criterion(11, "cell division projections", 10.0):
-        cs = compile_file(str(CORPUS / "cell_cycle2.alm"), [str(CORPUS)])
+        cs = compile_from_path(str(CORPUS / "cell_cycle2.alm"),
+                               [str(CORPUS)])
 
         def end_state(hist_name):
             hist = parse_history(read(CORPUS / hist_name))

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from almc.cli import main
+from almc.cli import compile_from_path, main
+from almc.errors import InputError
 
 from conftest import ALM_FILES, CORPUS
 
@@ -229,3 +230,47 @@ def test_missing_history_or_goal_is_input_error(capsys, flag, tmp_path):
     code, err = run_to_exit(capsys, *argv)
     assert code == 2
     assert "cannot read" in err and "missing.txt" in err
+
+
+def test_missing_system_file_is_input_error():
+    with pytest.raises(InputError, match="cannot read"):
+        compile_from_path(str(CORPUS / "nope.alm"), [])
+
+
+T0_STATES = ["states", str(CORPUS / "t0.alm")]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (T0_STATES + ["--budget-seconds", "-1"], "--budget-seconds"),
+    (T0_STATES + ["--budget-seconds", "nan"], "--budget-seconds"),
+    (T0_STATES + ["--budget-seconds", "inf"], "--budget-seconds"),
+    (T0_STATES + ["--budget-seconds", "soon"], "--budget-seconds"),
+    (T0_STATES + ["--budget-nodes", "-1"], "--budget-nodes"),
+    (T0_STATES + ["--budget-nodes", "2.5"], "--budget-nodes"),
+    (MB_PLAN + ["--horizon", "5", "--max-plans", "0"], "--max-plans"),
+    (MB_PLAN + ["--horizon", "5", "--max-plans", "-1"], "--max-plans"),
+], ids=["seconds-negative", "seconds-nan", "seconds-inf", "seconds-word",
+        "nodes-negative", "nodes-fraction", "max-plans-0", "max-plans-neg"])
+def test_bad_budget_or_count_is_usage_error(capsys, argv, flag):
+    code, err = run_to_exit(capsys, *argv)
+    assert code == 1
+    assert flag in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("budget", [["--budget-seconds", "0"],
+                                    ["--budget-nodes", "0"]],
+                         ids=["seconds", "nodes"])
+def test_zero_budget_stops_the_search(capsys, budget):
+    code, err = run_to_exit(capsys, *T0_STATES, *budget)
+    assert code == 4
+    assert "budget exhausted" in err
+
+
+def test_emit_asp_to_unwritable_path_is_input_error(capsys, tmp_path):
+    target = tmp_path / "no_such_dir" / "x.lp"
+    code, err = run_to_exit(capsys, "emit-asp", str(CORPUS / "t0.alm"),
+                            "-o", str(target))
+    assert code == 2
+    assert "cannot write" in err and "x.lp" in err
+    assert "Traceback" not in err

@@ -160,6 +160,26 @@ def test_500_random_programs_match_exhaustive_oracle():
         assert got == want, (trial, n, rules, choice, atmost)
 
 
+def test_300_random_programs_solved_with_facts():
+    # facts given to one call act like add_fact on a copy, including keys
+    # the program never mentions and repeated keys, and leave it unchanged
+    rng = random.Random(31337)
+    for trial in range(300):
+        n = rng.randrange(2, 11)
+        rules, choice, atmost = random_program(rng, n)
+        prog = build(n, rules, choice, atmost)
+        facts = [rng.randrange(n + 2) for _ in range(rng.randrange(0, 4))]
+        size = (len(prog.keys), len(prog.rules))
+        got = set(prog.answer_sets(facts=facts))
+        extended = prog.copy()
+        for k in facts:
+            extended.add_fact(k)
+        want = oracle(n + 2, rules + [(k, (), ()) for k in facts], choice,
+                      atmost)
+        assert got == solve(extended) == want, (trial, n, rules, facts)
+        assert (len(prog.keys), len(prog.rules)) == size
+
+
 def test_200_random_cr_programs():
     rng = random.Random(987654)
     for trial in range(200):

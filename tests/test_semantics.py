@@ -6,6 +6,7 @@ enumerated state and transition with evaluators written here from scratch.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,8 +15,8 @@ from almc.errors import DiagnosticSink
 from almc.modular import compare
 from almc.ontology import BASIC_FLUENT, DEFINED_FLUENT, FALSE, TRUE, dom_name
 from almc.semantics import (
-    Grounder, enumerate_states, compute_transitions, static_truth,
-    system_pre_models,
+    Grounder, build_diagrams, enumerate_states, compute_transitions,
+    static_truth, system_pre_models,
 )
 from almc.syntax.parser import parse_file
 from almc.tasks import compile_system
@@ -103,6 +104,25 @@ def test_empty_action_set_is_inertia(t0):
     for i, acts, j in trans:
         if not acts:
             assert i == j
+
+
+def test_diagrams_ground_one_program_per_horizon(monkeypatch):
+    # states and transitions reuse one horizon-0 and one horizon-1 program
+    # per pre-model, whatever the number of states
+    cs = compile_system(parse_path(CORPUS / "travel.alm"), [],
+                        DiagnosticSink())
+    calls = Counter()
+    build = Grounder.build_program
+
+    def counting(self, horizon, sink=None):
+        calls[self, horizon] += 1
+        return build(self, horizon, sink)
+
+    monkeypatch.setattr(Grounder, "build_program", counting)
+    diagrams = build_diagrams(cs.grounders)
+    assert sum(len(d.states) for d in diagrams) > 2
+    assert set(calls.values()) == {1}
+    assert len(calls) <= 2 * len(cs.grounders)
 
 
 def test_not_well_founded_fixture_has_no_states():

@@ -1,9 +1,10 @@
 import pytest
 
+from almc.cli import compile_from_path
 from almc.errors import DiagnosticSink, InputError
 from almc.syntax.parser import parse_file, parse_literal_text
 from almc.tasks import (
-    check_well_founded, compile_file, compile_system, entails_at, find_plans,
+    check_well_founded, compile_system, entails_at, find_plans,
     Plan, initial_coverage, parse_goal, parse_history, prefer_most_specific,
     temporal_project, validate_plan,
 )
@@ -164,7 +165,8 @@ def test_prefer_most_specific_keeps_unrelated_plans(toggle):
 
 @pytest.fixture(scope="module")
 def monkey():
-    return compile_file(str(CORPUS / "monkey_and_banana.alm"), [str(CORPUS)])
+    return compile_from_path(str(CORPUS / "monkey_and_banana.alm"),
+                             [str(CORPUS)])
 
 
 def test_monkey_projection_unique_trajectory(monkey):
@@ -193,7 +195,7 @@ def test_monkey_is_well_founded(monkey):
 
 
 def test_not_well_founded_detected():
-    cs = compile_file(str(CORPUS / "n_w_f.alm"), [])
+    cs = compile_from_path(str(CORPUS / "n_w_f.alm"), [])
     report = check_well_founded(cs)
     assert not report.well_founded
     assert report.method == "semantic"

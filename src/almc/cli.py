@@ -27,8 +27,8 @@ from almc.syntax import ast, parse_file, parse_literal_text, pretty
 from almc.errors import DiagnosticSink
 from almc.tasks import (
     CompiledSystem, check_well_founded, compile_system, entails_at,
-    find_plans, initial_coverage, parse_goal, parse_history,
-    prefer_most_specific, temporal_project, validate_plan,
+    find_plans, initial_coverage, normalize_goal, parse_goal,
+    parse_history, prefer_most_specific, temporal_project, validate_plan,
 )
 
 EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_SEMANTIC, EXIT_BUDGET = 0, 1, 2, 3, 4
@@ -120,6 +120,8 @@ def read_input(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise InputError(f"cannot read {path}: not UTF-8 text")
 
 
 def load_source(path: str):
@@ -284,6 +286,9 @@ def cmd_project(args) -> int:
     horizon = hist.max_step if args.horizon is None else args.horizon
     if args.at is not None and args.at > horizon:
         raise UsageError(f"--at {args.at} is beyond the horizon {horizon}")
+    # a bad query fails before anything is projected or printed
+    queries = [(q, parse_literal_text(q)) for q in args.query or []]
+    normalize_goal(cs, [lit for _, lit in queries])
     covered, total = initial_coverage(cs, hist)
     if covered < total and not args.json_lines:
         print(f"note: initial situation observes {covered} of {total} basic "
@@ -307,8 +312,7 @@ def cmd_project(args) -> int:
             print(f"  step {i}: {state_text(s)}")
             if i < len(t.occurrences) and t.occurrences[i]:
                 print(f"  occurs: {', '.join(sorted(map(str, t.occurrences[i])))}")
-    for q in args.query or []:
-        lit = parse_literal_text(q)
+    for q, lit in queries:
         step = horizon if args.at is None else args.at
         verdict = entails_at(cs, result, lit, step)
         if args.json_lines:

@@ -80,4 +80,7 @@ class DiagnosticSink:
     def raise_if_errors(self) -> None:
         errs = self.errors
         if errs:
-            raise SemanticError("; ".join(str(e) for e in errs), errs[0].span)
+            # the exception prefixes the first location; say it only once
+            first = f"{errs[0].severity}: {errs[0].message}"
+            raise SemanticError("; ".join([first] + [str(e) for e in errs[1:]]),
+                                errs[0].span)

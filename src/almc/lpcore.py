@@ -17,10 +17,15 @@ negation-as-failure body literals) extended with:
 The search is branch-and-propagate with a trail for backtracking.
 Propagation implements forward rule firing, dead-rule support counting,
 last-literal refutation for rules with a false head, and backchaining on a
-unique remaining support.  Because unfounded loops are not propagated, every
-total assignment is certified by an independent reduct + least-model check
-(`is_answer_set`) before it is reported; the enumeration is therefore sound
-and complete for finite programs.
+unique remaining support.  Support counting cannot see an atom that only
+supports itself through a positive loop (`p :- q. q :- p.`), so the search
+also falsifies unfounded sets, as smodels and clasp do: before it branches
+on a non-choice atom, and at every total assignment, every atom of a cyclic
+component of the positive dependency graph that no alive rule can derive
+from outside the unfounded set is made false.  Tight programs, whose graph
+has no cycle, skip this check (Fages 1994).  Every total assignment that
+survives is an answer set; it is still certified by an independent reduct +
+least-model check (`is_answer_set`) before it is reported.
 
 Atoms are interned from arbitrary hashable keys; callers deal only in keys.
 """
@@ -62,6 +67,7 @@ class Program:
         self.rules: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         self.cr_rules: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         self.atmost: list[tuple[tuple[int, ...], int]] = []
+        self._loops: Optional[tuple[tuple[int, int, int], list[int]]] = None
 
     # ------------------------------------------------------------ building
 
@@ -181,6 +187,73 @@ class Program:
                    if not any(b < a for b in applied_sets)}
         return [(m, a) for m, a in found if a in minimal]
 
+    def loop_atoms(self) -> list[int]:
+        """Non-choice atoms in a cyclic component of the positive dependency
+        graph, in which an edge leads from a rule's head to each atom of its
+        positive body.  Only these atoms can be unfounded while support
+        counting still sees an alive rule for them.
+
+        The graph includes the consistency-restoring rules, so one list
+        serves every search over the program; for a search without them it
+        may name a few atoms too many, which costs time, not soundness.
+        Choice atoms are founded whenever they are true, so they and their
+        edges are left out.  The list is empty for a tight program.  It is
+        cached until a rule or a choice atom is added.
+        """
+        stamp = (len(self.rules), len(self.cr_rules), len(self.choice))
+        if self._loops is not None and self._loops[0] == stamp:
+            return self._loops[1]
+        n = len(self.keys)
+        choice = self.choice
+        succ: list[list[int]] = [[] for _ in range(n)]
+        for head, pos, _ in chain(self.rules, self.cr_rules):
+            if head != _NO_HEAD and head not in choice:
+                succ[head].extend(b for b in pos if b not in choice)
+        # iterative Tarjan
+        cyclic: list[int] = []
+        index = [-1] * n
+        low = [0] * n
+        on_stack = [False] * n
+        stack: list[int] = []
+        counter = 0
+        for root in range(n):
+            if index[root] >= 0 or not succ[root]:
+                continue
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack[root] = True
+            work = [(root, iter(succ[root]))]
+            while work:
+                v, edges = work[-1]
+                for w in edges:
+                    if index[w] < 0:
+                        index[w] = low[w] = counter
+                        counter += 1
+                        stack.append(w)
+                        on_stack[w] = True
+                        work.append((w, iter(succ[w])))
+                        break
+                    if on_stack[w] and index[w] < low[v]:
+                        low[v] = index[w]
+                else:
+                    work.pop()
+                    if work and low[v] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[v]
+                    if low[v] == index[v]:
+                        component = []
+                        while True:
+                            w = stack.pop()
+                            on_stack[w] = False
+                            component.append(w)
+                            if w == v:
+                                break
+                        # a self-loop is a cycle of length one
+                        if len(component) > 1 or v in succ[v]:
+                            cyclic.extend(component)
+        self._loops = (stamp, cyclic)
+        return cyclic
+
     def is_answer_set(self, model: set[int],
                       extra_rules=(), n_extra: int = 0,
                       extra_choice: frozenset = frozenset()) -> bool:
@@ -286,6 +359,20 @@ class _Search:
         order = sorted(self.choice) + \
             [a for a in range(self.n) if a not in self.choice]
         self.order = order
+
+        # Unfounded-set bookkeeping over the loop atoms.  For a rule whose
+        # head is a loop atom, lpos holds the distinct loop atoms of its
+        # positive body, and lwatch maps each of those back to the rule.
+        self.loop_atoms = program.loop_atoms()
+        self.lpos: list[tuple[int, ...]] = [()] * len(self.rhead)
+        self.lwatch: list[list[int]] = [[] for _ in range(self.n)]
+        in_loop = set(self.loop_atoms)
+        for a in self.loop_atoms:
+            for r in self.headw[a]:
+                self.lpos[r] = tuple({b: None for b in self.rpos[r]
+                                      if b in in_loop})
+                for b in self.lpos[r]:
+                    self.lwatch[b].append(r)
 
     # tags for the trail
     _T_ATOM, _T_NEED, _T_DEAD, _T_SUPP, _T_GCNT = range(5)
@@ -445,6 +532,49 @@ class _Search:
                     return False
         return self._propagate()
 
+    def _unfounded(self) -> list[int]:
+        """The greatest unfounded set among the loop atoms.
+
+        A loop atom that is not false is founded when an alive rule derives
+        it from choice atoms, atoms outside loops and founded loop atoms; the
+        rest cannot be true in any answer set that extends the assignment.
+        Atoms outside loops count as founded, because support counting
+        already falsifies them when they lose their last rule.
+        """
+        status, dead, lpos = self.status, self.dead, self.lpos
+        candidates = [a for a in self.loop_atoms if status[a] != FALSE]
+        founded: set[int] = set()
+        stack: list[int] = []
+        waiting: dict[int, int] = {}  # rule -> body loop atoms not yet founded
+        for a in candidates:
+            for r in self.headw[a]:
+                if dead[r]:
+                    continue
+                if not lpos[r]:
+                    founded.add(a)
+                    stack.append(a)
+                    break
+                waiting[r] = len(lpos[r])
+        while stack:
+            for r in self.lwatch[stack.pop()]:
+                k = waiting.get(r)
+                if k is None:
+                    continue
+                waiting[r] = k - 1
+                if k == 1:
+                    h = self.rhead[r]
+                    if h not in founded:
+                        founded.add(h)
+                        stack.append(h)
+        return [a for a in candidates if a not in founded]
+
+    def _falsify(self, atoms: list[int]) -> bool:
+        for a in atoms:
+            if not self._assign(a, FALSE):
+                self.queue.clear()
+                return False
+        return self._propagate()
+
     def _pick(self) -> int:
         for a in self.order:
             if self.status[a] == UNDEF:
@@ -465,6 +595,11 @@ class _Search:
         while True:
             if not conflict:
                 a = self._pick()
+                if self.loop_atoms and (a < 0 or a not in self.choice):
+                    unfounded = self._unfounded()
+                    if unfounded:
+                        conflict = not self._falsify(unfounded)
+                        continue
                 if a < 0:
                     model = {i for i in range(self.n)
                              if self.status[i] == TRUE}

@@ -213,6 +213,9 @@ def _ground_history(cs: CompiledSystem, g: Grounder, hist: History,
                 f"occurrence at step {step} needs a horizon past {step}",
                 aterm.span)
         act = g.eval_term(aterm, {})
+        if act not in g.actions:
+            raise InputError(f"{act} is not an action of the system",
+                             aterm.span)
         key = ("occ", act, step)
         if positive:
             prog.add_fact(key)
@@ -299,7 +302,7 @@ def entails_at(cs: CompiledSystem, result: ProjectionResult,
     """
     if not result.trajectories:
         return False
-    for fl in _normalize_goal(cs, [lit]):
+    for fl in normalize_goal(cs, [lit]):
         if isinstance(fl, CmpLit):
             if not compare(fl.op, eval_ground_term(fl.lhs, result.consts),
                            eval_ground_term(fl.rhs, result.consts), fl.span):
@@ -372,7 +375,7 @@ def find_plans(cs: CompiledSystem, hist: History, goal: list[ast.Lit],
                max_plans: Optional[int] = None,
                minimality: str = "card",
                sequential: bool = True) -> PlanningResult:
-    goal_lits = _normalize_goal(cs, goal)
+    goal_lits = normalize_goal(cs, goal)
 
     seen_programs: set[str] = set()
     plans: dict[Plan, None] = {}
@@ -436,7 +439,11 @@ def find_plans(cs: CompiledSystem, hist: History, goal: list[ast.Lit],
     return PlanningResult(list(plans), horizon, note)
 
 
-def _normalize_goal(cs: CompiledSystem, goal: list[ast.Lit]) -> list:
+def normalize_goal(cs: CompiledSystem, goal: list[ast.Lit]) -> list:
+    """Ground goal or query literals in the theory's normal form.
+
+    Raises `SemanticError` for an unknown symbol or a non-ground literal.
+    """
     norm = _Normalizer(cs.sig, cs.sink)
     out = []
     for lit in goal:

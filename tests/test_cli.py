@@ -274,3 +274,39 @@ def test_emit_asp_to_unwritable_path_is_input_error(capsys, tmp_path):
     assert code == 2
     assert "cannot write" in err and "x.lp" in err
     assert "Traceback" not in err
+
+
+def test_non_utf8_history_is_input_error(capsys, tmp_path):
+    hist = tmp_path / "utf16.hist"
+    hist.write_bytes(b"\xff\xfe" + "happened(move(initial_box), 0).\n"
+                     .encode("utf-16-le"))
+    code, out, err = run(capsys, *GAMMA1[:-1], str(hist))
+    assert code == 2
+    assert f"cannot read {hist}: not UTF-8 text" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("line", ["happened(move(nowhere), 0).",
+                                  "-happened(move(nowhere), 0)."],
+                         ids=["positive", "negated"])
+def test_unknown_action_in_history_is_input_error(capsys, tmp_path, line):
+    hist = tmp_path / "bad.hist"
+    hist.write_text("observed(loc_in(monkey), initial_monkey, 0).\n"
+                    + line + "\n")
+    code, out, err = run(capsys, *GAMMA1[:-1], str(hist))
+    assert code == 2
+    assert f"{hist}:2:" in err
+    assert "move(nowhere) is not an action" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("query,code,message", [
+    ("bogus(monkey) = x", 3, "almc: 1:1: error: unknown symbol 'bogus'"),
+    ("loc_in(monkey) =", 2, "almc: 1:17: expected a term"),
+], ids=["unknown-symbol", "parse-error"])
+def test_bad_query_fails_before_projecting(capsys, query, code, message):
+    got, out, err = run(capsys, *GAMMA1, "--query", query)
+    assert got == code
+    assert out == ""  # no trajectory is printed before the error
+    assert err.startswith(message)
+    assert "1:1: 1:1:" not in err

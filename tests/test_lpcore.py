@@ -2,10 +2,14 @@
 
 The random suites compare the solver against an exhaustive checker written
 here from scratch: every subset of atoms is tested for stability with an
-independent reduct + least-model computation.
+independent reduct + least-model computation.  They also count the
+candidates the search hands to `Program.is_answer_set`: with unfounded sets
+propagated, the certifier should never reject one.
 """
 
 import random
+from collections import Counter
+from functools import wraps
 from itertools import combinations
 
 import pytest
@@ -31,6 +35,35 @@ def build(n, rules, choice=(), atmost=(), cr=()):
 
 def solve(prog):
     return set(prog.answer_sets())
+
+
+def never_rejected(test):
+    """Runs `test` counting the candidates the search hands to
+    `is_answer_set`, and fails if the certifier rejected any of them: with
+    unfounded sets propagated, every candidate should be an answer set.
+
+    A decorator, not a fixture, so that the acceptance gate can still call
+    the suites without arguments.
+    """
+    @wraps(test)
+    def counted():
+        log = Counter()
+        certify = Program.is_answer_set
+
+        def counting(self, *args, **kwargs):
+            ok = certify(self, *args, **kwargs)
+            log["rejected" if not ok else "accepted"] += 1
+            return ok
+
+        Program.is_answer_set = counting
+        try:
+            test()
+        finally:
+            Program.is_answer_set = certify
+        assert log["accepted"] > 0
+        assert log["rejected"] == 0, log
+
+    return counted
 
 
 # ------------------------------------------------------- exhaustive oracle
@@ -91,6 +124,30 @@ def test_positive_loop_is_unfounded():
     assert solve(prog) == {frozenset()}
 
 
+@never_rejected
+def test_loop_with_external_support_from_a_choice():
+    # p :- q.  q :- p.  p :- c.  {c}.  The loop holds only when c does.
+    p, q, c = 0, 1, 2
+    prog = build(3, [(p, (q,), ()), (q, (p,), ()), (p, (c,), ())],
+                 choice=[c])
+    assert solve(prog) == {frozenset(), frozenset({c, p, q})}
+
+
+@never_rejected
+def test_self_loop_is_unfounded():
+    # p :- p.  q :- not p.  The self-supporting p never holds.
+    prog = build(2, [(0, (0,), ()), (1, (), (0,))])
+    assert solve(prog) == {frozenset({1})}
+    assert prog.loop_atoms() == [0]
+
+
+def test_tight_program_has_no_loop_atoms():
+    # a chain and a loop through a choice atom are both tight
+    prog = build(3, [(1, (0,), ()), (2, (1,), ()), (0, (2,), ())],
+                 choice=[0])
+    assert prog.loop_atoms() == []
+
+
 def test_choice_atoms_are_free():
     prog = build(2, [(1, (0,), ())], choice=[0])
     assert solve(prog) == {frozenset(), frozenset({0, 1})}
@@ -149,6 +206,7 @@ def random_program(rng, n):
     return rules, choice, atmost
 
 
+@never_rejected
 def test_500_random_programs_match_exhaustive_oracle():
     rng = random.Random(20240817)
     for trial in range(500):
@@ -160,6 +218,38 @@ def test_500_random_programs_match_exhaustive_oracle():
         assert got == want, (trial, n, rules, choice, atmost)
 
 
+def random_loop_program(rng, n):
+    """Mostly positive bodies, so that the rules form positive loops."""
+    rules = []
+    for _ in range(rng.randrange(n, 3 * n)):
+        head = None if rng.random() < 0.1 else rng.randrange(n)
+        pos = tuple(rng.sample(range(n), k=rng.randrange(0, 3)))
+        neg = (rng.randrange(n),) if rng.random() < 0.2 else ()
+        rules.append((head, pos, neg))
+    choice = rng.sample(range(n), k=rng.randrange(0, n // 3 + 1))
+    atmost = []
+    if rng.random() < 0.4:
+        members = tuple(rng.sample(range(n), k=rng.randrange(2, n + 1)))
+        atmost.append((members, rng.randrange(0, len(members))))
+    return rules, choice, atmost
+
+
+@never_rejected
+def test_200_random_loop_programs_match_exhaustive_oracle():
+    rng = random.Random(5150)
+    loops = 0
+    for trial in range(200):
+        n = rng.randrange(2, 13)
+        rules, choice, atmost = random_loop_program(rng, n)
+        prog = build(n, rules, choice, atmost)
+        loops += bool(prog.loop_atoms())
+        got = solve(prog)
+        want = oracle(n, rules, choice, atmost)
+        assert got == want, (trial, n, rules, choice, atmost)
+    assert loops > 150  # the suite exercises the unfounded-set check
+
+
+@never_rejected
 def test_300_random_programs_solved_with_facts():
     # facts given to one call act like add_fact on a copy, including keys
     # the program never mentions and repeated keys, and leave it unchanged
@@ -180,6 +270,7 @@ def test_300_random_programs_solved_with_facts():
         assert (len(prog.keys), len(prog.rules)) == size
 
 
+@never_rejected
 def test_200_random_cr_programs():
     rng = random.Random(987654)
     for trial in range(200):

@@ -12,6 +12,7 @@ import pytest
 
 from almc.bat import CmpLit, Constraint, FunLit, OccLit
 from almc.errors import DiagnosticSink
+from almc.lpcore import Program
 from almc.modular import compare
 from almc.ontology import BASIC_FLUENT, DEFINED_FLUENT, FALSE, TRUE, dom_name
 from almc.semantics import (
@@ -123,6 +124,35 @@ def test_diagrams_ground_one_program_per_horizon(monkeypatch):
     assert sum(len(d.states) for d in diagrams) > 2
     assert set(calls.values()) == {1}
     assert len(calls) <= 2 * len(cs.grounders)
+
+
+def test_travel_certifies_only_the_models_it_returns(monkeypatch):
+    # travel's symmetric and transitive connectivity rules form positive
+    # loops; the search falsifies their unfounded sets, so every candidate
+    # it hands to the certifier is an answer set that it then returns
+    cs = compile_system(parse_path(CORPUS / "travel.alm"), [],
+                        DiagnosticSink())
+    calls = Counter()
+    certify = Program.is_answer_set
+    answer_sets = Program.answer_sets
+
+    def counting_certify(self, *args, **kwargs):
+        calls["certify"] += 1
+        return certify(self, *args, **kwargs)
+
+    def counting_answer_sets(self, *args, **kwargs):
+        for model in answer_sets(self, *args, **kwargs):
+            calls["models"] += 1
+            yield model
+
+    monkeypatch.setattr(Program, "is_answer_set", counting_certify)
+    monkeypatch.setattr(Program, "answer_sets", counting_answer_sets)
+    grounders = cs.grounders
+    assert any(g.state_program.loop_atoms() for g in grounders)
+    diagrams = build_diagrams(grounders)
+    assert sum(len(d.transitions) for d in diagrams) > 0
+    assert calls["models"] > 0
+    assert calls["certify"] == calls["models"]
 
 
 def test_not_well_founded_fixture_has_no_states():

@@ -340,15 +340,19 @@ def cmd_plan(args) -> int:
         print(result.note or "no plans", file=sys.stderr)
         return EXIT_SEMANTIC
     for k, plan in enumerate(sorted(result.plans, key=lambda p: p.steps)):
+        if not args.json_lines:
+            print(f"plan {k} ({plan.occurrences} occurrence(s)):")
+            for line in str(plan).splitlines():
+                print(f"  {line}")
+        ok = validate_plan(cs, hist, goal, plan, make_budget(args)) \
+            if args.validate else None
         if args.json_lines:
-            emit_json({"type": "plan", "index": k,
-                       "steps": [list(map(str, acts)) for acts in plan.steps]})
-            continue
-        print(f"plan {k} ({plan.occurrences} occurrence(s)):")
-        for line in str(plan).splitlines():
-            print(f"  {line}")
-        if args.validate:
-            ok = validate_plan(cs, hist, goal, plan, make_budget(args))
+            record = {"type": "plan", "index": k,
+                      "steps": [list(map(str, acts)) for acts in plan.steps]}
+            if ok is not None:
+                record["validated"] = ok
+            emit_json(record)
+        elif ok is not None:
             print(f"  re-execution: {'reaches the goal' if ok else 'FAILS'}")
     return EXIT_OK
 
@@ -418,13 +422,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--lib", action="append", default=[],
                        help="library search directory (repeatable; "
                             f"also ${LIBRARY_PATH_VAR})")
-        p.add_argument("--json-lines", action="store_true",
-                       help="machine-readable line-delimited output")
         if budgeted:
             p.add_argument("--budget-nodes", type=natural, default=None,
                            help="search decision limit")
             p.add_argument("--budget-seconds", type=seconds, default=None,
                            help="wall-clock limit for solving")
+
+    def json_lines(p):  # only on the commands that print records
+        p.add_argument("--json-lines", action="store_true",
+                       help="machine-readable line-delimited output")
 
     p = sub.add_parser("check", help="parse and validate")
     common(p)
@@ -438,6 +444,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hierarchy", help="print the sort hierarchy links")
     common(p, budgeted=False)
+    json_lines(p)
     p.set_defaults(fn=cmd_hierarchy)
 
     p = sub.add_parser("bat", help="summarize the normalized action theory")
@@ -446,10 +453,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("states", help="enumerate the states of each model")
     common(p)
+    json_lines(p)
     p.set_defaults(fn=cmd_states)
 
     p = sub.add_parser("transitions", help="compute the transition diagram")
     common(p)
+    json_lines(p)
     p.add_argument("--action-sets", choices=["singleton", "powerset"],
                    default="singleton",
                    help="action sets labelling transitions")
@@ -457,6 +466,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="temporal projection over a history")
     common(p)
+    json_lines(p)
     p.add_argument("--history", required=True, help="history fact file")
     p.add_argument("--horizon", type=natural, default=None)
     p.add_argument("--query", action="append", default=[],
@@ -467,6 +477,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="find minimal plans for a goal")
     common(p)
+    json_lines(p)
     p.add_argument("--history", required=True, help="initial facts file")
     p.add_argument("--goal", required=True, help="goal literal file")
     p.add_argument("--horizon", type=natural, required=True)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Hashable, Iterator, Optional
+from typing import Hashable, Iterator, Optional, Sequence
 
 from almc.errors import BudgetExceeded
 
@@ -117,26 +117,25 @@ class Program:
 
     def answer_sets(self, max_models: Optional[int] = None,
                     budget: Optional[Budget] = None,
-                    prefer_true: bool = False,
-                    facts=()) -> Iterator[frozenset]:
+                    facts: Sequence[Hashable] = ()) -> Iterator[frozenset]:
         """Answer sets of the regular rules, as frozensets of atom keys.
 
         `facts` are atom keys that hold for this call only, as if added with
         `add_fact` after the other rules; the program itself is unchanged, so
-        one ground program serves many calls.
+        one ground program serves many calls.  A fact the program never
+        mentions constrains nothing: it is added to every answer set.
         """
-        unknown: dict[Hashable, int] = {}  # keys the program never mentions
         fact_rules = []
+        unmentioned = []
         for key in facts:
             a = self._ids.get(key)
             if a is None:
-                a = unknown.setdefault(key, len(self.keys) + len(unknown))
-            fact_rules.append((a, (), ()))
-        keys = self.keys + list(unknown) if unknown else self.keys
-        solver = _Search(self, fact_rules, set(), prefer_true,
-                         n_extra=len(unknown))
-        for model in solver.run(max_models, budget):
-            yield frozenset(keys[a] for a in model)
+                unmentioned.append(key)
+            else:
+                fact_rules.append((a, (), ()))
+        keys = self.keys
+        for model in _Search(self, fact_rules, set()).run(max_models, budget):
+            yield frozenset(chain((keys[a] for a in model), unmentioned))
 
     def solve_cr(self, max_models: Optional[int] = None,
                  budget: Optional[Budget] = None,
@@ -164,7 +163,7 @@ class Program:
             extra_rules.append((head, pos + (a,), neg))
 
         def models_with_bound(k: int):
-            solver = _Search(self, tuple(extra_rules), extra_choice, False,
+            solver = _Search(self, tuple(extra_rules), extra_choice,
                              extra_atmost=[(tuple(applied_atoms), k)],
                              n_extra=n)
             out = []
@@ -309,11 +308,10 @@ class _Search:
     """One enumeration over a program plus optional extra rules/atoms."""
 
     def __init__(self, program: Program, extra_rules, extra_choice: set[int],
-                 prefer_true: bool, extra_atmost=None, n_extra: int = 0):
+                 extra_atmost=None, n_extra: int = 0):
         self.program = program
         self.n = len(program.keys) + n_extra
         self.choice = program.choice | extra_choice
-        self.prefer_true = prefer_true
         self.extra_rules = tuple(extra_rules)
         rules = chain(program.rules, self.extra_rules)
         self.n_extra = n_extra
@@ -585,8 +583,6 @@ class _Search:
             budget: Optional[Budget]) -> Iterator[set[int]]:
         if not self._init():
             return
-        first = TRUE if self.prefer_true else FALSE
-        second = FALSE if self.prefer_true else TRUE
         # decision stack: (trail mark, atom, next value or 0 when exhausted)
         stack: list[list[int]] = []
         found = 0
@@ -625,8 +621,8 @@ class _Search:
                                 and decisions % 64 == 1 \
                                 and time.monotonic() > budget.deadline:
                             raise BudgetExceeded("time budget exhausted")
-                    stack.append([len(self.trail), a, second])
-                    if self._assign(a, first):
+                    stack.append([len(self.trail), a, TRUE])
+                    if self._assign(a, FALSE):
                         conflict = not self._propagate()
                     else:
                         conflict = True

@@ -146,9 +146,6 @@ class Signature:
     def is_subsort(self, sub: str, sup: str) -> bool:
         return sub == sup or sup in self.ancestors(sub)
 
-    def is_range(self, key: str) -> bool:
-        return key in self.ranges
-
 
 def _check_fresh(name: str, kind: str, taken: dict[str, str],
                  span: Span, sink: DiagnosticSink) -> None:

@@ -496,8 +496,8 @@ class StateSpace:
     ambiguous: list[State]
 
 
-def enumerate_states(g: Grounder, budget: Optional[Budget] = None,
-                     max_states: Optional[int] = None) -> StateSpace:
+def enumerate_states(g: Grounder, budget: Optional[Budget] = None
+                     ) -> StateSpace:
     """States of the diagram defined by `g.pm`, each certified."""
     gen = g.state_program.copy()
     g.add_generation(gen, 0)
@@ -512,8 +512,6 @@ def enumerate_states(g: Grounder, budget: Optional[Budget] = None,
         verdict = certify_state(g, cand, budget)
         if verdict == "state":
             states.append(cand)
-            if max_states is not None and len(states) > max_states:
-                raise BudgetExceeded("state limit exceeded")
         elif verdict == "ambiguous":
             ambiguous.append(cand)
     states.sort(key=lambda s: s.values)

@@ -17,16 +17,21 @@ Systems can have several pre-models that differ only in how objects are
 placed into source sorts.  A `CompiledSystem` computes its pre-models once,
 on first use, and keeps one `Grounder` per pre-model (`grounders`); every
 task iterates that list.  The ground programs such pre-models induce are
-often literally identical because statics are evaluated away, so both tasks
-fingerprint the ground program and solve each distinct program once,
-merging trajectories/plans across pre-models.
+often literally identical because statics are evaluated away.  Both tasks
+get their programs from one generator (`_history_programs`), which skips a
+program equal to one it has already yielded: atoms, rules, choice atoms,
+consistency-restoring rules and cardinality groups are compared as they are
+(`program_fingerprint`).  Each distinct program is solved once, and the
+trajectories/plans are merged across pre-models.  A plan is validated by
+projecting the history with the plan's occurrences given to the solver as
+facts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from almc.bat import (
     ActionTheory, CmpLit, FunLit, _Normalizer, build_action_theory, lit_vars,
@@ -224,22 +229,30 @@ def _ground_history(cs: CompiledSystem, g: Grounder, hist: History,
     cs.sink.raise_if_errors()
 
 
-def program_fingerprint(prog: Program) -> str:
-    keys = prog.keys
-    rules = sorted(
-        (repr(keys[h] if h >= 0 else None),
-         tuple(sorted(repr(keys[b]) for b in pos)),
-         tuple(sorted(repr(keys[b]) for b in neg)))
-        for h, pos, neg in prog.rules)
-    choices = sorted(repr(keys[a]) for a in prog.choice)
-    crs = sorted(
-        (repr(keys[h]),
-         tuple(sorted(repr(keys[b]) for b in pos)),
-         tuple(sorted(repr(keys[b]) for b in neg)))
-        for h, pos, neg in prog.cr_rules)
-    groups = sorted((tuple(sorted(repr(keys[a]) for a in m)), k)
-                    for m, k in prog.atmost)
-    return repr((rules, choices, crs, groups))
+def program_fingerprint(prog: Program) -> tuple:
+    """The program's literal content.  Equal fingerprints mean identical
+    programs, which have the same answer sets; two programs that differ
+    only in the order of their atoms or rules get different fingerprints."""
+    return (tuple(prog.keys), tuple(prog.rules), frozenset(prog.choice),
+            tuple(prog.cr_rules), tuple(prog.atmost))
+
+
+def _history_programs(cs: CompiledSystem, hist: History, horizon: int,
+                      extend: Optional[Callable[[Grounder, Program], None]]
+                      ) -> Iterator[tuple[Grounder, Program]]:
+    """The history program of each pre-model, grounded up to `horizon` and
+    extended by `extend(g, prog)`, skipping any program equal to one
+    already yielded."""
+    seen: set[tuple] = set()
+    for g in cs.grounders:
+        prog = g.build_program(horizon, cs.sink)
+        _ground_history(cs, g, hist, prog, horizon)
+        if extend is not None:
+            extend(g, prog)
+        fp = program_fingerprint(prog)
+        if fp not in seen:
+            seen.add(fp)
+            yield g, prog
 
 
 def _close_domains(g: Grounder, state: State) -> State:
@@ -256,21 +269,16 @@ def _close_domains(g: Grounder, state: State) -> State:
 def temporal_project(cs: CompiledSystem, hist: History,
                      horizon: Optional[int] = None,
                      budget: Optional[Budget] = None,
-                     max_trajectories: Optional[int] = None
-                     ) -> ProjectionResult:
+                     facts: Sequence[tuple] = ()) -> ProjectionResult:
+    """Trajectories of the history up to `horizon` (default: the history's
+    last step).  `facts` are atom keys that hold in addition to the history,
+    passed to the solver so that the history program stays the same."""
     n = hist.max_step if horizon is None else horizon
-    seen_programs: set[str] = set()
     found: dict[Trajectory, None] = {}
     consts = cs.grounders[0].pm.consts if cs.grounders else {}
-    for g in cs.grounders:
-        prog = g.build_program(n, cs.sink)
-        _ground_history(cs, g, hist, prog, n)
-        fp = program_fingerprint(prog)
-        if fp in seen_programs:
-            continue
-        seen_programs.add(fp)
+    for g, prog in _history_programs(cs, hist, n, None):
         state_cache: dict[State, str] = {}
-        for model in prog.answer_sets(budget=budget):
+        for model in prog.answer_sets(budget=budget, facts=facts):
             states = tuple(_close_domains(g, g.state_from_model(model, i))
                            for i in range(n + 1))
             ok = True
@@ -288,9 +296,6 @@ def temporal_project(cs: CompiledSystem, hist: History,
                 frozenset(k[1] for k in model if k[0] == "occ" and k[2] == i)
                 for i in range(n))
             found.setdefault(Trajectory(states, occs))
-            if max_trajectories is not None \
-                    and len(found) >= max_trajectories:
-                return ProjectionResult(list(found), n, consts)
     return ProjectionResult(list(found), n, consts)
 
 
@@ -377,12 +382,7 @@ def find_plans(cs: CompiledSystem, hist: History, goal: list[ast.Lit],
                sequential: bool = True) -> PlanningResult:
     goal_lits = normalize_goal(cs, goal)
 
-    seen_programs: set[str] = set()
-    plans: dict[Plan, None] = {}
-    for g in cs.grounders:
-        prog = g.build_program(horizon, cs.sink)
-        _ground_history(cs, g, hist, prog, horizon)
-
+    def extend(g: Grounder, prog: Program) -> None:
         # goal(I) <- goal literals at I;  success <- goal(I);  <- not success
         success = prog.atom(("success",))
         goal_neqs: set = set()
@@ -416,11 +416,8 @@ def find_plans(cs: CompiledSystem, hist: History, goal: list[ast.Lit],
             prog.add_constraint((prog.atom(("some_action", i + 1)),),
                                 (prog.atom(("some_action", i)),))
 
-        fp = program_fingerprint(prog)
-        if fp in seen_programs:
-            continue
-        seen_programs.add(fp)
-
+    plans: dict[Plan, None] = {}
+    for _, prog in _history_programs(cs, hist, horizon, extend):
         for model, _applied in prog.solve_cr(max_models=max_plans,
                                              budget=budget,
                                              minimality=minimality):
@@ -515,26 +512,14 @@ def prefer_most_specific(cs: CompiledSystem,
 
 def validate_plan(cs: CompiledSystem, hist: History, goal: list[ast.Lit],
                   plan: Plan, budget: Optional[Budget] = None) -> bool:
-    """Re-execute: history + the plan's occurrences must reach the goal."""
-    run = History(observed=list(hist.observed),
-                  happened=list(hist.happened))
-    for i, acts in enumerate(plan.steps):
-        for a in acts:
-            run.happened.append((_term_of(a), i, True))
+    """Re-execute: the history with the plan's occurrences, given to the
+    solver as facts, must reach the goal."""
     end = len(plan.steps)
-    result = temporal_project(cs, run, horizon=end, budget=budget)
+    occs = [("occ", a, i) for i, acts in enumerate(plan.steps) for a in acts]
+    result = temporal_project(cs, hist, horizon=end, budget=budget,
+                              facts=occs)
     return result.consistent \
         and all(entails_at(cs, result, lit, end) for lit in goal)
-
-
-def _term_of(value: Value) -> ast.Term:
-    """Parse a ground value back into a term (inverse of rendering)."""
-    if isinstance(value, int):
-        return ast.Num(value)
-    text = str(value)
-    if "(" not in text:
-        return ast.Sym(text)
-    return _Parser(tokenize(text)).parse_term()
 
 
 # ================================================================ well-founded

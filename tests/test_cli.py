@@ -310,3 +310,28 @@ def test_bad_query_fails_before_projecting(capsys, query, code, message):
     assert out == ""  # no trajectory is printed before the error
     assert err.startswith(message)
     assert "1:1: 1:1:" not in err
+
+
+def test_plan_json_lines_carry_the_validation_verdict(capsys):
+    argv = ["plan", str(CORPUS / "monkey_and_banana.alm"), *LIB,
+            "--history", str(CORPUS / "mb.hist"),
+            "--goal", str(CORPUS / "mb.goal"), "--horizon", "6",
+            "--json-lines"]
+    code, out, _ = run(capsys, *argv, "--validate")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 2
+    assert all(r["validated"] is True for r in records)
+    # without --validate the records are as before
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == \
+        [{k: v for k, v in r.items() if k != "validated"} for r in records]
+
+
+@pytest.mark.parametrize("command", ["check", "flatten", "bat", "emit-asp"])
+def test_json_lines_is_rejected_where_no_records_are_printed(capsys, command):
+    code, err = run_to_exit(capsys, command, str(CORPUS / "t0.alm"),
+                            "--json-lines")
+    assert code == 1
+    assert "--json-lines" in err

@@ -2,6 +2,7 @@ import pytest
 
 from almc.cli import compile_from_path
 from almc.errors import DiagnosticSink, InputError
+from almc.lpcore import Program
 from almc.syntax.parser import parse_file, parse_literal_text
 from almc.tasks import (
     check_well_founded, compile_system, entails_at, find_plans,
@@ -187,6 +188,58 @@ def test_validation_reads_disequality_goals_like_queries(monkey):
     assert validate_plan(monkey, observed, goal, Plan(()))
     # unobserved, loc_in(monkey) is undefined at step 0
     assert not validate_plan(monkey, parse_history(""), goal, Plan(()))
+
+
+@pytest.fixture(scope="module")
+def monkey_task(monkey):
+    hist = parse_history((CORPUS / "mb.hist").read_text())
+    goal = parse_goal((CORPUS / "mb.goal").read_text())
+    return hist, goal, find_plans(monkey, hist, goal, horizon=6).plans
+
+
+def test_monkey_solves_one_history_program_per_task(monkey, monkey_task,
+                                                    monkeypatch):
+    """Monkey's 8 pre-models ground to one history program, so each task
+    solves one program, and validation gives the plan's occurrences to
+    the solver as facts."""
+    hist, goal, plans = monkey_task
+    assert len(monkey.grounders) == 8 and len(plans) == 2
+    state_programs = {id(g.state_program) for g in monkey.grounders}
+    calls = []
+    answer_sets, solve_cr = Program.answer_sets, Program.solve_cr
+
+    def counted_answer_sets(self, *args, **kwargs):
+        if id(self) not in state_programs:
+            calls.append(("answer_sets", list(kwargs.get("facts", ()))))
+        return answer_sets(self, *args, **kwargs)
+
+    def counted_solve_cr(self, *args, **kwargs):
+        calls.append(("solve_cr", []))
+        return solve_cr(self, *args, **kwargs)
+
+    monkeypatch.setattr(Program, "answer_sets", counted_answer_sets)
+    monkeypatch.setattr(Program, "solve_cr", counted_solve_cr)
+
+    assert find_plans(monkey, hist, goal, horizon=6).plans == plans
+    assert calls.count(("solve_cr", [])) == 1
+
+    for plan in plans:
+        calls.clear()
+        assert validate_plan(monkey, hist, goal, plan)
+        occs = [("occ", a, i) for i, acts in enumerate(plan.steps)
+                for a in acts]
+        assert calls == [("answer_sets", occs)]
+
+    calls.clear()
+    assert temporal_project(monkey, hist, horizon=2).consistent
+    assert calls == [("answer_sets", [])]
+
+
+def test_validation_rejects_a_plan_that_misses_the_goal(monkey, monkey_task):
+    hist, goal, plans = monkey_task
+    steps = plans[0].steps
+    assert not validate_plan(monkey, hist, goal, Plan(steps[:-1]))
+    assert not validate_plan(monkey, hist, goal, Plan(steps[::-1]))
 
 
 def test_monkey_is_well_founded(monkey):

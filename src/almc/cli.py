@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -174,15 +175,13 @@ def search_paths_of(args) -> list[str]:
 
 # ------------------------------------------------------------ subcommands
 
-def cmd_check(args) -> int:
-    sink = DiagnosticSink()
+def cmd_check(args, sink: DiagnosticSink) -> int:
     node = load_source(args.file)
     # a theory file is validated as the union of its modules, imports expanded
     flat, cs = flatten_any(node, search_paths_of(args), sink)
     sig, _ = signature_and_theory(flat, cs, sink)
     wf = check_well_founded(cs, make_budget(args)) \
         if args.well_founded and cs is not None else None
-    _print_warnings(sink)
     print(f"{args.file}: ok "
           f"({len(sig.sorts)} sorts, {len(sig.functions)} functions)")
     if wf is not None:
@@ -193,22 +192,14 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _print_warnings(sink: DiagnosticSink) -> None:
-    for d in sink.items:
-        if d.severity == "warning":
-            print(d, file=sys.stderr)
-
-
-def cmd_flatten(args) -> int:
-    sink = DiagnosticSink()
+def cmd_flatten(args, sink: DiagnosticSink) -> int:
     node = load_source(args.file)
     flat, _ = flatten_any(node, search_paths_of(args), sink)
     sys.stdout.write(pretty(flat))
     return EXIT_OK
 
 
-def cmd_hierarchy(args) -> int:
-    sink = DiagnosticSink()
+def cmd_hierarchy(args, sink: DiagnosticSink) -> int:
     node = load_source(args.file)
     flat, cs = flatten_any(node, search_paths_of(args), sink)
     sig = cs.sig if cs is not None else build_signature(flat, sink)
@@ -221,12 +212,10 @@ def cmd_hierarchy(args) -> int:
     return EXIT_OK
 
 
-def cmd_bat(args) -> int:
-    sink = DiagnosticSink()
+def cmd_bat(args, sink: DiagnosticSink) -> int:
     node = load_source(args.file)
     flat, cs = flatten_any(node, search_paths_of(args), sink)
     sig, theory = signature_and_theory(flat, cs, sink)
-    _print_warnings(sink)
     print(f"functions: {len(sig.functions)}")
     for f in sorted(sig.functions.values(), key=lambda f: f.name):
         arrow = " * ".join(f.args) + " -> " if f.args else ""
@@ -239,8 +228,7 @@ def cmd_bat(args) -> int:
     return EXIT_OK
 
 
-def cmd_states(args) -> int:
-    sink = DiagnosticSink()
+def cmd_states(args, sink: DiagnosticSink) -> int:
     cs = compile_from_path(args.file, search_paths_of(args), sink)
     diagrams = build_diagrams(cs.grounders, budget=make_budget(args),
                               with_transitions=False)
@@ -258,8 +246,7 @@ def cmd_states(args) -> int:
     return EXIT_OK
 
 
-def cmd_transitions(args) -> int:
-    sink = DiagnosticSink()
+def cmd_transitions(args, sink: DiagnosticSink) -> int:
     cs = compile_from_path(args.file, search_paths_of(args), sink)
     mode = "powerset" if args.action_sets == "powerset" else "upto1"
     diagrams = build_diagrams(cs.grounders, mode, make_budget(args))
@@ -279,8 +266,7 @@ def cmd_transitions(args) -> int:
     return EXIT_OK
 
 
-def cmd_project(args) -> int:
-    sink = DiagnosticSink()
+def cmd_project(args, sink: DiagnosticSink) -> int:
     cs = compile_from_path(args.file, search_paths_of(args), sink)
     hist = parse_history(read_input(args.history), args.history)
     horizon = hist.max_step if args.horizon is None else args.horizon
@@ -324,8 +310,7 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
-def cmd_plan(args) -> int:
-    sink = DiagnosticSink()
+def cmd_plan(args, sink: DiagnosticSink) -> int:
     cs = compile_from_path(args.file, search_paths_of(args), sink)
     hist = parse_history(read_input(args.history), args.history)
     goal = parse_goal(read_input(args.goal), args.goal)
@@ -357,12 +342,11 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def cmd_emit_asp(args) -> int:
-    sink = DiagnosticSink()
+def cmd_emit_asp(args, sink: DiagnosticSink) -> int:
     cs = compile_from_path(args.file, search_paths_of(args), sink)
     if not cs.grounders:
         raise SemanticError("no pre-model: structure is inconsistent")
-    prog = cs.grounders[0].build_program(args.horizon, sink)
+    prog = cs.grounders[0].build_program(args.horizon)
     text = program_text(prog)
     if args.output:
         try:
@@ -426,7 +410,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget-nodes", type=natural, default=None,
                            help="search decision limit")
             p.add_argument("--budget-seconds", type=seconds, default=None,
-                           help="wall-clock limit for solving")
+                           help="wall-clock limit for grounding and "
+                                "solving")
 
     def json_lines(p):  # only on the commands that print records
         p.add_argument("--json-lines", action="store_true",
@@ -500,10 +485,28 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _print_warnings(sink: DiagnosticSink) -> None:
+    """Each distinct warning once: pre-models that ground alike warn
+    alike."""
+    for text in dict.fromkeys(str(d) for d in sink.items
+                              if d.severity == "warning"):
+        print(text, file=sys.stderr)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
+    sink = DiagnosticSink()
     try:
-        return args.fn(args)
+        return args.fn(args, sink)
+    except BrokenPipeError:
+        # the reader closed stdout (`almc states ... | head`): stop quietly,
+        # and point stdout at /dev/null so that the flush at exit cannot
+        # fail again
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass  # stdout has no file descriptor
+        return EXIT_OK
     except UsageError as exc:
         print(f"almc {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -519,6 +522,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except AlmError as exc:
         print(f"almc: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        _print_warnings(sink)
 
 
 if __name__ == "__main__":

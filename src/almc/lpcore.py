@@ -55,6 +55,11 @@ class Budget:
         return Budget(max_decisions,
                       None if seconds is None else time.monotonic() + seconds)
 
+    def check_time(self) -> None:
+        """Raise `BudgetExceeded` once the deadline has passed."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded("time budget exhausted")
+
 
 class Program:
     """A ground program under construction."""
@@ -617,10 +622,8 @@ class _Search:
                                 "exhausted")
                         # the clock is read at the first decision and at
                         # every 64th after it
-                        if budget.deadline is not None \
-                                and decisions % 64 == 1 \
-                                and time.monotonic() > budget.deadline:
-                            raise BudgetExceeded("time budget exhausted")
+                        if decisions % 64 == 1:
+                            budget.check_time()
                     stack.append([len(self.trail), a, TRUE])
                     if self._assign(a, FALSE):
                         conflict = not self._propagate()

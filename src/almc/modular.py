@@ -297,6 +297,11 @@ class PreModel:
 
 # -------------------------------------------------- term / literal evaluation
 
+class UndefinedArithmetic(SemanticError):
+    """Arithmetic without a value (`mod` by zero).  A grounder drops the
+    ground instance, as gringo does; elsewhere it is a semantic error."""
+
+
 def eval_ground_term(t: ast.Term, consts: dict[str, Value],
                      env: Optional[dict[str, Value]] = None) -> Value:
     """Evaluate a pre-interpreted term to a ground value."""
@@ -325,6 +330,8 @@ def eval_ground_term(t: ast.Term, consts: dict[str, Value],
         if t.op == "*":
             return lv * rv
         if t.op == "mod":
+            if rv == 0:
+                raise UndefinedArithmetic(f"{lv} mod 0 is undefined", t.span)
             return lv % rv
         raise SemanticError(f"unknown operator {t.op}", t.span)
     raise SemanticError(f"cannot evaluate term {t!r}")

@@ -15,15 +15,30 @@ logic programs for the solver:
   a domain guard, and the per-step closed-world assumption for defined
   fluents.  `horizon = 0` is exactly the single-state program.
 
+Grounding is body-ordered, as in gringo (Gebser, Kaminski, König, Schaub,
+*Advances in gringo series 3*, LPNMR 2011): a statement's variables are
+bound in nested loops, and each literal is ground (`ground_lit`, the one
+literal evaluator) as soon as its variables are bound, so a statically
+false literal cuts off every binding below it.  A binding's ground literals
+never depend on the step, so each surviving binding becomes a step-free
+*rule template*, computed once per grounder by its first `build_program`
+call; every call then only adds the steps to the templates, in statement,
+binding, step order.  A ground instance whose arithmetic has no value
+(`X mod 0`) is dropped, as gringo drops it, and the budget's deadline is
+read while templates are ground and while steps are added.
+
 Pre-models come from `system_pre_models`; callers build one grounder per
 pre-model once and pass the grounders around (`build_diagrams` takes them).
+Pre-models that differ only in what no rule reads give equal templates:
+`program_key` covers everything a history program reads from a pre-model,
+so that projection and planning ground one program per group of equal keys.
 
 Only the facts of a state change from one solve to the next, so each
 program shape is ground once and solved many times with a state's facts
 passed to the solver (`Program.answer_sets(facts=...)`): a grounder keeps
-its horizon-0 program (`state_program`) for state generation and for every
-certification, and `compute_transitions` grounds one horizon-1 program for
-all its source states.
+its horizon-0 program (`state_program()`) for state generation and for
+every certification, and `compute_transitions` grounds one horizon-1
+program for all its source states.
 
 States are enumerated by adding free choices over the values of basic
 fluents (with the companion domain atoms closed as "false unless a value
@@ -37,8 +52,7 @@ sets witness that the theory is not well-founded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, Optional, Union
 
 from almc.bat import (
@@ -50,8 +64,8 @@ from almc.errors import (
 )
 from almc.lpcore import Budget, Program
 from almc.modular import (
-    PreModel, Value, compare, enumerate_placements, eval_ground_term,
-    structure_static_rules,
+    PreModel, UndefinedArithmetic, Value, compare, enumerate_placements,
+    eval_ground_term, structure_static_rules,
 )
 from almc.ontology import (
     ACTIONS, BOOLEANS, FALSE, TRUE, UNIVERSE, FuncInfo, Signature, dom_name,
@@ -138,11 +152,39 @@ class State:
         return [(f, args, v) for (f, args), v in self.values]
 
 
+# A rule template is a ground rule without its step: (head, pos, neg, neqs),
+# where each key is a pair (step-free key, offset) that stands for the atom
+# key + (step + offset,) at an instantiating step, a head of None makes a
+# constraint, and neqs lists the disequality keys among pos and neg, which
+# the program must define.  A template is the tuple of rules added together
+# at each step.
+
+def _rule(head, pos=(), neg=()) -> tuple:
+    neqs = tuple(k for k in chain(pos, neg) if k[0][0] == "neq")
+    return (head, tuple(pos), tuple(neg), neqs)
+
+
+def _body_keys(results) -> tuple[list, list]:
+    """Positive and negative body keys (offset 0) of a body's literal
+    results (`Grounder.ground_lit`), each in body order."""
+    pos = [(r[0], 0) for r in results if r is not True and r[1]]
+    neg = [(r[0], 0) for r in results if r is not True and not r[1]]
+    return pos, neg
+
+
+def _check_time(budget: Optional[Budget]) -> None:
+    if budget is not None:
+        budget.check_time()
+
+
 class Grounder:
-    def __init__(self, theory: ActionTheory, pm: PreModel):
+    def __init__(self, theory: ActionTheory, pm: PreModel,
+                 sink: Optional[DiagnosticSink] = None):
         self.theory = theory
         self.pm = pm
         self.sig = theory.sig
+        #: receives the warnings issued while the rule templates are built
+        self.sink = sink
         # Ground instances of every fluent: argument tuples and value domain.
         self.tuples: dict[str, list[tuple[Value, ...]]] = {}
         self.values: dict[str, list[Value]] = {}
@@ -162,13 +204,16 @@ class Grounder:
             self.tuples[f.name] = [tuple(t) for t in product(*doms)]
             self.values[f.name] = list(pm.sort_values(f.result))
         self.actions: list[Value] = list(pm.members.get(ACTIONS, ()))
+        #: rule templates by group, built by the first `build_program` call
+        self._templates: Optional[tuple[tuple, ...]] = None
+        self._state_program: Optional[Program] = None
 
     # ---------------------------------------------------- variable domains
 
     def sort_domain(self, key: str) -> list[Value]:
         return self.pm.sort_values(key)
 
-    def _var_domains(self, stmt) -> dict[str, list[Value]]:
+    def var_domains(self, stmt) -> dict[str, list[Value]]:
         domains: dict[str, list[Value]] = {}
 
         def narrow(var: str, dom: list[Value]) -> None:
@@ -236,8 +281,15 @@ class Grounder:
                 f"{', '.join(sorted(missing))}", getattr(stmt, "span", Span()))
         return domains
 
-    def envs(self, stmt) -> Iterator[dict[str, Value]]:
-        domains = self._var_domains(stmt)
+    def bindings(self, stmt, lits, budget: Optional[Budget] = None
+                 ) -> Iterator[tuple[dict[str, Value], list]]:
+        """Bind the statement's variables in nested loops, in the order of
+        `var_domains`, grounding each literal of `lits` (`ground_lit`) as
+        soon as its variables are bound, so that a statically false literal
+        cuts off every binding below it.  Yields ``(env, results)`` for each
+        binding under which no literal is statically false; both objects
+        are reused from one binding to the next."""
+        domains = self.var_domains(stmt)
         names = list(domains)
         size = 1
         for n in names:
@@ -245,8 +297,39 @@ class Grounder:
             if size > MAX_GROUND_INSTANCES:
                 raise BudgetExceeded(
                     "too many ground instances of a statement", stmt.span)
-        for combo in product(*[domains[n] for n in names]):
-            yield dict(zip(names, combo))
+        depth = {n: i + 1 for i, n in enumerate(names)}
+        # stages[d]: the literals whose last variable is the d-th bound
+        stages: list[list[int]] = [[] for _ in range(len(names) + 1)]
+        for i, lit in enumerate(lits):
+            stages[max((depth[v] for v in lit_vars(lit)), default=0)].append(i)
+        env: dict[str, Value] = {}
+        results: list = [True] * len(lits)
+        ground_lit = self.ground_lit
+
+        def bind(d: int):
+            if d == 1:
+                _check_time(budget)
+            name, stage = names[d], stages[d + 1]
+            deeper = d + 1 < len(names)
+            for v in domains[name]:
+                env[name] = v
+                for i in stage:
+                    r = ground_lit(lits[i], env)
+                    if r is False:
+                        break
+                    results[i] = r
+                else:
+                    if deeper:
+                        yield from bind(d + 1)
+                    else:
+                        yield env, results
+
+        _check_time(budget)
+        for i in stages[0]:
+            results[i] = ground_lit(lits[i], env)
+            if results[i] is False:
+                return iter(())
+        return bind(0) if names else iter([(env, results)])
 
     # ---------------------------------------------------- literal grounding
 
@@ -257,177 +340,212 @@ class Grounder:
         return all(self.pm.is_instance(v, s)
                    for v, s in zip(argvals, info.args))
 
-    def ground_body(self, body, env: dict[str, Value], step: int,
-                    pos: list, neg: list, neqs: set) -> bool:
-        """Ground body literals into atom keys; False if statically false."""
-        for lit in body:
-            if isinstance(lit, CmpLit):
-                if not compare(lit.op, self.eval_term(lit.lhs, env),
-                               self.eval_term(lit.rhs, env), lit.span):
-                    return False
-                continue
-            if isinstance(lit, OccLit):
-                key = ("occ", self.eval_term(lit.action, env), step)
-                (neg if lit.neg else pos).append(key)
-                continue
-            argvals = tuple(self.eval_term(a, env) for a in lit.args)
-            val = self.eval_term(lit.value, env)
-            info = self.sig.functions.get(lit.func)
-            if info is None or not info.is_fluent:
-                if not static_truth(self.pm, lit, argvals, val):
-                    return False
-                continue
-            if not self._typed(info, argvals):
-                return False
-            if val not in self.values[lit.func]:
-                if lit.op == "=":
-                    return False
-                # f(args) != v with v outside the range: holds iff f defined
-                if info.args:
-                    pos.append(("v", dom_name(lit.func), argvals, TRUE, step))
-                continue
-            if lit.op == "=":
-                pos.append(("v", lit.func, argvals, val, step))
+    def ground_lit(self, lit, env: dict[str, Value]):
+        """Ground one body literal under `env`: False if it is statically
+        false (undefined arithmetic included), True if it holds with no
+        atom, otherwise ``(step-free key, positive)``."""
+        consts = self.pm.consts
+        try:
+            if isinstance(lit, FunLit):
+                argvals = tuple(eval_ground_term(a, consts, env)
+                                for a in lit.args)
+                val = eval_ground_term(lit.value, consts, env)
+            elif isinstance(lit, CmpLit):
+                return compare(lit.op, eval_ground_term(lit.lhs, consts, env),
+                               eval_ground_term(lit.rhs, consts, env),
+                               lit.span)
             else:
-                key = ("neq", lit.func, argvals, val, step)
-                pos.append(key)
-                neqs.add(key)
-        return True
+                return (("occ", eval_ground_term(lit.action, consts, env)),
+                        not lit.neg)
+        except UndefinedArithmetic:
+            return False
+        info = self.sig.functions.get(lit.func)
+        if info is None or not info.is_fluent:
+            return static_truth(self.pm, lit, argvals, val)
+        if not self._typed(info, argvals):
+            return False
+        if val not in self.values[lit.func]:
+            if lit.op == "=":
+                return False
+            # f(args) != v with v outside the range: holds iff f defined
+            return (("v", dom_name(lit.func), argvals, TRUE), True) \
+                if info.args else True
+        if lit.op == "=":
+            return (("v", lit.func, argvals, val), True)
+        return (("neq", lit.func, argvals, val), True)
 
-    # ---------------------------------------------------- program assembly
+    # ---------------------------------------------------- rule templates
 
-    def build_program(self, horizon: int,
-                      sink: Optional[DiagnosticSink] = None) -> Program:
-        prog = Program()
-        neqs: set = set()
+    def _ground_templates(self, budget: Optional[Budget]
+                          ) -> tuple[tuple, ...]:
+        """The rule templates of every statement binding that survives its
+        static literals, and of the fixed rules, in six groups that
+        `build_program` instantiates over different step ranges."""
         th = self.theory
-
-        def add(head_key, pos_keys, neg_keys) -> None:
-            head = prog.atom(head_key) if head_key is not None else None
-            prog.add_rule(head, [prog.atom(k) for k in pos_keys],
-                          [prog.atom(k) for k in neg_keys])
-
+        state: list = []
         for stmt in th.constraints + th.definitions:
-            for env in self.envs(stmt):
-                head = stmt.head
-                head_static = (head is not None
-                               and not self._is_fluent_lit(head))
-                for step in range(horizon + 1):
-                    pos: list = []
-                    neg: list = []
-                    if not self.ground_body(stmt.body, env, step, pos, neg,
-                                            neqs):
-                        continue
-                    if head is None:
-                        add(None, pos, neg)
-                        continue
-                    argvals = tuple(self.eval_term(a, env)
-                                    for a in head.args)
-                    val = self.eval_term(head.value, env)
-                    if head_static:
-                        # statics are fixed: a satisfied head discharges the
-                        # rule, anything else is a plain constraint
-                        if static_truth(self.pm, head, argvals, val):
-                            continue
-                        add(None, pos, neg)
-                        continue
-                    info = self.sig.functions[head.func]
-                    if not self._typed(info, argvals) \
-                            or val not in self.values[head.func]:
-                        if sink is not None:
-                            sink.warning(
-                                f"ill-typed head {head.func}"
-                                f"({', '.join(map(str, argvals))}) = {val}; "
-                                "rule treated as a constraint", stmt.span)
-                        add(None, pos, neg)
-                        continue
-                    add(("v", head.func, argvals, val, step), pos, neg)
-
-        for stmt in th.dynamic:
-            for env in self.envs(stmt):
-                act = self.eval_term(stmt.act, env)
-                if not self.pm.is_instance(act, stmt.sort):
+            head = stmt.head
+            for env, results in self.bindings(stmt, stmt.body, budget):
+                pos, neg = _body_keys(results)
+                if head is None:
+                    state.append((_rule(None, pos, neg),))
                     continue
-                argvals = tuple(self.eval_term(a, env)
-                                for a in stmt.head.args)
-                val = self.eval_term(stmt.head.value, env)
-                info = self.sig.functions[stmt.head.func]
+                try:
+                    argvals = tuple(self.eval_term(a, env) for a in head.args)
+                    val = self.eval_term(head.value, env)
+                except UndefinedArithmetic:
+                    continue
+                info = self.sig.functions.get(head.func)
+                if info is None or not info.is_fluent:
+                    # statics are fixed: a satisfied head discharges the
+                    # rule, anything else is a plain constraint
+                    if not static_truth(self.pm, head, argvals, val):
+                        state.append((_rule(None, pos, neg),))
+                    continue
                 if not self._typed(info, argvals) \
+                        or val not in self.values[head.func]:
+                    if self.sink is not None:
+                        self.sink.warning(
+                            f"ill-typed head {head.func}"
+                            f"({', '.join(map(str, argvals))}) = {val}; "
+                            "rule treated as a constraint", stmt.span)
+                    state.append((_rule(None, pos, neg),))
+                    continue
+                state.append((_rule((("v", head.func, argvals, val), 0),
+                                    pos, neg),))
+
+        dynamic: list = []
+        for stmt in th.dynamic:
+            for env, results in self.bindings(stmt, stmt.body, budget):
+                try:
+                    act = self.eval_term(stmt.act, env)
+                    argvals = tuple(self.eval_term(a, env)
+                                    for a in stmt.head.args)
+                    val = self.eval_term(stmt.head.value, env)
+                except UndefinedArithmetic:
+                    continue
+                info = self.sig.functions[stmt.head.func]
+                if not self.pm.is_instance(act, stmt.sort) \
+                        or not self._typed(info, argvals) \
                         or val not in self.values[stmt.head.func]:
                     continue
-                for step in range(horizon):
-                    pos = [("occ", act, step)]
-                    neg: list = []
-                    if not self.ground_body(stmt.body, env, step, pos, neg,
-                                            neqs):
-                        continue
-                    add(("v", stmt.head.func, argvals, val, step + 1),
-                        pos, neg)
+                pos, neg = _body_keys(results)
+                dynamic.append((_rule(
+                    (("v", stmt.head.func, argvals, val), 1),
+                    [(("occ", act), 0)] + pos, neg),))
 
+        executable: list = []
         for stmt in th.executability:
-            for env in self.envs(stmt):
-                act = self.eval_term(stmt.act, env)
+            for env, results in self.bindings(stmt, stmt.body, budget):
+                try:
+                    act = self.eval_term(stmt.act, env)
+                except UndefinedArithmetic:
+                    continue
                 if not self.pm.is_instance(act, stmt.sort):
                     continue
-                for step in range(max(horizon, 1)):
-                    pos = [("occ", act, step)]
-                    neg = []
-                    if not self.ground_body(stmt.body, env, step, pos, neg,
-                                            neqs):
-                        continue
-                    add(None, pos, neg)
+                pos, neg = _body_keys(results)
+                executable.append(
+                    (_rule(None, [(("occ", act), 0)] + pos, neg),))
 
-        # closed world assumption for defined fluents, per step
-        for f in self.sig.functions.values():
-            if f.kind != "defined fluent":
-                continue
-            for args in self.tuples[f.name]:
-                for step in range(horizon + 1):
-                    add(("v", f.name, args, FALSE, step),
-                        (), [("v", f.name, args, TRUE, step)])
+        # closed world assumption for defined fluents
+        closed = [(_rule((("v", f.name, args, FALSE), 0), (),
+                         [(("v", f.name, args, TRUE), 0)]),)
+                  for f in self.sig.functions.values()
+                  if f.kind == "defined fluent"
+                  for args in self.tuples[f.name]]
 
         # a function has at most one value
+        unique: list = []
         for fname, args_list in self.tuples.items():
             vals = self.values[fname]
             for args in args_list:
                 for i in range(len(vals)):
                     for j in range(i + 1, len(vals)):
-                        for step in range(horizon + 1):
-                            add(None, [("v", fname, args, vals[i], step),
-                                       ("v", fname, args, vals[j], step)], ())
+                        unique.append((_rule(None, [
+                            (("v", fname, args, vals[i]), 0),
+                            (("v", fname, args, vals[j]), 0)]),))
 
         # inertia for basic fluents
+        inertia: list = []
         for f in self.sig.functions.values():
-            if f.kind != "basic fluent" or horizon == 0:
+            if f.kind != "basic fluent":
                 continue
             if f.dom_of is not None:
                 for args in self.tuples[f.name]:
-                    for step in range(horizon):
-                        add(("v", f.name, args, TRUE, step + 1),
-                            [("v", f.name, args, TRUE, step)],
-                            [("v", f.name, args, FALSE, step + 1)])
-                        add(("v", f.name, args, FALSE, step + 1),
-                            [("v", f.name, args, FALSE, step)],
-                            [("v", f.name, args, TRUE, step + 1)])
+                    t, u = ("v", f.name, args, TRUE), ("v", f.name, args, FALSE)
+                    inertia.append((_rule((t, 1), [(t, 0)], [(u, 1)]),
+                                    _rule((u, 1), [(u, 0)], [(t, 1)])))
                 continue
             dn = dom_name(f.name) if f.args else None
             for args in self.tuples[f.name]:
+                guard = [(("v", dn, args, TRUE), 1)] if dn else []
                 for v in self.values[f.name]:
-                    for step in range(horizon):
-                        guard = [("v", dn, args, TRUE, step + 1)] if dn else []
-                        nk = ("neq", f.name, args, v, step + 1)
-                        neqs.add(nk)
-                        add(("v", f.name, args, v, step + 1),
-                            guard + [("v", f.name, args, v, step)], [nk])
+                    key = ("v", f.name, args, v)
+                    inertia.append((_rule((key, 1), guard + [(key, 0)],
+                                          [(("neq", f.name, args, v), 1)]),))
+        return tuple(map(tuple, (state, dynamic, executable, closed, unique,
+                                 inertia)))
 
+    # ---------------------------------------------------- program assembly
+
+    def build_program(self, horizon: int,
+                      budget: Optional[Budget] = None) -> Program:
+        """The ground program for steps 0..horizon.
+
+        The first call grounds the rule templates; every call adds each
+        template at each step of its group's range, template by template,
+        so the rules come in statement, binding, step order.  The budget's
+        deadline is checked while templates are ground and added."""
+        if self._templates is None:
+            self._templates = self._ground_templates(budget)
+        h = horizon
+        ranges = (range(h + 1), range(h), range(max(h, 1)), range(h + 1),
+                  range(h + 1), range(h))
+        prog = Program()
+        atom, add = prog.atom, prog.add_rule
+        neqs: set = set()
+        for templates, steps in zip(self._templates, ranges):
+            for n, template in enumerate(templates):
+                if not n & 255:
+                    _check_time(budget)
+                for step in steps:
+                    at = ((step,), (step + 1,))
+                    for head, pos, neg, nq in template:
+                        add(None if head is None
+                            else atom(head[0] + at[head[1]]),
+                            [atom(k + at[o]) for k, o in pos],
+                            [atom(k + at[o]) for k, o in neg])
+                        neqs.update(k + at[o] for k, o in nq)
         self.define_neqs(prog, neqs)
         return prog
 
-    @cached_property
-    def state_program(self) -> Program:
+    def state_program(self, budget: Optional[Budget] = None) -> Program:
         """The horizon-0 program, ground on first use and then shared:
         solve it with a state's facts (`state_facts`), or extend a copy."""
-        return self.build_program(0)
+        if self._state_program is None:
+            self._state_program = self.build_program(0, budget)
+        return self._state_program
+
+    def program_key(self, budget: Optional[Budget] = None) -> tuple:
+        """Everything a history program reads from the pre-model: the rule
+        templates, the ground fluent instances and values, the actions and
+        the object constants.  Grounders with equal keys ground equal
+        programs at every horizon.  The templates come from grounding, so
+        a grounder that has ground nothing yet grounds its horizon-0
+        program (`state_program`) first."""
+        if self._templates is None:
+            self.state_program(budget)
+        return (self._templates,
+                tuple((f, tuple(ts)) for f, ts in self.tuples.items()),
+                tuple((f, tuple(vs)) for f, vs in self.values.items()),
+                tuple(self.actions), tuple(self.pm.consts.items()))
+
+    def share_ground(self, other: "Grounder") -> None:
+        """Use the templates and horizon-0 program of a grounder with an
+        equal `program_key`, which equal this grounder's own, so that one
+        copy is kept per group of pre-models."""
+        self._templates = other._templates
+        self._state_program = other._state_program
 
     def define_neqs(self, prog: Program, keys) -> None:
         """Define each disequality atom ``('neq', f, args, v, step)`` by one
@@ -499,7 +617,7 @@ class StateSpace:
 def enumerate_states(g: Grounder, budget: Optional[Budget] = None
                      ) -> StateSpace:
     """States of the diagram defined by `g.pm`, each certified."""
-    gen = g.state_program.copy()
+    gen = g.state_program(budget).copy()
     g.add_generation(gen, 0)
     seen: set[State] = set()
     states: list[State] = []
@@ -522,7 +640,7 @@ def certify_state(g: Grounder, cand: State,
                   budget: Optional[Budget] = None) -> str:
     """Definitional check: 'state', 'ambiguous' (several answer sets), or
     'rejected'."""
-    answers = list(g.state_program.answer_sets(
+    answers = list(g.state_program(budget).answer_sets(
         max_models=2, budget=budget, facts=g.state_facts(cand, 0)))
     if len(answers) != 1:
         return "ambiguous" if len(answers) == 2 else "rejected"
@@ -545,7 +663,7 @@ def compute_transitions(g: Grounder, states: list[State],
     """
     index = {s: i for i, s in enumerate(states)}
     out: list[Transition] = []
-    prog = g.build_program(1)
+    prog = g.build_program(1, budget)
     occ_keys = [("occ", a, 0) for a in g.actions]
     for k in occ_keys:
         prog.add_choice(k)
@@ -643,12 +761,13 @@ def complete_statics(theory: ActionTheory, struct_rules: list[Constraint],
     for _ in range(200):
         changed = False
         for rule in derive_rules:
-            for env in g.envs(rule):
-                if not _static_body_true(g, rule.body, env):
-                    continue
+            for env, _ in g.bindings(rule, rule.body):
                 head = rule.head
-                argvals = tuple(g.eval_term(a, env) for a in head.args)
-                val = g.eval_term(head.value, env)
+                try:
+                    argvals = tuple(g.eval_term(a, env) for a in head.args)
+                    val = g.eval_term(head.value, env)
+                except UndefinedArithmetic:
+                    continue
                 prev = pm.static_value(head.func, argvals)
                 if prev is None:
                     pm.statics[(head.func, argvals)] = val
@@ -661,22 +780,6 @@ def complete_statics(theory: ActionTheory, struct_rules: list[Constraint],
         raise BudgetExceeded("static value derivation did not converge")
 
     for rule in check_rules:
-        for env in g.envs(rule):
-            if _static_body_true(g, rule.body, env):
-                return False
-    return True
-
-
-def _static_body_true(g: Grounder, body, env) -> bool:
-    for lit in body:
-        if isinstance(lit, CmpLit):
-            if not compare(lit.op, g.eval_term(lit.lhs, env),
-                           g.eval_term(lit.rhs, env), lit.span):
-                return False
-            continue
-        assert isinstance(lit, FunLit)
-        argvals = tuple(g.eval_term(a, env) for a in lit.args)
-        val = g.eval_term(lit.value, env)
-        if not static_truth(g.pm, lit, argvals, val):
+        for _ in g.bindings(rule, rule.body):
             return False
     return True

@@ -18,8 +18,13 @@ placed into source sorts.  A `CompiledSystem` computes its pre-models once,
 on first use, and keeps one `Grounder` per pre-model (`grounders`); every
 task iterates that list.  The ground programs such pre-models induce are
 often literally identical because statics are evaluated away.  Both tasks
-get their programs from one generator (`_history_programs`), which skips a
-program equal to one it has already yielded: atoms, rules, choice atoms,
+get their programs from one generator (`_history_programs`).  It groups the
+pre-models before grounding the horizon, by `Grounder.program_key` (the
+rule templates, ground fluent instances, values, actions and constants)
+and, for planning, by the ground goal, and grounds, extends and yields one
+program per group; the grounders of a group share one copy of their
+templates and horizon-0 program.  As a final guard it skips a program equal
+to one it has already yielded: atoms, rules, choice atoms,
 consistency-restoring rules and cardinality groups are compared as they are
 (`program_fingerprint`).  Each distinct program is solved once, and the
 trajectories/plans are merged across pre-models.  A plan is validated by
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from almc.bat import (
     ActionTheory, CmpLit, FunLit, _Normalizer, build_action_theory, lit_vars,
@@ -64,7 +69,7 @@ class CompiledSystem:
     def grounders(self) -> list[Grounder]:
         """One grounder per pre-model, computed on first use: `check`,
         `flatten` and `bat` never need the pre-models."""
-        return [Grounder(self.theory, pm) for pm in
+        return [Grounder(self.theory, pm, self.sink) for pm in
                 system_pre_models(self.theory, self.structure, self.sink)]
 
 
@@ -237,15 +242,28 @@ def program_fingerprint(prog: Program) -> tuple:
             tuple(prog.cr_rules), tuple(prog.atmost))
 
 
-def _history_programs(cs: CompiledSystem, hist: History, horizon: int,
-                      extend: Optional[Callable[[Grounder, Program], None]]
-                      ) -> Iterator[tuple[Grounder, Program]]:
-    """The history program of each pre-model, grounded up to `horizon` and
-    extended by `extend(g, prog)`, skipping any program equal to one
-    already yielded."""
+def _history_programs(
+        cs: CompiledSystem, hist: History, horizon: int,
+        budget: Optional[Budget] = None,
+        extend: Optional[Callable[[Grounder, Program], None]] = None,
+        extend_key: Callable[[Grounder], Hashable] = lambda g: None,
+) -> Iterator[tuple[Grounder, Program]]:
+    """The history program of each group of equal pre-models, grounded up
+    to `horizon` and extended by `extend(g, prog)`, skipping any program
+    equal to one already yielded.
+
+    Pre-models are grouped by `Grounder.program_key` and by
+    `extend_key(g)`, which covers what `extend` reads from the grounder;
+    one program is ground, extended and yielded per group."""
+    groups: dict[tuple, Grounder] = {}
     seen: set[tuple] = set()
     for g in cs.grounders:
-        prog = g.build_program(horizon, cs.sink)
+        key = (g.program_key(budget), extend_key(g))
+        if key in groups:
+            g.share_ground(groups[key])
+            continue
+        groups[key] = g
+        prog = g.build_program(horizon, budget)
         _ground_history(cs, g, hist, prog, horizon)
         if extend is not None:
             extend(g, prog)
@@ -276,7 +294,7 @@ def temporal_project(cs: CompiledSystem, hist: History,
     n = hist.max_step if horizon is None else horizon
     found: dict[Trajectory, None] = {}
     consts = cs.grounders[0].pm.consts if cs.grounders else {}
-    for g, prog in _history_programs(cs, hist, n, None):
+    for g, prog in _history_programs(cs, hist, n, budget):
         state_cache: dict[State, str] = {}
         for model in prog.answer_sets(budget=budget, facts=facts):
             states = tuple(_close_domains(g, g.state_from_model(model, i))
@@ -382,19 +400,26 @@ def find_plans(cs: CompiledSystem, hist: History, goal: list[ast.Lit],
                sequential: bool = True) -> PlanningResult:
     goal_lits = normalize_goal(cs, goal)
 
+    def goal_body(g: Grounder) -> Optional[tuple]:
+        """The goal literals ground by `g` (`Grounder.ground_lit`), or None
+        if one is statically false."""
+        body = tuple(g.ground_lit(lit, {}) for lit in goal_lits)
+        return None if any(r is False for r in body) else body
+
     def extend(g: Grounder, prog: Program) -> None:
         # goal(I) <- goal literals at I;  success <- goal(I);  <- not success
         success = prog.atom(("success",))
+        body = goal_body(g)
         goal_neqs: set = set()
-        for i in range(horizon + 1):
-            pos: list = []
-            neg: list = []
-            if not g.ground_body(goal_lits, {}, i, pos, neg, goal_neqs):
-                continue
-            gi = prog.atom(("goal", i))
-            prog.add_rule(gi, [prog.atom(k) for k in pos],
-                          [prog.atom(k) for k in neg])
-            prog.add_rule(success, (gi,))
+        if body is not None:
+            atoms = [r for r in body if r is not True]
+            for i in range(horizon + 1):
+                gi = prog.atom(("goal", i))
+                prog.add_rule(gi,
+                              [prog.atom(k + (i,)) for k, p in atoms if p],
+                              [prog.atom(k + (i,)) for k, p in atoms if not p])
+                prog.add_rule(success, (gi,))
+                goal_neqs.update(k + (i,) for k, _ in atoms if k[0] == "neq")
         g.define_neqs(prog, goal_neqs)
         prog.add_constraint((), (success,))
 
@@ -417,7 +442,8 @@ def find_plans(cs: CompiledSystem, hist: History, goal: list[ast.Lit],
                                 (prog.atom(("some_action", i)),))
 
     plans: dict[Plan, None] = {}
-    for _, prog in _history_programs(cs, hist, horizon, extend):
+    for _, prog in _history_programs(cs, hist, horizon, budget, extend,
+                                     goal_body):
         for model, _applied in prog.solve_cr(max_models=max_plans,
                                              budget=budget,
                                              minimality=minimality):

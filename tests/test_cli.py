@@ -1,4 +1,7 @@
+import io
 import json
+import sys
+from itertools import product
 
 import pytest
 
@@ -335,3 +338,91 @@ def test_json_lines_is_rejected_where_no_records_are_printed(capsys, command):
                             "--json-lines")
     assert code == 1
     assert "--json-lines" in err
+
+
+def test_zero_budget_stops_the_grounding(capsys):
+    # projection on cell_cycle2 makes no search decision, so only a
+    # deadline read while grounding can stop it
+    code, out, err = run(capsys, "project", str(CORPUS / "cell_cycle2.alm"),
+                         *LIB, "--history", str(CORPUS / "cc_phases.hist"),
+                         "--budget-seconds", "0")
+    assert code == 4
+    assert "budget exhausted" in err and out == ""
+
+
+MOD_ZERO = """system description modzero
+  theory modzero_theory
+    module main
+      function declarations
+        fluents
+          basic
+            f : [0..2] -> [0..2]
+      axioms
+        false if f(X) = Y, X mod Y = 1.
+  structure base
+"""
+
+
+def test_mod_by_zero_drops_the_ground_instance(capsys, tmp_path):
+    """`X mod 0` has no value, so the instances with Y = 0 are dropped,
+    as gringo drops them; the constraint forbids only f(1) = 2."""
+    system = tmp_path / "modzero.alm"
+    system.write_text(MOD_ZERO)
+    code, out, err = run(capsys, "states", str(system), "--json-lines")
+    assert code == 0 and err == ""
+    got = {frozenset(json.loads(line)["atoms"].items())
+           for line in out.splitlines()}
+    want = set()
+    for f0, f1, f2 in product([None, "0", "1", "2"], [None, "0", "1"],
+                              [None, "0", "1", "2"]):
+        atoms = {}
+        for x, v in enumerate((f0, f1, f2)):
+            atoms[f"dom_f({x})"] = "false" if v is None else "true"
+            if v is not None:
+                atoms[f"f({x})"] = v
+        want.add(frozenset(atoms.items()))
+    assert len(want) == 48 and got == want
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_ends_quietly(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["states", str(CORPUS / "professors.alm")])
+    err = capsys.readouterr().err
+    assert code == 0 and err == ""
+
+
+ILL_TYPED = """system description illtyped
+  theory illtyped_theory
+    module main
+      sort declarations
+        c1 :: universe
+      function declarations
+        fluents
+          basic
+            f : c1 -> [0..2]
+            g : c1 -> booleans
+      axioms
+        f(X) = 3 if g(X).
+  structure base
+    instances
+      x in c1
+"""
+
+
+def test_ill_typed_head_warns_once(capsys, tmp_path):
+    system = tmp_path / "illtyped.alm"
+    system.write_text(ILL_TYPED)
+    code, out, err = run(capsys, "emit-asp", str(system), "--horizon", "2")
+    assert code == 0
+    assert err.count("warning: ill-typed head f(x) = 3; rule treated as a "
+                     "constraint") == 1
+    # the rule is a constraint at every step
+    assert all(f":- val(g(x), true, {i})." in out.splitlines()
+               for i in range(3))

@@ -7,20 +7,21 @@ enumerated state and transition with evaluators written here from scratch.
 
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
-from almc.bat import CmpLit, Constraint, FunLit, OccLit
+from almc.bat import CmpLit, Constraint, DynLaw, FunLit, OccLit
 from almc.errors import DiagnosticSink
 from almc.lpcore import Program
-from almc.modular import compare
+from almc.modular import UndefinedArithmetic, compare
 from almc.ontology import BASIC_FLUENT, DEFINED_FLUENT, FALSE, TRUE, dom_name
 from almc.semantics import (
     Grounder, build_diagrams, enumerate_states, compute_transitions,
     static_truth, system_pre_models,
 )
 from almc.syntax.parser import parse_file
-from almc.tasks import compile_system
+from almc.tasks import compile_system, program_fingerprint
 
 from conftest import CORPUS, parse_path
 
@@ -148,7 +149,7 @@ def test_travel_certifies_only_the_models_it_returns(monkeypatch):
     monkeypatch.setattr(Program, "is_answer_set", counting_certify)
     monkeypatch.setattr(Program, "answer_sets", counting_answer_sets)
     grounders = cs.grounders
-    assert any(g.state_program.loop_atoms() for g in grounders)
+    assert any(g.state_program().loop_atoms() for g in grounders)
     diagrams = build_diagrams(grounders)
     assert sum(len(d.transitions) for d in diagrams) > 0
     assert calls["models"] > 0
@@ -229,6 +230,14 @@ system description rnd
 """
 
 
+def envs(g, stmt):
+    """Every binding of the statement's variables: the full product of
+    their domains, in `var_domains` order."""
+    domains = g.var_domains(stmt)
+    for combo in product(*domains.values()):
+        yield dict(zip(domains, combo))
+
+
 def lit_true(g, pm, lit, env, values):
     """Truth of a ground body literal against a state's value map."""
     if isinstance(lit, CmpLit):
@@ -250,7 +259,7 @@ def check_state(g, pm, theory, state):
     values = {(f, a): v for f, a, v in state.atoms()}
     # (c) state constraints hold
     for c in theory.constraints:
-        for env in g.envs(c):
+        for env in envs(g, c):
             if all(lit_true(g, pm, b, env, values) for b in c.body
                    if not isinstance(b, OccLit)):
                 assert c.head is not None, (c, env, values)
@@ -261,7 +270,7 @@ def check_state(g, pm, theory, state):
     while changed:
         changed = False
         for clause in theory.definitions:
-            for env in g.envs(clause):
+            for env in envs(g, clause):
                 base = dict(values)
                 base.update(derived)
                 if all(lit_true(g, pm, b, env, base) for b in clause.body):
@@ -321,3 +330,142 @@ def test_100_random_bats_satisfy_inertia_cwa_and_constraints():
         check_transitions(g, cs.theory, space.states, trans)
         n_states += len(space.states)
     assert n_states > 100  # the suite is not vacuous
+
+
+# ------------------------------------------------------------ grounding oracle
+
+def reference_program(g, horizon):
+    """`Grounder.build_program` by its definition: every binding in the
+    full product of the variable domains, at every step, with the body
+    literals ground one by one in body order and the rule dropped at the
+    first statically false one."""
+    prog = Program()
+    neqs = set()
+    th = g.theory
+
+    def add(head, pos, neg=()):
+        h = None if head is None else prog.atom(head)
+        prog.add_rule(h, [prog.atom(k) for k in pos],
+                      [prog.atom(k) for k in neg])
+        neqs.update(k for k in [*pos, *neg] if k[0] == "neq")
+
+    def body(lits, env, step, pos, neg):
+        for lit in lits:
+            r = g.ground_lit(lit, env)
+            if r is False:
+                return False
+            if r is not True:
+                (pos if r[1] else neg).append(r[0] + (step,))
+        return True
+
+    def head_of(lit, env):
+        try:
+            return (tuple(g.eval_term(a, env) for a in lit.args),
+                    g.eval_term(lit.value, env))
+        except UndefinedArithmetic:
+            return None
+
+    for stmt in th.constraints + th.definitions:
+        for env in envs(g, stmt):
+            for step in range(horizon + 1):
+                pos, neg = [], []
+                if not body(stmt.body, env, step, pos, neg):
+                    continue
+                if stmt.head is None:
+                    add(None, pos, neg)
+                    continue
+                ground = head_of(stmt.head, env)
+                if ground is None:
+                    continue
+                (args, val), f = ground, stmt.head.func
+                info = g.sig.functions.get(f)
+                if info is None or not info.is_fluent:
+                    if not static_truth(g.pm, stmt.head, args, val):
+                        add(None, pos, neg)
+                elif g._typed(info, args) and val in g.values[f]:
+                    add(("v", f, args, val, step), pos, neg)
+                else:
+                    add(None, pos, neg)
+    for stmt in th.dynamic + th.executability:
+        dynamic = isinstance(stmt, DynLaw)
+        for env in envs(g, stmt):
+            act = g.eval_term(stmt.act, env)
+            if not g.pm.is_instance(act, stmt.sort):
+                continue
+            if dynamic:
+                ground = head_of(stmt.head, env)
+                if ground is None:
+                    continue
+                (args, val), f = ground, stmt.head.func
+                if not (g._typed(g.sig.functions[f], args)
+                        and val in g.values[f]):
+                    continue
+            for step in range(horizon if dynamic else max(horizon, 1)):
+                pos, neg = [("occ", act, step)], []
+                if body(stmt.body, env, step, pos, neg):
+                    add(("v", f, args, val, step + 1) if dynamic else None,
+                        pos, neg)
+    fluents = g.sig.functions.values()
+    for f in fluents:
+        if f.kind == DEFINED_FLUENT:
+            for args in g.tuples[f.name]:
+                for step in range(horizon + 1):
+                    add(("v", f.name, args, FALSE, step), (),
+                        [("v", f.name, args, TRUE, step)])
+    for f, args_list in g.tuples.items():
+        vals = g.values[f]
+        for args in args_list:
+            for i, vi in enumerate(vals):
+                for vj in vals[i + 1:]:
+                    for step in range(horizon + 1):
+                        add(None, [("v", f, args, vi, step),
+                                   ("v", f, args, vj, step)])
+    for f in fluents:
+        if f.kind != BASIC_FLUENT:
+            continue
+        for args in g.tuples[f.name]:
+            if f.dom_of is not None:
+                for step in range(horizon):
+                    for v, w in ((TRUE, FALSE), (FALSE, TRUE)):
+                        add(("v", f.name, args, v, step + 1),
+                            [("v", f.name, args, v, step)],
+                            [("v", f.name, args, w, step + 1)])
+                continue
+            for v in g.values[f.name]:
+                for step in range(horizon):
+                    guard = [("v", dom_name(f.name), args, TRUE, step + 1)] \
+                        if f.args else []
+                    add(("v", f.name, args, v, step + 1),
+                        guard + [("v", f.name, args, v, step)],
+                        [("neq", f.name, args, v, step + 1)])
+    g.define_neqs(prog, neqs)
+    return prog
+
+
+GROUND_SYSTEMS = ["t0", "travel", "monkey_and_banana", "cell_cycle2",
+                  "professors", "n_w_f"]
+
+
+def corpus_grounders():
+    for name in GROUND_SYSTEMS:
+        cs = compile_system(parse_path(CORPUS / f"{name}.alm"), [str(CORPUS)],
+                            DiagnosticSink())
+        yield from cs.grounders
+
+
+def random_bat_grounders():
+    rng = random.Random(413)
+    for _ in range(100):
+        yield from compile_src(make_source(rng)).grounders
+
+
+def test_templates_ground_the_reference_programs():
+    """Body-ordered binding into step-free templates gives, rule for rule,
+    the programs of the full product filtered literal by literal."""
+    checked = 0
+    for g in [*corpus_grounders(), *random_bat_grounders()]:
+        for horizon in range(4):
+            assert program_fingerprint(g.build_program(horizon)) == \
+                program_fingerprint(reference_program(g, horizon)), horizon
+            checked += 1
+    assert checked == 4 * (16 + 100)

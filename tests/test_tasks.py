@@ -1,16 +1,21 @@
+import random
+
 import pytest
 
+from almc import tasks
 from almc.cli import compile_from_path
 from almc.errors import DiagnosticSink, InputError
 from almc.lpcore import Program
+from almc.semantics import Grounder
 from almc.syntax.parser import parse_file, parse_literal_text
 from almc.tasks import (
     check_well_founded, compile_system, entails_at, find_plans,
-    Plan, initial_coverage, parse_goal, parse_history, prefer_most_specific,
-    temporal_project, validate_plan,
+    Plan, initial_coverage, normalize_goal, parse_goal, parse_history,
+    prefer_most_specific, temporal_project, validate_plan,
 )
 
 from conftest import CORPUS
+from test_semantics import make_source
 
 
 TOGGLE = """
@@ -204,7 +209,7 @@ def test_monkey_solves_one_history_program_per_task(monkey, monkey_task,
     the solver as facts."""
     hist, goal, plans = monkey_task
     assert len(monkey.grounders) == 8 and len(plans) == 2
-    state_programs = {id(g.state_program) for g in monkey.grounders}
+    state_programs = {id(g.state_program()) for g in monkey.grounders}
     calls = []
     answer_sets, solve_cr = Program.answer_sets, Program.solve_cr
 
@@ -252,3 +257,115 @@ def test_not_well_founded_detected():
     report = check_well_founded(cs)
     assert not report.well_founded
     assert report.method == "semantic"
+
+
+def test_monkey_grounds_one_history_program_per_task(monkey, monkey_task,
+                                                     monkeypatch):
+    """Monkey's 8 pre-models share one group key, so projection, planning
+    and validation each ground the history horizon once, not 8 times."""
+    hist, goal, plans = monkey_task
+    horizons = []
+    build = Grounder.build_program
+
+    def counted(self, horizon, budget=None):
+        horizons.append(horizon)
+        return build(self, horizon, budget)
+
+    monkeypatch.setattr(Grounder, "build_program", counted)
+    for run, horizon in [
+            (lambda: temporal_project(monkey, hist, horizon=3), 3),
+            (lambda: find_plans(monkey, hist, goal, horizon=6), 6),
+            (lambda: validate_plan(monkey, hist, goal, plans[0]),
+             len(plans[0].steps))]:
+        horizons.clear()
+        run()
+        assert horizons.count(horizon) == 1
+
+
+def keyed_history_programs(monkeypatch, cs, run, goal=()):
+    """(group key, program fingerprint) of the history program of every
+    pre-model, from a task run with grouping switched off."""
+    found = []
+    program_key = Grounder.program_key
+    goal_lits = normalize_goal(cs, list(goal))
+    fingerprint = tasks.program_fingerprint
+
+    def ungrouped(self, budget=None):
+        found.append([(program_key(self, budget),
+                       tuple(self.ground_lit(lit, {}) for lit in goal_lits))])
+        return len(found)  # a key of its own: every pre-model is ground
+
+    def recorded(prog):
+        found[-1].append(fingerprint(prog))
+        return found[-1][-1]
+
+    monkeypatch.setattr(Grounder, "program_key", ungrouped)
+    monkeypatch.setattr(tasks, "program_fingerprint", recorded)
+    run()
+    monkeypatch.undo()
+    return [tuple(pair) for pair in found]
+
+
+def assert_equal_keys_give_equal_programs(pairs):
+    programs = {}
+    for key, fp in pairs:
+        assert programs.setdefault(key, fp) == fp
+    return len(pairs) - len(programs)  # pre-models sharing a program
+
+
+def test_equal_group_keys_give_equal_history_programs(monkeypatch):
+    shared = 0
+    cases = [
+        ("monkey_and_banana.alm", "mb.hist", "mb.goal", 3),
+        ("monkey_and_banana.alm", "gamma1.hist", None, 1),
+        ("cell_cycle2.alm", "cc_phases.hist", None, 3),
+        ("professors.alm", None, None, 1),
+        ("travel.alm", None, None, 1),
+        ("t0.alm", "", "f(x) = o.", 1),
+    ]
+    for system, hist, goal, horizon in cases:
+        cs = compile_from_path(str(CORPUS / system), [str(CORPUS)])
+        h = parse_history((CORPUS / hist).read_text() if hist else "")
+        if goal is None:
+            pairs = keyed_history_programs(
+                monkeypatch, cs, lambda: temporal_project(cs, h, horizon))
+        else:
+            g = parse_goal((CORPUS / goal).read_text()
+                           if goal.endswith(".goal") else goal)
+            pairs = keyed_history_programs(
+                monkeypatch, cs, lambda: find_plans(cs, h, g, horizon), g)
+        assert len(pairs) == len(cs.grounders)
+        shared += assert_equal_keys_give_equal_programs(pairs)
+    assert shared >= 2 * 7  # monkey's 8 pre-models, twice
+
+    # random BATs whose objects are placed into one of two source sorts,
+    # which a state constraint, a causal law, an executability condition or
+    # nothing reads, so that their pre-models group alike or not
+    rng, kinds = random.Random(413), random.Random(7)
+    readers = ["false if instance(X, kind_a), p(X).",
+               "occurs(A) causes p(X) if instance(A, acts), "
+               "instance(X, kind_a).",
+               "impossible occurs(A) if instance(A, acts), "
+               "instance(X, kind_a), q(X).",
+               ""]
+    shared = distinct = 0
+    for _ in range(100):
+        src = make_source(rng).replace(
+            "        acts :: actions",
+            "        kind_a, kind_b :: elems\n        acts :: actions")
+        src = src.replace("      axioms\n", "      axioms\n        "
+                          + kinds.choice(readers) + "\n")
+        cs = compile_system(parse_file(src), [], DiagnosticSink())
+        hist = parse_history("happened(act0, 0).")
+        goal = parse_goal("d(e0).")
+        for pairs in [
+                keyed_history_programs(
+                    monkeypatch, cs, lambda: temporal_project(cs, hist, 2)),
+                keyed_history_programs(
+                    monkeypatch, cs, lambda: find_plans(cs, hist, goal, 2),
+                    goal)]:
+            assert len(pairs) == len(cs.grounders) > 1
+            sharing = assert_equal_keys_give_equal_programs(pairs)
+            shared += sharing
+            distinct += len(pairs) - sharing > 1
+    assert shared > 0 and distinct > 0

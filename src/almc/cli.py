@@ -314,8 +314,8 @@ def cmd_plan(args, sink: DiagnosticSink) -> int:
     cs = compile_from_path(args.file, search_paths_of(args), sink)
     hist = parse_history(read_input(args.history), args.history)
     goal = parse_goal(read_input(args.goal), args.goal)
-    result = find_plans(cs, hist, goal, args.horizon,
-                        budget=make_budget(args),
+    budget = make_budget(args)  # one budget for the search and validation
+    result = find_plans(cs, hist, goal, args.horizon, budget=budget,
                         max_plans=args.max_plans,
                         minimality=args.cr_min,
                         sequential=not args.concurrent)
@@ -329,7 +329,7 @@ def cmd_plan(args, sink: DiagnosticSink) -> int:
             print(f"plan {k} ({plan.occurrences} occurrence(s)):")
             for line in str(plan).splitlines():
                 print(f"  {line}")
-        ok = validate_plan(cs, hist, goal, plan, make_budget(args)) \
+        ok = validate_plan(cs, hist, goal, plan, budget) \
             if args.validate else None
         if args.json_lines:
             record = {"type": "plan", "index": k,
@@ -408,7 +408,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                             f"also ${LIBRARY_PATH_VAR})")
         if budgeted:
             p.add_argument("--budget-nodes", type=natural, default=None,
-                           help="search decision limit")
+                           help="search decision limit (all searches)")
             p.add_argument("--budget-seconds", type=seconds, default=None,
                            help="wall-clock limit for grounding and "
                                 "solving")

@@ -9,7 +9,8 @@ negation-as-failure body literals) extended with:
   these;
 * *constraints* — headless rules that forbid their bodies;
 * *at-most-k groups* over sets of atoms (used for action-set cardinality
-  and for the iterative-deepening loop of consistency-restoring search);
+  and, with a bound lowered as models are found, for the branch-and-bound
+  of consistency-restoring search);
 * *consistency-restoring rules* — rules that may be used only when the
   regular rules are inconsistent, applied in cardinality-minimal (default)
   or subset-minimal numbers.
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Hashable, Iterator, Optional, Sequence
 
 from almc.errors import BudgetExceeded
@@ -48,6 +49,7 @@ _NO_HEAD = -1
 class Budget:
     max_decisions: Optional[int] = None
     deadline: Optional[float] = None  # time.monotonic() value
+    decisions: int = 0  # made so far, by every search given this budget
 
     @staticmethod
     def of(max_decisions: Optional[int] = None,
@@ -59,6 +61,16 @@ class Budget:
         """Raise `BudgetExceeded` once the deadline has passed."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("time budget exhausted")
+
+    def decide(self) -> None:
+        """Count one decision; the clock is read at decisions 1, 65, 129…"""
+        self.decisions += 1
+        if self.max_decisions is not None \
+                and self.decisions > self.max_decisions:
+            raise BudgetExceeded(
+                f"decision budget ({self.max_decisions}) exhausted")
+        if self.decisions % 64 == 1:
+            self.check_time()
 
 
 class Program:
@@ -139,7 +151,8 @@ class Program:
             else:
                 fact_rules.append((a, (), ()))
         keys = self.keys
-        for model in _Search(self, fact_rules, set()).run(max_models, budget):
+        for model in islice(_Search(self, fact_rules).run(budget),
+                            max_models):
             yield frozenset(chain((keys[a] for a in model), unmentioned))
 
     def solve_cr(self, max_models: Optional[int] = None,
@@ -149,47 +162,42 @@ class Program:
 
         Returns (model keys, applied rule indices) pairs.  With
         minimality="card" the applied sets all have the smallest workable
-        cardinality; with "set" they are the subset-minimal ones.
+        cardinality; with "set" they are the subset-minimal ones.  Answer
+        sets of the regular rules apply none, so they win if there are any.
+
+        One search runs over the program plus an "applied" atom in the body
+        of each consistency-restoring rule.  With "card" it is branch-and-
+        bound (clasp's model-guided optimization): a model that applies fewer
+        rules than the best so far resets the list and lowers the bound on
+        applied atoms to its count, and to one below once `max_models` are
+        held.  As the search branches in a fixed order, the models come in
+        the order of a search bounded by the optimum alone.  With "set" the
+        whole enumeration is filtered by inclusion, then cut to `max_models`.
         """
-        regular = list(self.answer_sets(max_models, budget))
-        if regular:
-            return [(m, frozenset()) for m in regular]
-        if not self.cr_rules:
-            return []
-        n = len(self.cr_rules)
-        applied_atoms = []
-        extra_rules = []
-        base = len(self.keys)
-        extra_choice = set()
-        for i, (head, pos, neg) in enumerate(self.cr_rules):
-            a = base + i
-            applied_atoms.append(a)
-            extra_choice.add(a)
-            extra_rules.append((head, pos + (a,), neg))
-
-        def models_with_bound(k: int):
-            solver = _Search(self, tuple(extra_rules), extra_choice,
-                             extra_atmost=[(tuple(applied_atoms), k)],
-                             n_extra=n)
-            out = []
-            for model in solver.run(max_models, budget):
-                applied = frozenset(a - base for a in model if a >= base)
-                keys = frozenset(self.keys[a] for a in model if a < base)
-                out.append((keys, applied))
-            return out
-
-        if minimality == "card":
-            for k in range(1, n + 1):
-                found = models_with_bound(k)
-                if found:
-                    return found
-            return []
-        # subset-minimal: collect everything, filter by inclusion
-        found = models_with_bound(n)
-        applied_sets = {a for _, a in found}
-        minimal = {a for a in applied_sets
-                   if not any(b < a for b in applied_sets)}
-        return [(m, a) for m, a in found if a in minimal]
+        base, n = len(self.keys), len(self.cr_rules)
+        extra = [(h, pos + (base + i,), neg)
+                 for i, (h, pos, neg) in enumerate(self.cr_rules)]
+        solver = _Search(self, extra, n)
+        card = minimality == "card"
+        best = n
+        found: list[tuple[frozenset, frozenset]] = []
+        for model in solver.run(budget):
+            applied = frozenset(a - base for a in model if a >= base)
+            if card and len(applied) < best:
+                best, found = len(applied), []
+            found.append((frozenset(self.keys[a] for a in model if a < base),
+                          applied))
+            if card:
+                full = max_models is not None and len(found) >= max_models
+                solver.lower_bound(best - 1 if full else best)
+            elif not applied:
+                solver.lower_bound(0)
+        if not card:
+            applied_sets = {a for _, a in found}
+            minimal = {a for a in applied_sets
+                       if not any(b < a for b in applied_sets)}
+            found = [(m, a) for m, a in found if a in minimal]
+        return found[:max_models]
 
     def loop_atoms(self) -> list[int]:
         """Non-choice atoms in a cyclic component of the positive dependency
@@ -259,12 +267,13 @@ class Program:
         return cyclic
 
     def is_answer_set(self, model: set[int],
-                      extra_rules=(), n_extra: int = 0,
-                      extra_choice: frozenset = frozenset()) -> bool:
-        """Reduct + least-model certification of a candidate."""
+                      extra_rules=(), n_extra: int = 0) -> bool:
+        """Reduct + least-model certification of a candidate.  The
+        `n_extra` atoms after the program's are choice atoms, as in
+        `_Search`."""
         rules = chain(self.rules, extra_rules)
         n = len(self.keys) + n_extra
-        choice = self.choice | set(extra_choice)
+        choice = self.choice.union(range(len(self.keys), n))
         # Constraint violation and reduct construction in one pass.
         derived = [False] * n
         queue = [a for a in choice if a in model]
@@ -282,14 +291,13 @@ class Program:
                 if all(b in model for b in pos):
                     return False  # violated constraint
                 continue
-            need.append(0)
             heads.append(head)
             cnt = 0
             for b in pos:
                 if not derived[b]:
                     watch[b].append(kept)
                     cnt += 1
-            need[kept] = cnt
+            need.append(cnt)
             if cnt == 0 and not derived[head]:
                 derived[head] = True
                 queue.append(head)
@@ -305,22 +313,22 @@ class Program:
                     if not derived[h]:
                         derived[h] = True
                         queue.append(h)
-        lm = {a for a in range(n) if derived[a]}
-        return lm == set(model)
+        return {a for a in range(n) if derived[a]} == set(model)
 
 
 class _Search:
-    """One enumeration over a program plus optional extra rules/atoms."""
+    """One enumeration over a program plus extra rules and `n_extra` extra
+    atoms, numbered after the program's.  The extra atoms are choice atoms
+    in one at-most group, the last, whose bound starts at `n_extra`."""
 
-    def __init__(self, program: Program, extra_rules, extra_choice: set[int],
-                 extra_atmost=None, n_extra: int = 0):
+    def __init__(self, program: Program, extra_rules=(), n_extra: int = 0):
         self.program = program
-        self.n = len(program.keys) + n_extra
-        self.choice = program.choice | extra_choice
+        base = len(program.keys)
+        self.n = base + n_extra
+        self.choice = program.choice.union(range(base, self.n))
         self.extra_rules = tuple(extra_rules)
         rules = chain(program.rules, self.extra_rules)
         self.n_extra = n_extra
-        self.extra_choice = frozenset(extra_choice)
 
         self.rhead: list[int] = []
         self.rpos: list[tuple[int, ...]] = []
@@ -342,7 +350,7 @@ class _Search:
                 self.headw[head].append(r)
                 self.support[head] += 1
 
-        groups = list(program.atmost) + list(extra_atmost or [])
+        groups = program.atmost + [(range(base, self.n), n_extra)]
         self.gmembers = [tuple(m) for m, _ in groups]
         self.gbound = [k for _, k in groups]
         self.gcount = [0] * len(groups)
@@ -359,9 +367,8 @@ class _Search:
         self.queue: list[int] = []
 
         # branch order: choice atoms first, then everything else
-        order = sorted(self.choice) + \
+        self.order = sorted(self.choice) + \
             [a for a in range(self.n) if a not in self.choice]
-        self.order = order
 
         # Unfounded-set bookkeeping over the loop atoms.  For a rule whose
         # head is a loop atom, lpos holds the distinct loop atoms of its
@@ -521,18 +528,15 @@ class _Search:
                 self.gcount[x] -= 1
 
     def _init(self) -> bool:
+        # nothing is assigned yet, and the head of a fact has support
         for a in range(self.n):
-            if self.support[a] == 0 and a not in self.choice \
-                    and self.status[a] == UNDEF:
-                if not self._assign(a, FALSE):
-                    return False
-        for r in range(len(self.rhead)):
-            if self.need[r] == 0 and not self.dead[r]:
-                h = self.rhead[r]
+            if self.support[a] == 0 and a not in self.choice:
+                self._assign(a, FALSE)
+        for r, h in enumerate(self.rhead):
+            if self.need[r] == 0:
                 if h == _NO_HEAD:
                     return False
-                if not self._assign(h, TRUE):
-                    return False
+                self._assign(h, TRUE)
         return self._propagate()
 
     def _unfounded(self) -> list[int]:
@@ -578,20 +582,33 @@ class _Search:
                 return False
         return self._propagate()
 
+    def lower_bound(self, k: int) -> None:
+        """Lower the extra atoms' bound within the running search."""
+        self.gbound[-1] = k
+
+    def _within_bound(self) -> bool:
+        """Apply the extra atoms' bound again to a state the search has
+        backtracked to: `lower_bound` may have lowered it since."""
+        if self.gcount[-1] < self.gbound[-1]:
+            return True
+        if self.gcount[-1] > self.gbound[-1]:
+            return False
+        for m in self.gmembers[-1]:
+            if self.status[m] == UNDEF:
+                self._assign(m, FALSE)
+        return self._propagate()
+
     def _pick(self) -> int:
         for a in self.order:
             if self.status[a] == UNDEF:
                 return a
         return -1
 
-    def run(self, max_models: Optional[int],
-            budget: Optional[Budget]) -> Iterator[set[int]]:
+    def run(self, budget: Optional[Budget]) -> Iterator[set[int]]:
         if not self._init():
             return
         # decision stack: (trail mark, atom, next value or 0 when exhausted)
         stack: list[list[int]] = []
-        found = 0
-        decisions = 0
         conflict = False
         while True:
             if not conflict:
@@ -605,30 +622,15 @@ class _Search:
                     model = {i for i in range(self.n)
                              if self.status[i] == TRUE}
                     if self.program.is_answer_set(
-                            model, self.extra_rules, self.n_extra,
-                            self.extra_choice):
+                            model, self.extra_rules, self.n_extra):
                         yield model
-                        found += 1
-                        if max_models is not None and found >= max_models:
-                            return
                     conflict = True
                 else:
-                    decisions += 1
                     if budget is not None:
-                        if budget.max_decisions is not None \
-                                and decisions > budget.max_decisions:
-                            raise BudgetExceeded(
-                                f"decision budget ({budget.max_decisions}) "
-                                "exhausted")
-                        # the clock is read at the first decision and at
-                        # every 64th after it
-                        if decisions % 64 == 1:
-                            budget.check_time()
+                        budget.decide()
                     stack.append([len(self.trail), a, TRUE])
-                    if self._assign(a, FALSE):
-                        conflict = not self._propagate()
-                    else:
-                        conflict = True
+                    conflict = not (self._assign(a, FALSE)
+                                    and self._propagate())
             else:
                 while stack and stack[-1][2] == 0:
                     self._undo_to(stack.pop()[0])
@@ -637,7 +639,5 @@ class _Search:
                 mark, a, val = stack[-1]
                 self._undo_to(mark)
                 stack[-1][2] = 0
-                if self._assign(a, val):
-                    conflict = not self._propagate()
-                else:
-                    conflict = True
+                conflict = not (self._assign(a, val) and self._propagate()
+                                and self._within_bound())

@@ -11,7 +11,7 @@ Temporal projection finds every trajectory compatible with a history; a
 query `f(args) = v at step i` is entailed when it holds on all of them.
 Planning searches for occurrence assignments reaching a goal within a
 horizon, one action per step, with no gaps, using as few occurrences as
-possible (iterative deepening over consistency-restoring occurrence rules).
+possible (branch-and-bound over consistency-restoring occurrence rules).
 
 Systems can have several pre-models that differ only in how objects are
 placed into source sorts.  A `CompiledSystem` computes its pre-models once,

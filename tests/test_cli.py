@@ -165,6 +165,16 @@ def test_budget_exhaustion_exit_code(capsys):
     assert "budget" in err
 
 
+def test_decision_budget_counts_every_search(capsys):
+    # t0's diagram takes 13 searches of at most 8 decisions each, 20 in
+    # all: the budget is one total for the command, not a limit per search
+    argv = ["transitions", str(CORPUS / "t0.alm"), "--budget-nodes"]
+    code, _, err = run(capsys, *argv, "10")
+    assert code == 4
+    assert "decision budget (10) exhausted" in err
+    assert run(capsys, *argv, "100")[0] == 0
+
+
 def test_bat_prints_each_warning_once(capsys, tmp_path):
     system = tmp_path / "warn.alm"
     system.write_text("""system description warn

@@ -10,7 +10,7 @@ propagated, the certifier should never reject one.
 import random
 from collections import Counter
 from functools import wraps
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -179,6 +179,18 @@ def test_budget_is_enforced():
         list(prog.answer_sets(budget=Budget(max_decisions=3)))
 
 
+def test_budget_is_one_total_over_searches():
+    # each search alone stays within the limit, the two together do not
+    prog = build(4, [(0, (), (1,)), (1, (), (0,)), (2, (), (3,)),
+                     (3, (), (2,))])
+    alone = Budget()
+    assert len(list(prog.answer_sets(budget=alone))) == 4
+    budget = Budget(max_decisions=alone.decisions)
+    list(prog.answer_sets(budget=budget))
+    with pytest.raises(BudgetExceeded):
+        list(prog.answer_sets(budget=budget))
+
+
 def test_models_are_certified():
     # every reported model passes the solver's own reduct check
     prog = build(4, [(0, (), (1,)), (1, (), (0,)), (2, (0,), ()),
@@ -311,6 +323,97 @@ def test_200_random_cr_programs():
         for c in combinations(range(n_cr), kmin):
             want_models |= with_applied(frozenset(c))
         assert {m for m, _ in got} == want_models
+
+
+def reference_solve_cr(prog, max_models=None):
+    """`solve_cr(minimality="card")` as one search per bound: the regular
+    answer sets if there are any, else the models of the first bound
+    k = 1..n under which the program extended with the applied atoms has
+    any.  Applied atoms and rules are added in `solve_cr`'s order, so the
+    searches branch in the same order."""
+    regular = list(prog.answer_sets(max_models))
+    if regular:
+        return [(m, frozenset()) for m in regular]
+    n = len(prog.cr_rules)
+    switches = [("applied", i) for i in range(n)]
+    for k in range(1, n + 1):
+        ext = prog.copy()
+        for key, (head, pos, neg) in zip(switches, prog.cr_rules):
+            ext.add_rule(head, pos + (ext.add_choice(key),), neg)
+        ext.add_atmost(switches, k)
+        found = [(m.difference(switches),
+                  frozenset(i for i, key in enumerate(switches) if key in m))
+                 for m in islice(ext.answer_sets(), max_models)]
+        if found:
+            return found
+    return []
+
+
+@never_rejected
+def test_300_random_cr_programs_match_bound_by_bound_search():
+    # branch-and-bound returns the lists of the k-by-k search, order and
+    # `max_models` cut included; the optimum is often above 1, so the
+    # bound is lowered more than once within a search
+    rng = random.Random(424242)
+    optima = Counter()
+    for trial in range(300):
+        n = rng.randrange(3, 10)
+        rules, choice, atmost = random_program(rng, n)
+        # the only constraints are `:- not d`, which restoring rules for d
+        # can repair
+        demands = rng.sample(range(n), k=rng.randrange(0, 4))
+        rules = [r for r in rules if r[0] is not None] + \
+            [(None, (), (d,)) for d in demands]
+        cr = []
+        for _ in range(rng.randrange(1, 7)):
+            head = rng.choice(demands) if demands and rng.random() < 0.7 \
+                else rng.randrange(n)
+            body = rng.sample(range(n), k=rng.randrange(0, 2))
+            cut = rng.randrange(len(body) + 1)
+            cr.append((head, tuple(body[:cut]), tuple(body[cut:])))
+        prog = build(n, rules, choice, atmost, cr)
+        for max_models in (None, 1, 2):
+            got = prog.solve_cr(max_models=max_models)
+            want = reference_solve_cr(prog, max_models)
+            assert got == want, (trial, max_models, rules, choice, atmost,
+                                 cr)
+        optima[len(got[0][1]) if got else None] += 1
+    assert optima[0] > 30 and optima[1] > 30 and optima[2] > 5, optima
+    assert optima[None] > 30, optima
+
+
+def test_branch_and_bound_certifies_only_models_it_keeps(monkeypatch):
+    # restoring rules for 0, 1 and 2, one of which must hold, and an even
+    # loop over 3 and 4 that doubles each repair: once a model is held
+    # under max_models=1, the search prunes the twin it would find next
+    prog = build(5, [(None, (), (0, 1, 2)), (3, (), (4,)), (4, (), (3,))],
+                 cr=[(0, (), ()), (1, (), ()), (2, (), ())])
+    certified = []
+    certify = Program.is_answer_set
+
+    def counting(self, *args):
+        certified.append(args[0])
+        return certify(self, *args)
+
+    monkeypatch.setattr(Program, "is_answer_set", counting)
+    assert len(prog.solve_cr()) == len(certified) == 6
+    certified.clear()
+    assert prog.solve_cr(max_models=1) == \
+        [(frozenset({2, 4}), frozenset({2}))]
+    assert len(certified) == 1
+
+
+def test_cr_set_minimality_holds_under_max_models():
+    # {x}; a and b are restoring; :- not a.  :- not b, not x.
+    # the only subset-minimal repair applies a alone (with x true), but a
+    # search cut after one model would first meet {a, b}
+    x, a, b = range(3)
+    prog = build(3, [(None, (), (a,)), (None, (), (b, x))], choice=[x],
+                 cr=[(a, (), ()), (b, (), ())])
+    assert prog.solve_cr(minimality="set") == \
+        [(frozenset({x, a}), frozenset({0}))]
+    assert prog.solve_cr(max_models=1, minimality="set") == \
+        [(frozenset({x, a}), frozenset({0}))]
 
 
 def test_cr_set_minimality():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from almc import tasks
+from almc import lpcore, tasks
 from almc.cli import compile_from_path
 from almc.errors import DiagnosticSink, InputError
 from almc.lpcore import Program
@@ -238,6 +238,35 @@ def test_monkey_solves_one_history_program_per_task(monkey, monkey_task,
     calls.clear()
     assert temporal_project(monkey, hist, horizon=2).consistent
     assert calls == [("answer_sets", [])]
+
+
+@pytest.mark.parametrize("horizon,n_plans", [(5, 0), (7, 2)])
+def test_monkey_planning_is_one_search(monkey, monkeypatch, horizon,
+                                       n_plans):
+    """`Program.solve_cr` finds the minimal plans, or proves there are
+    none, in one branch-and-bound search, not in a regular search plus one
+    per bound k (56 searches at horizon 5, 7 at horizon 7)."""
+    hist = parse_history((CORPUS / "mb.hist").read_text())
+    goal = parse_goal((CORPUS / "mb.goal").read_text())
+    solve_cr, search_init = Program.solve_cr, lpcore._Search.__init__
+    inside, searches = [], []
+
+    def counted_solve_cr(self, *args, **kwargs):
+        inside.append(self)
+        try:
+            return solve_cr(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_init(self, *args, **kwargs):
+        if inside:
+            searches.append(self)
+        search_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Program, "solve_cr", counted_solve_cr)
+    monkeypatch.setattr(lpcore._Search, "__init__", counted_init)
+    assert len(find_plans(monkey, hist, goal, horizon).plans) == n_plans
+    assert len(searches) == 1
 
 
 def test_validation_rejects_a_plan_that_misses_the_goal(monkey, monkey_task):

@@ -248,8 +248,8 @@ def cmd_states(args, sink: DiagnosticSink) -> int:
 
 def cmd_transitions(args, sink: DiagnosticSink) -> int:
     cs = compile_from_path(args.file, search_paths_of(args), sink)
-    mode = "powerset" if args.action_sets == "powerset" else "upto1"
-    diagrams = build_diagrams(cs.grounders, mode, make_budget(args))
+    diagrams = build_diagrams(cs.grounders, args.action_sets,
+                              make_budget(args))
     for m, d in enumerate(diagrams):
         if not args.json_lines:
             print(f"model {m}: {len(d.states)} state(s), "

@@ -15,18 +15,20 @@ negation-as-failure body literals) extended with:
   regular rules are inconsistent, applied in cardinality-minimal (default)
   or subset-minimal numbers.
 
-The search is branch-and-propagate with a trail for backtracking.
-Propagation implements forward rule firing, dead-rule support counting,
-last-literal refutation for rules with a false head, and backchaining on a
-unique remaining support.  Support counting cannot see an atom that only
-supports itself through a positive loop (`p :- q. q :- p.`), so the search
-also falsifies unfounded sets, as smodels and clasp do: before it branches
-on a non-choice atom, and at every total assignment, every atom of a cyclic
-component of the positive dependency graph that no alive rule can derive
-from outside the unfounded set is made false.  Tight programs, whose graph
-has no cycle, skip this check (Fages 1994).  Every total assignment that
-survives is an answer set; it is still certified by an independent reduct +
-least-model check (`is_answer_set`) before it is reported.
+The search is branch-and-propagate over a trail of atoms (smodels): every
+counter is a function of the assignment, so backtracking pops atoms and
+reverts their counts.  Propagation implements forward rule firing,
+dead-rule support counting, last-literal refutation for rules with a false
+head, and backchaining on a unique remaining support.  Support counting
+cannot see an atom that only supports itself through a positive loop
+(`p :- q. q :- p.`), so the search also falsifies unfounded sets, as
+smodels and clasp do: before it branches on a non-choice atom, and at every
+total assignment, every atom of a cyclic component of the positive
+dependency graph that no alive rule can derive from outside the unfounded
+set is made false.  Tight programs, whose graph has no cycle, skip this
+check (Fages 1994).  Every total assignment that survives is an answer
+set; it is still certified by an independent reduct + least-model check
+(`is_answer_set`) before it is reported.
 
 Atoms are interned from arbitrary hashable keys; callers deal only in keys.
 """
@@ -319,7 +321,14 @@ class Program:
 class _Search:
     """One enumeration over a program plus extra rules and `n_extra` extra
     atoms, numbered after the program's.  The extra atoms are choice atoms
-    in one at-most group, the last, whose bound starts at `n_extra`."""
+    in one at-most group, the last, whose bound starts at `n_extra`.
+
+    The counters are functions of the assignment alone: `need[r]` counts
+    the body literals of rule r that are not true, `bad[r]` those that are
+    false (r is dead while it is positive), `support[h]` the alive rules
+    with head h, and `gcount[g]` the true members of group g.  `_assign`
+    applies an atom's updates at once and `_undo_to` reverts them.
+    """
 
     def __init__(self, program: Program, extra_rules=(), n_extra: int = 0):
         self.program = program
@@ -362,8 +371,8 @@ class _Search:
         self.status = [UNDEF] * self.n
         self.need = [len(p) + len(ng)
                      for p, ng in zip(self.rpos, self.rneg)]
-        self.dead = [False] * len(self.rhead)
-        self.trail: list[tuple[int, int]] = []  # (tag, id)
+        self.bad = [0] * len(self.rhead)
+        self.trail: list[int] = []
         self.queue: list[int] = []
 
         # branch order: choice atoms first, then everything else
@@ -384,151 +393,118 @@ class _Search:
                 for b in self.lpos[r]:
                     self.lwatch[b].append(r)
 
-    # tags for the trail
-    _T_ATOM, _T_NEED, _T_DEAD, _T_SUPP, _T_GCNT = range(5)
-
     def _assign(self, a: int, val: int) -> bool:
         s = self.status[a]
         if s != UNDEF:
             return s == val
         self.status[a] = val
-        self.trail.append((self._T_ATOM, a))
+        self.trail.append(a)
         self.queue.append(a)
+        if val == TRUE:
+            kill, fill = self.negw[a], self.posw[a]
+            for g in self.gwatch[a]:
+                self.gcount[g] += 1
+        else:
+            kill, fill = self.posw[a], self.negw[a]
+        need, bad, support, rhead = self.need, self.bad, self.support, \
+            self.rhead
+        for r in fill:
+            need[r] -= 1
+        for r in kill:
+            bad[r] += 1
+            if bad[r] == 1 and rhead[r] != _NO_HEAD:
+                support[rhead[r]] -= 1
         return True
 
-    def _kill(self, r: int) -> bool:
-        if self.dead[r]:
-            return True
-        self.dead[r] = True
-        self.trail.append((self._T_DEAD, r))
-        h = self.rhead[r]
-        if h == _NO_HEAD:
-            return True
-        self.support[h] -= 1
-        self.trail.append((self._T_SUPP, h))
-        if h in self.choice:
-            return True
-        s = self.support[h]
-        if s == 0:
-            if self.status[h] == TRUE:
-                return False
-            if self.status[h] == UNDEF:
-                return self._assign(h, FALSE)
-        elif s == 1 and self.status[h] == TRUE:
-            return self._enforce_support(h)
-        return True
-
-    def _dec_need(self, r: int) -> bool:
-        if self.dead[r]:
-            return True
-        self.need[r] -= 1
-        self.trail.append((self._T_NEED, r))
-        h = self.rhead[r]
-        if self.need[r] == 0:
-            if h == _NO_HEAD or self.status[h] == FALSE:
-                return False
-            return self._assign(h, TRUE)
-        if self.need[r] == 1 and (h == _NO_HEAD or self.status[h] == FALSE):
-            return self._refute_last(r)
-        return True
-
-    def _refute_last(self, r: int) -> bool:
-        """Exactly one unsatisfied body literal remains: falsify it."""
-        for b in self.rpos[r]:
-            if self.status[b] == UNDEF:
-                return self._assign(b, FALSE)
-        for b in self.rneg[r]:
-            if self.status[b] == UNDEF:
-                return self._assign(b, TRUE)
-        return True  # the remaining literal was handled concurrently
+    def _undo_to(self, mark: int) -> None:
+        """Pop atoms off the trail and revert their counts; empty the queue."""
+        self.queue.clear()
+        trail, status, need, bad, support, rhead = self.trail, self.status, \
+            self.need, self.bad, self.support, self.rhead
+        while len(trail) > mark:
+            a = trail.pop()
+            if status[a] == TRUE:
+                kill, fill = self.negw[a], self.posw[a]
+                for g in self.gwatch[a]:
+                    self.gcount[g] -= 1
+            else:
+                kill, fill = self.posw[a], self.negw[a]
+            status[a] = UNDEF
+            for r in fill:
+                need[r] += 1
+            for r in kill:
+                bad[r] -= 1
+                if bad[r] == 0 and rhead[r] != _NO_HEAD:
+                    support[rhead[r]] += 1
 
     def _enforce_support(self, a: int) -> bool:
-        """`a` is true with a single alive candidate rule: satisfy its body."""
-        alive = -1
-        for r in self.headw[a]:
-            if not self.dead[r]:
-                alive = r
-                break
-        if alive < 0:
-            return False
-        for b in self.rpos[alive]:
-            if self.status[b] == UNDEF and not self._assign(b, TRUE):
+        """`a` is true with a single alive rule: satisfy its body."""
+        status = self.status
+        r = next(r for r in self.headw[a] if not self.bad[r])
+        for b in self.rpos[r]:
+            if status[b] != TRUE and not self._assign(b, TRUE):
                 return False
-            if self.status[b] == FALSE:
-                return False
-        for b in self.rneg[alive]:
-            if self.status[b] == UNDEF and not self._assign(b, FALSE):
-                return False
-            if self.status[b] == TRUE:
-                return False
-        return True
-
-    def _on_true(self, a: int) -> bool:
-        for r in self.negw[a]:
-            if not self._kill(r):
-                return False
-        for r in self.posw[a]:
-            if not self._dec_need(r):
-                return False
-        for g in self.gwatch[a]:
-            self.gcount[g] += 1
-            self.trail.append((self._T_GCNT, g))
-            if self.gcount[g] > self.gbound[g]:
-                return False
-            if self.gcount[g] == self.gbound[g]:
-                for m in self.gmembers[g]:
-                    if self.status[m] == UNDEF and not self._assign(m, FALSE):
-                        return False
-        if a not in self.choice:
-            s = self.support[a]
-            if s == 0:
-                return False
-            if s == 1 and not self._enforce_support(a):
-                return False
-        return True
-
-    def _on_false(self, a: int) -> bool:
-        for r in self.posw[a]:
-            if not self._kill(r):
-                return False
-        for r in self.negw[a]:
-            if not self._dec_need(r):
-                return False
-        for r in self.headw[a]:
-            if self.dead[r]:
-                continue
-            if self.need[r] == 0:
-                return False
-            if self.need[r] == 1 and not self._refute_last(r):
+        for b in self.rneg[r]:
+            if status[b] != FALSE and not self._assign(b, FALSE):
                 return False
         return True
 
     def _propagate(self) -> bool:
-        while self.queue:
-            a = self.queue.pop()
-            ok = self._on_true(a) if self.status[a] == TRUE \
-                else self._on_false(a)
-            if not ok:
-                self.queue.clear()
+        """Draw the consequences of each queued atom from the counters as
+        they stand when it leaves the queue; each check may run again."""
+        status, need, bad, support = self.status, self.need, self.bad, \
+            self.support
+        rhead, choice, assign = self.rhead, self.choice, self._assign
+        queue = self.queue
+        while queue:
+            a = queue.pop()
+            true = status[a] == TRUE
+            if true:
+                kill, fill = self.negw[a], self.posw[a]
+            else:
+                kill, fill = self.posw[a], chain(self.negw[a], self.headw[a])
+            for r in kill:  # rules that a made dead
+                h = rhead[r]
+                if h == _NO_HEAD or h in choice:
+                    continue
+                if support[h] == 0:
+                    if status[h] == TRUE:
+                        return False
+                    if status[h] == UNDEF:
+                        assign(h, FALSE)
+                elif support[h] == 1 and status[h] == TRUE \
+                        and not self._enforce_support(h):
+                    return False
+            # rules with one body literal fewer to make true, and rules
+            # whose head a is false
+            for r in fill:
+                if bad[r]:
+                    continue
+                h = rhead[r]
+                if h == _NO_HEAD or status[h] == FALSE:
+                    if need[r] == 0:
+                        return False
+                    if need[r] == 1:  # falsify the one undefined literal
+                        for b in self.rpos[r]:
+                            if status[b] == UNDEF:
+                                assign(b, FALSE)
+                        for b in self.rneg[r]:
+                            if status[b] == UNDEF:
+                                assign(b, TRUE)
+                elif need[r] == 0 and status[h] == UNDEF:
+                    assign(h, TRUE)
+            if not true:
+                continue
+            for g in self.gwatch[a]:
+                if not self._at_most(g):
+                    return False
+            if a not in choice and (support[a] == 0 or support[a] == 1
+                                    and not self._enforce_support(a)):
                 return False
         return True
 
-    def _undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            tag, x = self.trail.pop()
-            if tag == self._T_ATOM:
-                self.status[x] = UNDEF
-            elif tag == self._T_NEED:
-                self.need[x] += 1
-            elif tag == self._T_DEAD:
-                self.dead[x] = False
-            elif tag == self._T_SUPP:
-                self.support[x] += 1
-            else:
-                self.gcount[x] -= 1
-
     def _init(self) -> bool:
-        # nothing is assigned yet, and the head of a fact has support
+        # an atom without rules is false, and the head of a fact is true
         for a in range(self.n):
             if self.support[a] == 0 and a not in self.choice:
                 self._assign(a, FALSE)
@@ -548,14 +524,14 @@ class _Search:
         Atoms outside loops count as founded, because support counting
         already falsifies them when they lose their last rule.
         """
-        status, dead, lpos = self.status, self.dead, self.lpos
+        status, bad, lpos = self.status, self.bad, self.lpos
         candidates = [a for a in self.loop_atoms if status[a] != FALSE]
         founded: set[int] = set()
         stack: list[int] = []
         waiting: dict[int, int] = {}  # rule -> body loop atoms not yet founded
         for a in candidates:
             for r in self.headw[a]:
-                if dead[r]:
+                if bad[r]:
                     continue
                 if not lpos[r]:
                     founded.add(a)
@@ -575,28 +551,25 @@ class _Search:
                         stack.append(h)
         return [a for a in candidates if a not in founded]
 
-    def _falsify(self, atoms: list[int]) -> bool:
-        for a in atoms:
-            if not self._assign(a, FALSE):
-                self.queue.clear()
-                return False
-        return self._propagate()
-
     def lower_bound(self, k: int) -> None:
         """Lower the extra atoms' bound within the running search."""
         self.gbound[-1] = k
 
+    def _at_most(self, g: int) -> bool:
+        """False if group g has too many true members; at its bound, the
+        undefined members are falsified."""
+        if self.gcount[g] > self.gbound[g]:
+            return False
+        if self.gcount[g] == self.gbound[g]:
+            for m in self.gmembers[g]:
+                if self.status[m] == UNDEF:
+                    self._assign(m, FALSE)
+        return True
+
     def _within_bound(self) -> bool:
         """Apply the extra atoms' bound again to a state the search has
         backtracked to: `lower_bound` may have lowered it since."""
-        if self.gcount[-1] < self.gbound[-1]:
-            return True
-        if self.gcount[-1] > self.gbound[-1]:
-            return False
-        for m in self.gmembers[-1]:
-            if self.status[m] == UNDEF:
-                self._assign(m, FALSE)
-        return self._propagate()
+        return self._at_most(-1) and self._propagate()
 
     def _pick(self) -> int:
         for a in self.order:
@@ -605,18 +578,19 @@ class _Search:
         return -1
 
     def run(self, budget: Optional[Budget]) -> Iterator[set[int]]:
-        if not self._init():
-            return
+        """Yield every answer set; once exhausted, undo every assignment."""
+        conflict = not self._init()
         # decision stack: (trail mark, atom, next value or 0 when exhausted)
         stack: list[list[int]] = []
-        conflict = False
         while True:
             if not conflict:
                 a = self._pick()
                 if self.loop_atoms and (a < 0 or a not in self.choice):
                     unfounded = self._unfounded()
                     if unfounded:
-                        conflict = not self._falsify(unfounded)
+                        conflict = not (all(self._assign(b, FALSE)
+                                            for b in unfounded)
+                                        and self._propagate())
                         continue
                 if a < 0:
                     model = {i for i in range(self.n)
@@ -633,8 +607,9 @@ class _Search:
                                     and self._propagate())
             else:
                 while stack and stack[-1][2] == 0:
-                    self._undo_to(stack.pop()[0])
+                    stack.pop()
                 if not stack:
+                    self._undo_to(0)
                     return
                 mark, a, val = stack[-1]
                 self._undo_to(mark)

@@ -210,9 +210,6 @@ class Grounder:
 
     # ---------------------------------------------------- variable domains
 
-    def sort_domain(self, key: str) -> list[Value]:
-        return self.pm.sort_values(key)
-
     def var_domains(self, stmt) -> dict[str, list[Value]]:
         domains: dict[str, list[Value]] = {}
 
@@ -228,9 +225,9 @@ class Grounder:
                 info = self.sig.functions[lit.func]
                 for i, a in enumerate(lit.args):
                     if isinstance(a, ast.Var) and i < info.arity:
-                        narrow(a.name, self.sort_domain(info.args[i]))
+                        narrow(a.name, self.pm.sort_values(info.args[i]))
                 if isinstance(lit.value, ast.Var):
-                    narrow(lit.value.name, self.sort_domain(info.result))
+                    narrow(lit.value.name, self.pm.sort_values(info.result))
                 return
             # hierarchy functions
             nodes = list(self.sig.sorts)
@@ -243,9 +240,9 @@ class Grounder:
                         and lit.value.name == TRUE and lit.op == "="
                     if positive and isinstance(c, ast.Sym) \
                             and self.sig.is_node(c.name):
-                        narrow(o.name, self.sort_domain(c.name))
+                        narrow(o.name, self.pm.sort_values(c.name))
                     else:
-                        narrow(o.name, self.sort_domain(UNIVERSE))
+                        narrow(o.name, self.pm.sort_values(UNIVERSE))
             else:
                 for a in lit.args:
                     if isinstance(a, ast.Var):
@@ -254,7 +251,7 @@ class Grounder:
         lits = []
         if isinstance(stmt, (DynLaw, Exec)):
             if isinstance(stmt.act, ast.Var):
-                narrow(stmt.act.name, self.sort_domain(stmt.sort))
+                narrow(stmt.act.name, self.pm.sort_values(stmt.sort))
             lits.extend(stmt.body)
             if isinstance(stmt, DynLaw):
                 lits.append(stmt.head)
@@ -655,19 +652,22 @@ Transition = tuple[int, frozenset, int]
 
 
 def compute_transitions(g: Grounder, states: list[State],
-                        action_sets: str = "upto1",
+                        action_sets: str = "singleton",
                         budget: Optional[Budget] = None) -> list[Transition]:
     """Transitions between the given states, as (from, actions, to) triples.
 
-    `action_sets` is "upto1" (the empty set and singletons) or "powerset".
+    `action_sets` is "singleton" (the empty set and singletons) or
+    "powerset"; any other value raises `ValueError`.
     """
+    if action_sets not in ("singleton", "powerset"):
+        raise ValueError(f"unknown action_sets {action_sets!r}")
     index = {s: i for i, s in enumerate(states)}
     out: list[Transition] = []
     prog = g.build_program(1, budget)
     occ_keys = [("occ", a, 0) for a in g.actions]
     for k in occ_keys:
         prog.add_choice(k)
-    if action_sets == "upto1":
+    if action_sets == "singleton":
         prog.add_atmost(occ_keys, 1)
     for i, s0 in enumerate(states):
         seen: set[tuple[frozenset, int]] = set()
@@ -703,7 +703,7 @@ def system_pre_models(theory: ActionTheory, structure: ast.Structure,
     return out
 
 
-def build_diagrams(grounders: list[Grounder], action_sets: str = "upto1",
+def build_diagrams(grounders: list[Grounder], action_sets: str = "singleton",
                    budget: Optional[Budget] = None,
                    with_transitions: bool = True) -> list[Diagram]:
     """One diagram per pre-model with a non-empty set of states."""

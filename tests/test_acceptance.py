@@ -87,7 +87,7 @@ def test_03_six_state_fixture_semantics():
         index = {test_semantics.state_key(s): test_semantics.T0_STATES.index(
             dict(((f, a), v) for f, a, v in s.atoms()))
             for s in space.states}
-        trans = compute_transitions(g, space.states, "upto1")
+        trans = compute_transitions(g, space.states)
         renum = {i: index[test_semantics.state_key(space.states[i])]
                  for i in range(len(space.states))}
         arcs = {(renum[i], frozenset(map(str, acts)), renum[j])
@@ -120,7 +120,7 @@ def test_05_travel_diagram_arcs():
         assert len(pms) == 1
         g = Grounder(cs.theory, pms[0])
         space = enumerate_states(g)
-        trans = compute_transitions(g, space.states, "upto1")
+        trans = compute_transitions(g, space.states)
         assert len(space.states) == 189
         assert len(trans) == 657
         # every connected paris<->rome crossing is realized for both agents

@@ -15,7 +15,7 @@ from itertools import combinations, islice
 import pytest
 
 from almc.errors import BudgetExceeded
-from almc.lpcore import Budget, Program
+from almc.lpcore import FALSE, TRUE, Budget, Program, _Search
 
 
 def build(n, rules, choice=(), atmost=(), cr=()):
@@ -323,6 +323,56 @@ def test_200_random_cr_programs():
         for c in combinations(range(n_cr), kmin):
             want_models |= with_applied(frozenset(c))
         assert {m for m, _ in got} == want_models
+
+
+def counters_from_status(search):
+    """`need`, `bad`, `support` and `gcount` recomputed from `status`."""
+    status = search.status
+    need, bad = [], []
+    for pos, neg in zip(search.rpos, search.rneg):
+        need.append(sum(status[b] != TRUE for b in pos)
+                    + sum(status[b] != FALSE for b in neg))
+        bad.append(sum(status[b] == FALSE for b in pos)
+                   + sum(status[b] == TRUE for b in neg))
+    support = [0] * search.n
+    for r, h in enumerate(search.rhead):
+        if h >= 0 and bad[r] == 0:
+            support[h] += 1
+    gcount = [sum(status[m] == TRUE for m in members)
+              for members in search.gmembers]
+    return need, bad, support, gcount
+
+
+def test_search_counters_are_functions_of_the_assignment():
+    # at every model the counters equal those recomputed from the
+    # assignment; once the search is exhausted, the trail is empty and the
+    # counters are back at their initial values
+    rng = random.Random(8080)
+    models = 0
+    for trial in range(360):
+        n = rng.randrange(2, 11)
+        make = random_loop_program if trial % 2 else random_program
+        rules, choice, atmost = make(rng, n)
+        prog = build(n, rules, choice, atmost)
+        # a third of the searches get consistency-restoring extra atoms
+        extra, n_extra = [], 0
+        if trial % 3 == 0:
+            n_extra = rng.randrange(1, 3)
+            extra = [(rng.randrange(n), (n + i,), ()) for i in range(n_extra)]
+        search = _Search(prog, extra, n_extra)
+        fresh = _Search(prog, extra, n_extra)
+        initial = (fresh.need, fresh.bad, fresh.support, fresh.gcount)
+        for model in search.run(None):
+            models += 1
+            assert model == {a for a in range(search.n)
+                             if search.status[a] == TRUE}
+            assert (search.need, search.bad, search.support,
+                    search.gcount) == counters_from_status(search), trial
+        assert search.trail == [] and search.queue == []
+        assert search.status == fresh.status
+        assert (search.need, search.bad, search.support,
+                search.gcount) == initial, trial
+    assert models > 300
 
 
 def reference_solve_cr(prog, max_models=None):

@@ -92,7 +92,7 @@ def test_t0_transitions_exact(t0):
     order = sorted(range(len(space.states)),
                    key=lambda i: index[state_key(space.states[i])])
     # renumber into the fixture's order
-    trans = compute_transitions(g, space.states, "upto1")
+    trans = compute_transitions(g, space.states)
     renum = {i: index[state_key(space.states[i])]
              for i in range(len(space.states))}
     got = {(renum[i], frozenset(map(str, acts)), renum[j])
@@ -100,9 +100,21 @@ def test_t0_transitions_exact(t0):
     assert got == T0_TRANSITIONS
 
 
+def test_action_sets_take_the_cli_names(t0):
+    # "singleton" allows the empty set and single actions, as the CLI's
+    # --action-sets does; a name the library does not know is an error,
+    # not the powerset
+    g, space = t0
+    assert len(compute_transitions(g, space.states, "singleton")) == 18
+    assert len(compute_transitions(g, space.states, "powerset")) == 21
+    for name in ("upto1", "Singleton", ""):
+        with pytest.raises(ValueError):
+            compute_transitions(g, space.states, name)
+
+
 def test_empty_action_set_is_inertia(t0):
     g, space = t0
-    trans = compute_transitions(g, space.states, "upto1")
+    trans = compute_transitions(g, space.states)
     for i, acts, j in trans:
         if not acts:
             assert i == j
@@ -326,7 +338,7 @@ def test_100_random_bats_satisfy_inertia_cwa_and_constraints():
         space = enumerate_states(g)
         for s in space.states:
             check_state(g, pm, cs.theory, s)
-        trans = compute_transitions(g, space.states, "upto1")
+        trans = compute_transitions(g, space.states)
         check_transitions(g, cs.theory, space.states, trans)
         n_states += len(space.states)
     assert n_states > 100  # the suite is not vacuous

@@ -20,7 +20,7 @@ from almc.errors import (
 )
 from almc.lpcore import Budget, Program
 from almc.modular import (
-    LIBRARY_PATH_VAR, flatten, library_search_paths, resolve_theory,
+    LIBRARY_PATH_VAR, flatten_theory, library_search_paths, read_input,
 )
 from almc.ontology import build_signature
 from almc.semantics import State, build_diagrams
@@ -115,16 +115,6 @@ def emit_json(record: dict) -> None:
 
 # ------------------------------------------------------------ loading
 
-def read_input(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}")
-    except UnicodeDecodeError:
-        raise InputError(f"cannot read {path}: not UTF-8 text")
-
-
 def load_source(path: str):
     return parse_file(read_input(path), path)
 
@@ -134,12 +124,7 @@ def flatten_any(node, search_paths: list[str], sink: DiagnosticSink):
     if isinstance(node, ast.System):
         cs = compile_system(node, search_paths, sink)
         return cs.module, cs
-    modules = resolve_theory(node, search_paths, sink)
-    if not modules:
-        raise InputError(f"theory {node.name} declares no modules")
-    flat = flatten(modules, node.name, sink)
-    sink.raise_if_errors()
-    return flat, None
+    return flatten_theory(node, search_paths, sink), None
 
 
 def signature_and_theory(flat: ast.Module, cs: Optional[CompiledSystem],

@@ -4,7 +4,10 @@ Three jobs live here:
 
 * resolving `import` directives against library search paths and flattening a
   theory's module hierarchy into a single module (union of declarations and
-  axioms, dependencies first, duplicates removed);
+  axioms, dependencies first, duplicates removed).  A library's theory may
+  itself import from libraries; each library is resolved once, a module
+  reached by two import paths is kept once, and an import that leads back
+  to a library still being resolved is reported as a circular import;
 * expanding a structure into a concrete object universe (plain instances,
   parameterised instance schemas with `where` clauses, and parameterised
   object constants declared in modules);
@@ -37,12 +40,25 @@ Value = Union[str, int]
 
 # ================================================================ libraries
 
+def read_input(path: str) -> str:
+    """Text of a source file; a file that cannot be read is an input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise InputError(f"cannot read {path}: not UTF-8 text")
+
+
 @dataclass
 class Library:
-    """Parsed library file: theories by name."""
+    """Parsed library file: its theory, and the theory's modules with
+    imports expanded once it is resolved."""
 
     name: str
-    theories: dict[str, ast.Theory]
+    theory: ast.Theory
+    modules: Optional[list[ast.Module]] = None
 
 
 def library_search_paths(extra: tuple[str, ...] = ()) -> list[str]:
@@ -59,17 +75,11 @@ def load_library(name: str, search_paths: list[str],
     for d in search_paths:
         path = os.path.join(d, name + ".alm")
         if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                node = parse_file(fh.read(), path)
-            theories: dict[str, ast.Theory] = {}
-            if isinstance(node, ast.Theory):
-                theories[node.name] = node
-            elif isinstance(node, ast.System) and isinstance(node.theory,
-                                                             ast.Theory):
-                theories[node.theory.name] = node.theory
-            else:
+            node = parse_file(read_input(path), path)
+            theory = node.theory if isinstance(node, ast.System) else node
+            if not isinstance(theory, ast.Theory):
                 raise InputError(f"library {path} does not contain a theory")
-            lib = Library(name, theories)
+            lib = Library(name, theory)
             if cache is not None:
                 cache[name] = lib
             return lib
@@ -81,149 +91,133 @@ def load_library(name: str, search_paths: list[str],
 def resolve_theory(theory: ast.Theory, search_paths: list[str],
                    sink: DiagnosticSink,
                    cache: Optional[dict[str, Library]] = None,
-                   _seen: Optional[set[str]] = None) -> list[ast.Module]:
-    """All modules of `theory` with imports expanded, dependency-safe order."""
-    cache = cache if cache is not None else {}
-    seen = _seen if _seen is not None else set()
-    modules: list[ast.Module] = []
+                   _active: frozenset[str] = frozenset()) -> list[ast.Module]:
+    """All modules of `theory` with imports expanded, dependency-safe order.
 
-    def add(mod: ast.Module) -> None:
-        if all(m.name != mod.name for m in modules):
-            modules.append(mod)
-
-    for item in theory.items:
-        if isinstance(item, ast.Module):
-            add(item)
-            continue
-        key = f"{item.library}:{item.theory}:{item.module}"
-        if key in seen:
-            sink.error(f"circular import of {item.library}", item.span)
-            continue
-        seen.add(key)
-        lib = load_library(item.library, search_paths, cache)
-        if item.kind == "theory":
-            src = lib.theories.get(item.theory)
-            if src is None:
-                sink.error(f"library {item.library!r} has no theory "
-                           f"{item.theory!r}", item.span)
-                continue
-            for m in resolve_theory(src, search_paths, sink, cache, seen):
-                add(m)
-        else:
-            candidates = ([lib.theories[item.theory]]
-                          if item.theory and item.theory in lib.theories
-                          else list(lib.theories.values()))
-            found = None
-            for src in candidates:
-                for m in resolve_theory(src, search_paths, sink, cache, seen):
-                    if m.name == item.module:
-                        found = (src, m)
-                        break
-                if found:
-                    break
-            if found is None:
-                sink.error(f"module {item.module!r} not found in library "
-                           f"{item.library!r}", item.span)
-                continue
-            src_theory, _ = found
-            resolved = resolve_theory(src_theory, search_paths, sink, cache,
-                                      seen)
-            for m in _closure(resolved, item.module, sink, item.span):
-                add(m)
-    return modules
-
-
-def _closure(modules: list[ast.Module], root: str, sink: DiagnosticSink,
-             span: Span) -> list[ast.Module]:
-    by_name = {m.name: m for m in modules}
-    order: list[ast.Module] = []
-    state: dict[str, int] = {}
-
-    def visit(name: str) -> None:
-        if state.get(name) == 2:
-            return
-        if state.get(name) == 1:
-            sink.error(f"module dependency cycle through {name!r}", span)
-            return
-        mod = by_name.get(name)
-        if mod is None:
-            sink.error(f"unknown module {name!r} in depends on", span)
-            return
-        state[name] = 1
-        for dep in mod.depends_on:
-            visit(dep)
-        state[name] = 2
-        order.append(mod)
-
-    visit(root)
-    return order
-
-
-def flatten(modules: list[ast.Module], name: str,
-            sink: DiagnosticSink) -> ast.Module:
-    """Union of the given modules as one dependency-free module.
-
-    `modules` must already be in dependency order (dependencies first);
-    duplicate declarations and axioms are kept once.
+    A module whose name is already taken is skipped.  Each library is
+    resolved once per `cache`; `_active` holds the libraries still being
+    resolved, so importing from one of them is a cycle.
     """
-    ordered: list[ast.Module] = []
-    by_name = {m.name: m for m in modules}
-    state: dict[str, int] = {}
+    cache = cache if cache is not None else {}
+    modules: dict[str, ast.Module] = {}
+    for item in theory.items:
+        found = [item] if isinstance(item, ast.Module) else \
+            _resolve_import(item, search_paths, sink, cache, _active)
+        for m in found:
+            modules.setdefault(m.name, m)
+    return list(modules.values())
+
+
+def _resolve_import(item: ast.ImportDirective, search_paths: list[str],
+                    sink: DiagnosticSink, cache: dict[str, Library],
+                    active: frozenset[str]) -> list[ast.Module]:
+    lib = load_library(item.library, search_paths, cache)
+    if item.kind == "theory" and item.theory != lib.theory.name:
+        sink.error(f"library {item.library!r} has no theory "
+                   f"{item.theory!r}", item.span)
+        return []
+    if lib.name in active:
+        sink.error(f"circular import of {item.library}", item.span)
+        return []
+    if lib.modules is None:
+        lib.modules = resolve_theory(lib.theory, search_paths, sink, cache,
+                                     active | {lib.name})
+    if item.kind == "theory":
+        return lib.modules
+    by_name = {m.name: m for m in lib.modules}
+    if item.module not in by_name:
+        sink.error(f"module {item.module!r} not found in library "
+                   f"{item.library!r}", item.span)
+        return []
+    # faults in the library's `depends on` are reported when the importing
+    # theory is flattened
+    return dependency_order([by_name[item.module]], by_name, DiagnosticSink())
+
+
+def dependency_order(roots: list[ast.Module], by_name: dict[str, ast.Module],
+                     sink: DiagnosticSink) -> list[ast.Module]:
+    """`roots` and the modules of `by_name` they depend on, each module
+    after its dependencies.  An unknown dependency and a dependency cycle
+    are reported at the module that names them."""
+    order: dict[str, ast.Module] = {}
+    active: set[str] = set()
 
     def visit(mod: ast.Module) -> None:
-        if state.get(mod.name) == 2:
+        if mod.name in order:
             return
-        if state.get(mod.name) == 1:
+        if mod.name in active:
             sink.error(f"module dependency cycle through {mod.name!r}",
                        mod.span)
             return
-        state[mod.name] = 1
+        active.add(mod.name)
         for dep in mod.depends_on:
             if dep in by_name:
                 visit(by_name[dep])
             else:
                 sink.error(f"module {mod.name!r} depends on unknown module "
                            f"{dep!r}", mod.span)
-        state[mod.name] = 2
-        ordered.append(mod)
+        active.remove(mod.name)
+        order[mod.name] = mod
 
-    for mod in modules:
+    for mod in roots:
         visit(mod)
+    return list(order.values())
 
-    def dedup(items):
-        out = []
-        for x in items:
-            if x not in out:
-                out.append(x)
-        return tuple(out)
 
-    return ast.Module(
-        name=name,
-        depends_on=(),
-        sorts=dedup([d for m in ordered for d in m.sorts]),
-        constants=dedup([d for m in ordered for d in m.constants]),
-        functions=dedup([d for m in ordered for d in m.functions]),
-        axioms=dedup([a for m in ordered for a in m.axioms]),
-    )
+def flatten(modules: list[ast.Module], name: str,
+            sink: DiagnosticSink) -> ast.Module:
+    """Union of the given modules as one dependency-free module.
+
+    Each module's declarations and axioms follow those of the modules it
+    depends on; duplicates are kept once.
+    """
+    ordered = dependency_order(modules, {m.name: m for m in modules}, sink)
+
+    def union(part: str) -> tuple:
+        return tuple(dict.fromkeys(x for m in ordered
+                                   for x in getattr(m, part)))
+
+    return ast.Module(name=name, depends_on=(), sorts=union("sorts"),
+                      constants=union("constants"),
+                      functions=union("functions"), axioms=union("axioms"))
+
+
+def flatten_theory(theory: ast.Theory, search_paths: list[str],
+                   sink: DiagnosticSink) -> ast.Module:
+    """The modules of `theory`, imports expanded, flattened into one."""
+    modules = resolve_theory(theory, search_paths, sink)
+    sink.raise_if_errors()
+    if not modules:
+        raise SemanticError(f"theory {theory.name!r} declares no modules",
+                            theory.span)
+    flat = flatten(modules, theory.name, sink)
+    sink.raise_if_errors()
+    return flat
 
 
 def flatten_system(system: ast.System, search_paths: list[str],
                    sink: DiagnosticSink) -> ast.Module:
-    if isinstance(system.theory, ast.ImportDirective):
-        wrapper = ast.Theory(system.name, (system.theory,))
-        modules = resolve_theory(wrapper, search_paths, sink)
-        tname = system.theory.theory or system.theory.module or system.name
-    else:
-        modules = resolve_theory(system.theory, search_paths, sink)
-        tname = system.theory.name
-    sink.raise_if_errors()
-    if not modules:
-        raise SemanticError(f"theory {tname!r} declares no modules",
-                            system.span)
-    return flatten(modules, tname, sink)
+    theory = system.theory
+    if isinstance(theory, ast.ImportDirective):
+        theory = ast.Theory(theory.theory or theory.module, (theory,),
+                            span=theory.span)
+    return flatten_theory(theory, search_paths, sink)
 
 
 # ================================================================ pre-models
+
+def range_values(sig: Signature, consts: dict[str, Value], key: str) -> range:
+    """The integers of range sort `key`, its bounds read from `consts`."""
+    def bound(b: Union[int, str]) -> int:
+        v = b if isinstance(b, int) else consts.get(b)
+        if not isinstance(v, int):
+            raise SemanticError(
+                f"range bound {b!r} is not a structure integer constant")
+        return v
+
+    r = sig.ranges[key]
+    return range(bound(r.lo), bound(r.hi) + 1)
+
 
 @dataclass(frozen=True)
 class ObjectTerm:
@@ -266,19 +260,7 @@ class PreModel:
         return list(self.members.get(key, ()))
 
     def range_values(self, key: str) -> range:
-        r = self.sig.ranges[key]
-        lo = self._bound(r.lo)
-        hi = self._bound(r.hi)
-        return range(lo, hi + 1)
-
-    def _bound(self, b: Union[int, str]) -> int:
-        if isinstance(b, int):
-            return b
-        v = self.consts.get(b)
-        if not isinstance(v, int):
-            raise SemanticError(
-                f"range bound {b!r} is not a structure integer constant")
-        return v
+        return range_values(self.sig, self.consts, key)
 
     def is_instance(self, obj: Value, sort: str) -> bool:
         if sort == BOOLEANS:
@@ -375,12 +357,7 @@ def _declared_members(uni: _Universe, sig: Signature, sort: str,
     if sort == BOOLEANS:
         return [TRUE, FALSE]
     if sort in sig.ranges:
-        r = sig.ranges[sort]
-        lo = r.lo if isinstance(r.lo, int) else consts.get(r.lo)
-        hi = r.hi if isinstance(r.hi, int) else consts.get(r.hi)
-        if not isinstance(lo, int) or not isinstance(hi, int):
-            raise SemanticError(f"unresolved range bound in {sort}")
-        return list(range(lo, hi + 1))
+        return list(range_values(sig, consts, sort))
     below = {sort} | sig.descendants(sort)
     return [o.key for o in uni.objects
             if any(s in below for s in uni.declared[o.key])]

@@ -9,6 +9,7 @@ from almc.cli import compile_from_path, main
 from almc.errors import InputError
 
 from conftest import ALM_FILES, CORPUS
+from test_modular import LIBRARIES
 
 
 LIB = ["--lib", str(CORPUS)]
@@ -248,6 +249,49 @@ def test_missing_history_or_goal_is_input_error(capsys, flag, tmp_path):
 def test_missing_system_file_is_input_error():
     with pytest.raises(InputError, match="cannot read"):
         compile_from_path(str(CORPUS / "nope.alm"), [])
+
+
+@pytest.mark.parametrize("kind", ["non_utf8", "directory"])
+def test_unreadable_library_is_input_error(capsys, tmp_path, kind):
+    library = tmp_path / "lib.alm"
+    if kind == "directory":
+        library.mkdir()
+    else:
+        library.write_bytes(b"\xff\xfe" + "theory x\n".encode("utf-16-le"))
+    theory = tmp_path / "t.alm"
+    theory.write_text("theory t\n  import theory x from lib\n")
+    code, out, err = run(capsys, "check", str(theory), "--lib", str(tmp_path))
+    assert code == 2
+    assert f"cannot read {library}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("imports,code", [
+    ("import module m1 from mid\n  import module m2 from side\n", 0),
+    ("import module ma from cyc_a\n", 3),
+], ids=["diamond", "cycle"])
+def test_check_resolves_libraries_that_import(capsys, tmp_path, imports,
+                                              code):
+    for name, text in LIBRARIES.items():
+        (tmp_path / f"{name}.alm").write_text(text)
+    theory = tmp_path / "t.alm"
+    theory.write_text(f"theory t\n  {imports}")
+    got, _, err = run(capsys, "check", str(theory), "--lib", str(tmp_path))
+    assert got == code
+    assert err.count("circular import") == (code == 3)
+
+
+@pytest.mark.parametrize("text,where", [
+    ("theory e\n", "1:1"),
+    ("system description s\n  theory e\n  structure b\n", "2:3"),
+], ids=["theory", "system"])
+def test_empty_theory_is_a_located_semantic_error(capsys, tmp_path, text,
+                                                  where):
+    path = tmp_path / "e.alm"
+    path.write_text(text)
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 3
+    assert f"almc: {path}:{where}: theory 'e' declares no modules" in err
 
 
 T0_STATES = ["states", str(CORPUS / "t0.alm")]

@@ -1,9 +1,11 @@
+import os
+
 import pytest
 
 from almc.errors import DiagnosticSink, InputError, SemanticError
 from almc.modular import (
-    build_universe, enumerate_placements, eval_ground_term, compare, flatten,
-    load_library, resolve_theory,
+    LIBRARY_PATH_VAR, build_universe, enumerate_placements, eval_ground_term,
+    compare, flatten, library_search_paths, load_library, resolve_theory,
 )
 from almc.ontology import build_signature
 from almc.syntax import ast
@@ -74,7 +76,8 @@ def test_dependency_order_respects_depends_on():
 def test_load_library_finds_theory_on_search_path():
     sink = DiagnosticSink()
     lib = load_library("commonsense_library", [str(CORPUS)])
-    theory = lib.theories["motion"]
+    theory = lib.theory
+    assert theory.name == "motion"
     names = {m.name for m in theory.items if isinstance(m, ast.Module)}
     assert {"moving", "carrying_things", "climbing"} <= names
 
@@ -99,6 +102,92 @@ def test_import_single_module():
     sink = DiagnosticSink()
     mods = resolve_theory(node.theory, [str(CORPUS)], sink)
     sink.raise_if_errors()
+    assert [m.name for m in mods] == ["sequence", "basic_cell_cycle"]
+
+
+LIBRARIES = {
+    "base": """
+theory base
+  module m0
+    sort declarations
+      things :: universe
+""",
+    # libraries that themselves import from a library
+    "mid": """
+theory mid
+  import module m0 from base
+  module m1 depends on m0
+    sort declarations
+      gadgets :: things
+""",
+    "side": """
+theory side
+  import theory base from base
+  module m2 depends on m0
+    sort declarations
+      widgets :: things
+""",
+    # two libraries that import from each other
+    "cyc_a": """
+theory cyc_a
+  import module mb from cyc_b
+  module ma
+    sort declarations
+      as :: universe
+""",
+    "cyc_b": """
+theory cyc_b
+  import module ma from cyc_a
+  module mb
+    sort declarations
+      bs :: universe
+""",
+}
+
+
+def resolve_with_libraries(tmp_path, imports: str):
+    for name, text in LIBRARIES.items():
+        (tmp_path / f"{name}.alm").write_text(text)
+    sink = DiagnosticSink()
+    theory = parse_file(f"theory t\n{imports}")
+    mods = resolve_theory(theory, [str(tmp_path)], sink)
+    return [m.name for m in mods], [d.message for d in sink.errors]
+
+
+def test_import_module_from_a_library_that_imports(tmp_path):
+    names, errors = resolve_with_libraries(
+        tmp_path, "  import module m1 from mid\n")
+    assert (names, errors) == (["m0", "m1"], [])
+
+
+def test_library_module_reached_by_two_import_paths(tmp_path):
+    names, errors = resolve_with_libraries(
+        tmp_path, "  import module m1 from mid\n"
+                  "  import module m2 from side\n"
+                  "  import module m0 from base\n")
+    assert (names, errors) == (["m0", "m1", "m2"], [])
+
+
+def test_import_cycle_between_libraries_is_one_error(tmp_path):
+    names, errors = resolve_with_libraries(
+        tmp_path, "  import module ma from cyc_a\n")
+    assert names == ["ma"]
+    assert errors == ["circular import of cyc_a"]
+
+
+def test_library_path_variable_extends_the_search_path(monkeypatch,
+                                                      tmp_path):
+    monkeypatch.delenv(LIBRARY_PATH_VAR, raising=False)
+    assert library_search_paths() == ["."]
+    monkeypatch.setenv(LIBRARY_PATH_VAR,
+                       os.pathsep.join([str(CORPUS), "", str(tmp_path)]))
+    assert library_search_paths() == [str(CORPUS), str(tmp_path)]
+    # paths given on the command line come first
+    assert library_search_paths(("lib",)) == ["lib", str(CORPUS),
+                                              str(tmp_path)]
+    node = parse_path(CORPUS / "cell_cycle1.alm")
+    sink = DiagnosticSink()
+    mods = resolve_theory(node.theory, library_search_paths(), sink)
     assert [m.name for m in mods] == ["sequence", "basic_cell_cycle"]
 
 

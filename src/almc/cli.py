@@ -20,7 +20,8 @@ from almc.errors import (
 )
 from almc.lpcore import Budget, Program
 from almc.modular import (
-    LIBRARY_PATH_VAR, flatten_theory, library_search_paths, read_input,
+    LIBRARY_PATH_VAR, flatten_system, flatten_theory, library_search_paths,
+    read_input,
 )
 from almc.ontology import build_signature
 from almc.semantics import State, build_diagrams
@@ -119,21 +120,12 @@ def load_source(path: str):
     return parse_file(read_input(path), path)
 
 
-def flatten_any(node, search_paths: list[str], sink: DiagnosticSink):
+def flatten_any(node, search_paths: list[str],
+                sink: DiagnosticSink) -> ast.Module:
     """Flattened module of a system description or a bare theory."""
     if isinstance(node, ast.System):
-        cs = compile_system(node, search_paths, sink)
-        return cs.module, cs
-    return flatten_theory(node, search_paths, sink), None
-
-
-def signature_and_theory(flat: ast.Module, cs: Optional[CompiledSystem],
-                         sink: DiagnosticSink):
-    """Signature and action theory, reusing those a compiled system has."""
-    if cs is not None:
-        return cs.sig, cs.theory
-    sig = build_signature(flat, sink)
-    return sig, build_action_theory(flat, sig, sink)
+        return flatten_system(node, search_paths, sink)
+    return flatten_theory(node, search_paths, sink)
 
 
 def compile_from_path(path: str, search_paths: list[str],
@@ -163,10 +155,13 @@ def search_paths_of(args) -> list[str]:
 def cmd_check(args, sink: DiagnosticSink) -> int:
     node = load_source(args.file)
     # a theory file is validated as the union of its modules, imports expanded
-    flat, cs = flatten_any(node, search_paths_of(args), sink)
-    sig, _ = signature_and_theory(flat, cs, sink)
-    wf = check_well_founded(cs, make_budget(args)) \
-        if args.well_founded and cs is not None else None
+    flat = flatten_any(node, search_paths_of(args), sink)
+    sig = build_signature(flat, sink)
+    theory = build_action_theory(flat, sig, sink)
+    wf = None
+    if args.well_founded and isinstance(node, ast.System):
+        cs = CompiledSystem(flat, sig, theory, node.structure, sink)
+        wf = check_well_founded(cs, make_budget(args))
     print(f"{args.file}: ok "
           f"({len(sig.sorts)} sorts, {len(sig.functions)} functions)")
     if wf is not None:
@@ -179,15 +174,14 @@ def cmd_check(args, sink: DiagnosticSink) -> int:
 
 def cmd_flatten(args, sink: DiagnosticSink) -> int:
     node = load_source(args.file)
-    flat, _ = flatten_any(node, search_paths_of(args), sink)
-    sys.stdout.write(pretty(flat))
+    sys.stdout.write(pretty(flatten_any(node, search_paths_of(args), sink)))
     return EXIT_OK
 
 
 def cmd_hierarchy(args, sink: DiagnosticSink) -> int:
     node = load_source(args.file)
-    flat, cs = flatten_any(node, search_paths_of(args), sink)
-    sig = cs.sig if cs is not None else build_signature(flat, sink)
+    sig = build_signature(flatten_any(node, search_paths_of(args), sink),
+                          sink)
     for name in sorted(sig.sorts):
         for parent in sorted(sig.parents(name)):
             if args.json_lines:
@@ -199,8 +193,9 @@ def cmd_hierarchy(args, sink: DiagnosticSink) -> int:
 
 def cmd_bat(args, sink: DiagnosticSink) -> int:
     node = load_source(args.file)
-    flat, cs = flatten_any(node, search_paths_of(args), sink)
-    sig, theory = signature_and_theory(flat, cs, sink)
+    flat = flatten_any(node, search_paths_of(args), sink)
+    sig = build_signature(flat, sink)
+    theory = build_action_theory(flat, sig, sink)
     print(f"functions: {len(sig.functions)}")
     for f in sorted(sig.functions.values(), key=lambda f: f.name):
         arrow = " * ".join(f.args) + " -> " if f.args else ""

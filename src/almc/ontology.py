@@ -230,16 +230,6 @@ def build_signature(module: ast.Module, sink: DiagnosticSink) -> Signature:
             return
         sink.error(f"unknown sort {key!r} in {what}", span)
 
-    def ancestors(node: str) -> set[str]:
-        seen = {node}
-        todo = [node]
-        while todo:
-            for p in sorts.get(todo.pop(), ()):
-                if p not in seen:
-                    seen.add(p)
-                    todo.append(p)
-        return seen
-
     def add_function(info: FuncInfo) -> None:
         prev = sig.functions.get(info.name)
         if prev is not None:
@@ -249,9 +239,10 @@ def build_signature(module: ast.Module, sink: DiagnosticSink) -> Signature:
                 # The same attribute declared on two sorts: widen the owner
                 # argument to their nearest common ancestor.  Axioms narrow
                 # back down with explicit instance(...) guards.
-                common = ancestors(prev.args[0]) & ancestors(info.args[0])
+                a, b = prev.args[0], info.args[0]
+                common = ({a} | sig.ancestors(a)) & ({b} | sig.ancestors(b))
                 owner = max(sorted(common),
-                            key=lambda c: len(ancestors(c) & common))
+                            key=lambda c: len(sig.ancestors(c) & common))
                 sig.functions[info.name] = FuncInfo(
                     info.name, (owner,) + info.args[1:], info.result,
                     ATTRIBUTE, span=prev.span)

@@ -8,10 +8,16 @@ evolution of the system:
     -happened(cytokinesis, 2).
 
 Temporal projection finds every trajectory compatible with a history; a
-query `f(args) = v at step i` is entailed when it holds on all of them.
-Planning searches for occurrence assignments reaching a goal within a
-horizon, one action per step, with no gaps, using as few occurrences as
-possible (branch-and-bound over consistency-restoring occurrence rules).
+query is entailed at step i when it holds there in every model.  Planning
+searches for occurrence assignments reaching a goal within a horizon, one
+action per step, with no gaps, using as few occurrences as possible
+(branch-and-bound over consistency-restoring occurrence rules).
+
+Observations, goals and queries are ground literals over the signature,
+all evaluated by `normalize_goal` and then `Grounder.ground_lit`.  An
+observation must give a fluent a value within its sorts; statics and the
+hierarchy in a goal or query are decided by each pre-model, and a fluent
+literal's atom is read off the trajectories.
 
 Systems can have several pre-models that differ only in how objects are
 placed into source sorts.  A `CompiledSystem` computes its pre-models once,
@@ -26,10 +32,11 @@ program per group; the grounders of a group share one copy of their
 templates and horizon-0 program.  As a final guard it skips a program equal
 to one it has already yielded: atoms, rules, choice atoms,
 consistency-restoring rules and cardinality groups are compared as they are
-(`program_fingerprint`).  Each distinct program is solved once, and the
-trajectories/plans are merged across pre-models.  A plan is validated by
-projecting the history with the plan's occurrences given to the solver as
-facts.
+(`program_fingerprint`).  Each distinct program is solved once and the
+trajectories/plans are merged across pre-models; a projection keeps the
+grounders of every pre-model with a trajectory, which ground its queries.
+A plan is validated by projecting the history with the plan's occurrences
+given to the solver as facts and reading its goal as a query.
 """
 
 from __future__ import annotations
@@ -39,11 +46,11 @@ from functools import cached_property
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from almc.bat import (
-    ActionTheory, CmpLit, FunLit, _Normalizer, build_action_theory, lit_vars,
+    ActionTheory, FunLit, _Normalizer, build_action_theory, lit_vars,
 )
 from almc.errors import DiagnosticSink, InputError, SemanticError
 from almc.lpcore import Budget, Program
-from almc.modular import Value, compare, eval_ground_term, flatten_system
+from almc.modular import Value, flatten_system
 from almc.ontology import (
     ACTIONS, BASIC_FLUENT, FALSE, TRUE, Signature, build_signature,
 )
@@ -58,7 +65,6 @@ from almc.syntax.parser import _Parser
 
 @dataclass
 class CompiledSystem:
-    source: ast.System
     module: ast.Module  # flattened
     sig: Signature
     theory: ActionTheory
@@ -79,7 +85,7 @@ def compile_system(node: ast.System, search_paths: list[str],
     module = flatten_system(node, search_paths, sink)
     sig = build_signature(module, sink)
     theory = build_action_theory(module, sig, sink)
-    return CompiledSystem(node, module, sig, theory, node.structure, sink)
+    return CompiledSystem(module, sig, theory, node.structure, sink)
 
 
 # ================================================================ histories
@@ -166,42 +172,41 @@ class Trajectory:
 class ProjectionResult:
     trajectories: list[Trajectory]
     horizon: int
-    #: object-constant values of the structure, for grounding queries
-    consts: dict = field(default_factory=dict)
+    #: the grounder of every pre-model with a trajectory, which ground
+    #: queries (`entails_at`)
+    grounders: list[Grounder] = field(default_factory=list)
 
     @property
     def consistent(self) -> bool:
         return bool(self.trajectories)
 
 
-def _ground_history(cs: CompiledSystem, g: Grounder, hist: History,
+def _observation_lits(cs: CompiledSystem, hist: History) -> list:
+    """The history's observations `f(t̄) = v` in the theory's normal form,
+    one literal per observation (`normalize_goal`)."""
+    return normalize_goal(cs, [ast.Lit(False, f, "=", v, span=f.span)
+                               for f, v, _ in hist.observed])
+
+
+def _ground_history(g: Grounder, hist: History, observed: list,
                     prog: Program, horizon: int) -> None:
-    norm = _Normalizer(cs.sig, cs.sink)
+    """Add the history to `prog`; `observed` holds the history's
+    `_observation_lits`, which `g` grounds (`Grounder.ground_lit`)."""
     neq_keys: set = set()
-    for fterm, vterm, step in hist.observed:
+    for lit, (fterm, _, step) in zip(observed, hist.observed):
         if step > horizon:
             raise InputError(
                 f"observation at step {step} beyond horizon {horizon}",
                 fterm.span)
-        norm.extra = []
-        lit = norm.normalize(ast.Lit(False, fterm, "=", vterm))
-        if not isinstance(lit, FunLit) or norm.extra:
-            raise SemanticError("observation must be a function atom",
-                                fterm.span)
-        info = cs.sig.functions.get(lit.func)
-        if info is None or not info.is_fluent:
-            raise InputError(f"observed {lit.func!r} is not a fluent",
-                             fterm.span)
-        args = tuple(g.eval_term(a, {}) for a in lit.args)
-        val = g.eval_term(lit.value, {})
-        if val not in g.values[lit.func]:
-            raise InputError(
-                f"{val!r} is not in the range of {lit.func}", vterm.span)
+        r = g.ground_lit(lit, {})
+        if not isinstance(r, tuple):
+            raise InputError("an observation must give a fluent a value "
+                             "within its sorts", fterm.span)
         if step == 0:
-            prog.add_fact(("v", lit.func, args, val, step))
+            prog.add_fact(r[0] + (step,))
         else:
             # reality check: fail only if the function holds another value
-            nk = ("neq", lit.func, args, val, step)
+            nk = ("neq",) + r[0][1:] + (step,)
             prog.add_constraint((prog.atom(nk),))
             neq_keys.add(nk)
     g.define_neqs(prog, neq_keys)
@@ -209,10 +214,8 @@ def _ground_history(cs: CompiledSystem, g: Grounder, hist: History,
     # is not derivably true at step 0 is false there (defeasible, so
     # observations and state constraints win); dom_f companions are boolean
     # basic fluents, so this also closes unobserved domains
-    for f in cs.sig.functions.values():
-        if f.kind != BASIC_FLUENT:
-            continue
-        if set(g.values[f.name]) != {TRUE, FALSE}:
+    for f in g.sig.functions.values():
+        if f.kind != BASIC_FLUENT or set(g.values[f.name]) != {TRUE, FALSE}:
             continue
         for args in g.tuples[f.name]:
             prog.add_rule(prog.atom(("v", f.name, args, FALSE, 0)), (),
@@ -231,7 +234,6 @@ def _ground_history(cs: CompiledSystem, g: Grounder, hist: History,
             prog.add_fact(key)
         else:
             prog.add_constraint((prog.atom(key),))
-    cs.sink.raise_if_errors()
 
 
 def program_fingerprint(prog: Program) -> tuple:
@@ -247,30 +249,37 @@ def _history_programs(
         budget: Optional[Budget] = None,
         extend: Optional[Callable[[Grounder, Program], None]] = None,
         extend_key: Callable[[Grounder], Hashable] = lambda g: None,
-) -> Iterator[tuple[Grounder, Program]]:
+) -> Iterator[tuple[list[Grounder], Program]]:
     """The history program of each group of equal pre-models, grounded up
     to `horizon` and extended by `extend(g, prog)`, skipping any program
     equal to one already yielded.
 
     Pre-models are grouped by `Grounder.program_key` and by
     `extend_key(g)`, which covers what `extend` reads from the grounder;
-    one program is ground, extended and yielded per group."""
-    groups: dict[tuple, Grounder] = {}
-    seen: set[tuple] = set()
+    one program is ground, extended and yielded per group, with the list
+    of the grounders whose program it is.  The first of them ground it;
+    the others join the list until the generator is exhausted."""
+    observed = _observation_lits(cs, hist)
+    groups: dict[tuple, tuple[Grounder, list[Grounder]]] = {}
+    yielded: dict[tuple, list[Grounder]] = {}
     for g in cs.grounders:
         key = (g.program_key(budget), extend_key(g))
         if key in groups:
-            g.share_ground(groups[key])
+            leader, members = groups[key]
+            g.share_ground(leader)
+            members.append(g)
             continue
-        groups[key] = g
         prog = g.build_program(horizon, budget)
-        _ground_history(cs, g, hist, prog, horizon)
+        _ground_history(g, hist, observed, prog, horizon)
         if extend is not None:
             extend(g, prog)
         fp = program_fingerprint(prog)
-        if fp not in seen:
-            seen.add(fp)
-            yield g, prog
+        fresh = fp not in yielded
+        members = yielded.setdefault(fp, [])
+        members.append(g)
+        groups[key] = (g, members)
+        if fresh:
+            yield members, prog
 
 
 def _close_domains(g: Grounder, state: State) -> State:
@@ -293,9 +302,11 @@ def temporal_project(cs: CompiledSystem, hist: History,
     passed to the solver so that the history program stays the same."""
     n = hist.max_step if horizon is None else horizon
     found: dict[Trajectory, None] = {}
-    consts = cs.grounders[0].pm.consts if cs.grounders else {}
-    for g, prog in _history_programs(cs, hist, n, budget):
+    with_models: list[list[Grounder]] = []
+    for members, prog in _history_programs(cs, hist, n, budget):
+        g = members[0]
         state_cache: dict[State, str] = {}
+        with_model = False
         for model in prog.answer_sets(budget=budget, facts=facts):
             states = tuple(_close_domains(g, g.state_from_model(model, i))
                            for i in range(n + 1))
@@ -314,30 +325,40 @@ def temporal_project(cs: CompiledSystem, hist: History,
                 frozenset(k[1] for k in model if k[0] == "occ" and k[2] == i)
                 for i in range(n))
             found.setdefault(Trajectory(states, occs))
-    return ProjectionResult(list(found), n, consts)
+            with_model = True
+        if with_model:
+            with_models.append(members)
+    return ProjectionResult(list(found), n,
+                            [g for ms in with_models for g in ms])
+
+
+def _holds(state: State, key: tuple) -> bool:
+    """Does the step-free key of a fluent literal (`Grounder.ground_lit`)
+    hold in the state?"""
+    kind, f, args, val = key
+    v = state.value(f, args)
+    return v == val if kind == "v" else v is not None and v != val
 
 
 def entails_at(cs: CompiledSystem, result: ProjectionResult,
                lit: ast.Lit, step: int) -> bool:
     """Does the literal hold at `step` in every model of the history?
 
-    `f(t̄) != v` holds only where f is defined with a value other than v.
+    Every pre-model with a trajectory grounds the literal as the planner
+    grounds a goal (`Grounder.ground_lit`): a static or hierarchy literal
+    must be true in each of them, and a fluent literal's key must hold in
+    every trajectory's state.  `f(t̄) != v` holds only where f is defined
+    with a value other than v.
     """
     if not result.trajectories:
         return False
     for fl in normalize_goal(cs, [lit]):
-        if isinstance(fl, CmpLit):
-            if not compare(fl.op, eval_ground_term(fl.lhs, result.consts),
-                           eval_ground_term(fl.rhs, result.consts), fl.span):
-                return False
-            continue
-        args = tuple(eval_ground_term(a, result.consts) for a in fl.args)
-        val = eval_ground_term(fl.value, result.consts)
-        for t in result.trajectories:
-            v = t.states[step].value(fl.func, args)
-            holds = (v == val) if fl.op == "=" \
-                else (v is not None and v != val)
-            if not holds:
+        for g in result.grounders:
+            r = g.ground_lit(fl, {})
+            if r is True:
+                continue
+            if r is False or not all(_holds(t.states[step], r[0])
+                                     for t in result.trajectories):
                 return False
     return True
 
@@ -351,24 +372,13 @@ def initial_coverage(cs: CompiledSystem, hist: History) -> tuple[int, int]:
     if not cs.grounders:
         return (0, 0)
     g = cs.grounders[0]
-    total = sum(len(g.tuples[f.name]) for f in g.basic_nondom_fluents())
-    norm = _Normalizer(cs.sig, cs.sink)
+    basic = {f.name: len(g.tuples[f.name]) for f in g.basic_nondom_fluents()}
     seen = set()
-    for fterm, vterm, step in hist.observed:
-        if step != 0:
-            continue
-        norm.extra = []
-        lit = norm.normalize(ast.Lit(False, fterm, "=", vterm))
-        if not isinstance(lit, FunLit):
-            continue
-        info = cs.sig.functions.get(lit.func)
-        if info is None or info.kind != BASIC_FLUENT \
-                or info.dom_of is not None:
-            continue
-        args = tuple(g.eval_term(a, {}) for a in lit.args)
-        if args in g.tuples.get(lit.func, []):
-            seen.add((lit.func, args))
-    return (len(seen), total)
+    for lit, (_, _, step) in zip(_observation_lits(cs, hist), hist.observed):
+        r = g.ground_lit(lit, {})
+        if step == 0 and isinstance(r, tuple) and r[0][1] in basic:
+            seen.add(r[0][1:3])
+    return (len(seen), sum(basic.values()))
 
 
 # ================================================================ planning
@@ -479,7 +489,8 @@ def normalize_goal(cs: CompiledSystem, goal: list[ast.Lit]) -> list:
     cs.sink.raise_if_errors()
     for fl in out:
         if lit_vars(fl):
-            raise SemanticError("goal literals must be ground", fl.span)
+            raise SemanticError("history, goal and query literals must be "
+                                "ground", fl.span)
     return out
 
 

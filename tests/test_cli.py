@@ -75,6 +75,48 @@ def test_hierarchy_lists_links(capsys):
             "full :: professor", "professor :: person"} <= lines
 
 
+SYSTEM = """system description s
+  theory t
+    module m
+      sort declarations
+        things :: universe
+      function declarations
+        fluents
+          basic
+            f : things -> {result}
+      axioms
+        {axiom}
+  structure st
+    instances
+      x in things
+"""
+
+
+def test_flatten_of_a_system_builds_no_signature(capsys, tmp_path):
+    """`flatten` prints the flattened module, whose signature it never
+    builds: an unknown sort fails `check`, not `flatten`."""
+    system = tmp_path / "s.alm"
+    system.write_text(SYSTEM.format(result="nosuch",
+                                    axiom="f(X) = X if instance(X, things)."))
+    code, out, _ = run(capsys, "flatten", str(system))
+    assert code == 0
+    assert out.startswith("module t\n") and "f : things -> nosuch" in out
+    code, _, err = run(capsys, "check", str(system))
+    assert code == 3 and "unknown sort 'nosuch'" in err
+
+
+def test_hierarchy_of_a_system_builds_no_action_theory(capsys, tmp_path):
+    """`hierarchy` prints the sort links, not the action theory: an
+    axiom over an unknown function fails `bat`, not `hierarchy`."""
+    system = tmp_path / "s.alm"
+    system.write_text(SYSTEM.format(result="things",
+                                    axiom="false if nosuch(X)."))
+    code, out, _ = run(capsys, "hierarchy", str(system))
+    assert code == 0 and "things :: universe\n" in out
+    code, _, err = run(capsys, "bat", str(system))
+    assert code == 3 and "expected a boolean function atom" in err
+
+
 def test_bat_summarizes_theory(capsys):
     code, out, _ = run(capsys, "bat", str(CORPUS / "travel.alm"))
     assert code == 0
@@ -354,6 +396,21 @@ def test_unknown_action_in_history_is_input_error(capsys, tmp_path, line):
     assert code == 2
     assert f"{hist}:2:" in err
     assert "move(nowhere) is not an action" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("line", [
+    "observed(g(nosuch), o, 0).", "observed(g(x), a, 1).",
+    "observed(attr_1(a), o, 0).", "observed(o, o, 0).",
+], ids=["argument", "value", "static", "no-function"])
+def test_observation_outside_a_fluents_sorts_is_input_error(capsys, tmp_path,
+                                                            line):
+    hist = tmp_path / "bad.hist"
+    hist.write_text("observed(g(x), o, 0).\n" + line + "\n")
+    code, out, err = run(capsys, "project", str(CORPUS / "t0.alm"),
+                         "--history", str(hist), "--horizon", "1")
+    assert code == 2
+    assert f"{hist}:2:" in err and "within its sorts" in err
     assert out == ""
 
 

@@ -29,6 +29,8 @@ WORDS = [
     "observed(", "happened(", "-happened(", ")", "(", ", ", ".", "\n", "%",
     " = ", " != ", "-", "0", "1", "2", "3", "-1", "X",
     "f(x)", "g(x)", "dom_f(x)", "a", "b", "o", "z", "x", "true", "false",
+    "attr_1(a)", "attr_2(b)", "instance(a, t0_actions)", "link(c2, c1)",
+    "g(o)", "c2", "t0_actions",
     "loc_in(monkey)", "loc_in(box)", "holding(monkey, banana)",
     "initial_monkey", "initial_box", "under_banana", "top(box)",
     "move(initial_box)", "move(nowhere)", "grasp(banana)", "climb(box)",
@@ -43,6 +45,11 @@ FACTS = [
     "observed(g(x), o, 0).",
     "happened(a, 0).",
     "-happened(b, 0).",
+    "observed(g(o), o, 0).",
+    "observed(attr_1(a), o, 0).",
+    "observed(g(x), a, 1).",
+    "attr_1(a) = o.",
+    "instance(a, t0_actions).",
 ]
 
 text = st.one_of(

@@ -27,6 +27,10 @@ LIB = ["--lib", "corpus"]
 MONKEY = ["corpus/monkey_and_banana.alm", *LIB]
 
 
+def _queries(*literals: str) -> list[str]:
+    return [a for lit in literals for a in ("--query", lit)]
+
+
 def _cases() -> dict[str, list[str]]:
     cases = {}
     for path in sorted((ROOT / "corpus").glob("*.alm")):
@@ -46,6 +50,15 @@ def _cases() -> dict[str, list[str]]:
         cases[f"project-{hist}"] = [
             "project", "corpus/cell_cycle2.alm", *LIB,
             "--history", f"corpus/{hist}.hist"]
+    cases["project-t0-statics"] = [
+        "project", "corpus/t0.alm", "--history", "corpus/t0.hist",
+        *_queries("attr_1(a) = o", "attr_1(a) = z", "instance(a, t0_actions)",
+                  "instance(b, c2)", "g(x) = o")]
+    cases["project-professors"] = [
+        "project", "corpus/professors.alm",
+        "--history", "corpus/professors.hist",
+        *_queries("instance(alice, professor)", "instance(alice, assistant)",
+                  "instance(alice, full)", "-instance(alice, person)")]
     plan = ["plan", *MONKEY, "--history", "corpus/mb.hist",
             "--goal", "corpus/mb.goal"]
     cases["plan-mb-h5"] = plan + ["--horizon", "5"]

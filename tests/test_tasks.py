@@ -117,6 +117,80 @@ def test_initial_coverage(toggle):
     assert initial_coverage(toggle, parse_history("")) == (0, 1)
 
 
+# ------------------------------------------------------------ one literal path
+
+@pytest.fixture(scope="module")
+def t0():
+    return compile_from_path(str(CORPUS / "t0.alm"), [])
+
+
+T0_HIST = "observed(g(x), o, 0).\n"
+
+
+@pytest.mark.parametrize("fact", [
+    "observed(g(nosuch), o, 0).",  # an argument outside g's sorts
+    "observed(g(z), o, 1).",  # z is a c3, g takes a c2
+    "observed(g(x), a, 0).",  # a value outside g's range
+    "observed(attr_1(a), o, 0).",  # a static
+    "observed(link(c2, c1), true, 0).",  # the hierarchy
+    "observed(o, o, 0).",  # no function at all
+])
+def test_observation_gives_a_fluent_a_value_within_its_sorts(t0, fact):
+    hist = parse_history(T0_HIST + fact, "t0.hist")
+    with pytest.raises(InputError) as exc:
+        temporal_project(t0, hist, horizon=1)
+    assert str(exc.value.span).startswith("t0.hist:2:")
+    assert "within its sorts" in exc.value.message
+
+
+def test_initial_coverage_counts_what_projection_grounds(t0):
+    hist = parse_history(T0_HIST + "observed(g(x), o, 1).")
+    assert initial_coverage(t0, hist) == (1, 2)
+    assert initial_coverage(t0, parse_history("observed(g(z), o, 0).")) \
+        == (0, 2)
+
+
+@pytest.mark.parametrize("query,entailed", [
+    ("attr_1(a) = o", True), ("attr_1(a) != z", True),
+    ("attr_1(a) = z", False), ("attr_2(a) = o", False),
+    ("instance(a, t0_actions)", True), ("instance(x, c1)", True),
+    ("instance(b, c2)", False), ("-instance(b, c2)", True),
+    ("link(c2, c1)", True), ("g(x) = o", True), ("g(x) != o", False),
+])
+def test_static_and_hierarchy_queries_on_t0(t0, query, entailed):
+    """Queries ground like goals: statics and the hierarchy are read off
+    the pre-models, fluents off the trajectories."""
+    res = temporal_project(t0, parse_history(T0_HIST), horizon=0)
+    assert entails_at(t0, res, parse_literal_text(query), 0) is entailed
+
+
+@pytest.mark.parametrize("goal,plans", [
+    ("f(x) = o. attr_1(a) = o.", [(("a",),)]),
+    ("f(x) = o. attr_1(a) = z.", []),
+    ("f(x) = o. instance(a, t0_actions).", [(("a",),)]),
+])
+def test_planner_and_validation_agree_on_static_goals(t0, goal, plans):
+    hist, goal = parse_history(T0_HIST), parse_goal(goal)
+    found = find_plans(t0, hist, goal, horizon=1).plans
+    assert [p.steps for p in found] == plans
+    assert all(validate_plan(t0, hist, goal, p) for p in found)
+    assert not validate_plan(t0, hist, goal, Plan((("b",),)))
+
+
+@pytest.mark.parametrize("sort,entailed", [
+    ("person", True), ("professor", True),
+    ("assistant", False), ("associate", False), ("full", False),
+])
+def test_placement_queries_read_every_pre_model(sort, entailed):
+    """Alice is placed in assistant, associate or full, one pre-model each,
+    and the three ground one history program: a query reads all three."""
+    cs = compile_from_path(str(CORPUS / "professors.alm"), [])
+    res = temporal_project(cs, parse_history(""), horizon=0)
+    assert len(cs.grounders) == len(res.grounders) == 3
+    lit = parse_literal_text(f"instance(alice, {sort})")
+    assert entails_at(cs, res, lit, 0) is entailed
+
+
 # ------------------------------------------------------------ planning
 
 def test_minimal_plan_found(toggle):

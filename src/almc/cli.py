@@ -28,8 +28,8 @@ from almc.semantics import State, build_diagrams
 from almc.syntax import ast, parse_file, parse_literal_text, pretty
 from almc.errors import DiagnosticSink
 from almc.tasks import (
-    CompiledSystem, check_well_founded, compile_system, entails_at,
-    find_plans, initial_coverage, normalize_goal, parse_goal,
+    CompiledSystem, check_well_founded, compile_system, entails_all,
+    find_plans, normalize_each, parse_goal,
     parse_history, prefer_most_specific, temporal_project, validate_plan,
 )
 
@@ -154,12 +154,15 @@ def search_paths_of(args) -> list[str]:
 
 def cmd_check(args, sink: DiagnosticSink) -> int:
     node = load_source(args.file)
+    if args.well_founded and not isinstance(node, ast.System):
+        raise UsageError("--well-founded needs a system description with a "
+                         f"structure; {args.file} holds a theory")
     # a theory file is validated as the union of its modules, imports expanded
     flat = flatten_any(node, search_paths_of(args), sink)
     sig = build_signature(flat, sink)
     theory = build_action_theory(flat, sig, sink)
     wf = None
-    if args.well_founded and isinstance(node, ast.System):
+    if args.well_founded:
         cs = CompiledSystem(flat, sig, theory, node.structure, sink)
         wf = check_well_founded(cs, make_budget(args))
     print(f"{args.file}: ok "
@@ -252,15 +255,17 @@ def cmd_project(args, sink: DiagnosticSink) -> int:
     horizon = hist.max_step if args.horizon is None else args.horizon
     if args.at is not None and args.at > horizon:
         raise UsageError(f"--at {args.at} is beyond the horizon {horizon}")
-    # a bad query fails before anything is projected or printed
-    queries = [(q, parse_literal_text(q)) for q in args.query or []]
-    normalize_goal(cs, [lit for _, lit in queries])
-    covered, total = initial_coverage(cs, hist)
+    # a bad query fails before anything is projected or printed, and a bad
+    # history before the note on its coverage
+    texts = args.query or []
+    queries = list(zip(texts, normalize_each(
+        cs, [parse_literal_text(q) for q in texts])))
+    result = temporal_project(cs, hist, horizon=horizon,
+                              budget=make_budget(args))
+    covered, total = result.coverage
     if covered < total and not args.json_lines:
         print(f"note: initial situation observes {covered} of {total} basic "
               "fluent instances; the rest default to undefined", file=sys.stderr)
-    result = temporal_project(cs, hist, horizon=horizon,
-                              budget=make_budget(args))
     if not result.consistent:
         print("inconsistent history: no models", file=sys.stderr)
         return EXIT_SEMANTIC
@@ -278,9 +283,9 @@ def cmd_project(args, sink: DiagnosticSink) -> int:
             print(f"  step {i}: {state_text(s)}")
             if i < len(t.occurrences) and t.occurrences[i]:
                 print(f"  occurs: {', '.join(sorted(map(str, t.occurrences[i])))}")
-    for q, lit in queries:
+    for q, lits in queries:
         step = horizon if args.at is None else args.at
-        verdict = entails_at(cs, result, lit, step)
+        verdict = entails_all(result, lits, step)
         if args.json_lines:
             emit_json({"type": "query", "literal": q, "step": step,
                        "entailed": verdict})
@@ -400,7 +405,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="parse and validate")
     common(p)
     p.add_argument("--well-founded", action="store_true",
-                   help="also run the well-foundedness check")
+                   help="also run the well-foundedness check (a system "
+                   "description only)")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("flatten", help="print the flattened module")

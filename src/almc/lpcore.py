@@ -28,7 +28,19 @@ dependency graph that no alive rule can derive from outside the unfounded
 set is made false.  Tight programs, whose graph has no cycle, skip this
 check (Fages 1994).  Every total assignment that survives is an answer
 set; it is still certified by an independent reduct + least-model check
-(`is_answer_set`) before it is reported.
+(`is_answer_set`) before it is reported.  The certifier keeps its own index
+of the rules, built once per program shape; it shares no table with the
+search it checks.
+
+Solving is multi-shot, after clingo's `#external` atoms (Gebser, Kaminski,
+Kaufmann, Schaub, *Multi-shot ASP solving with clingo*, TPLP 2019).  A
+program keeps one search state while it is unchanged, and each call to
+`answer_sets` passes only the facts that hold for that call.  Each atom
+ever passed as a fact is made external once: it gets a rule `a :- x_a`
+whose body is a fresh choice atom, its switch.  A call sets every switch
+(true for its facts, false for the others) before its first decision, on
+top of the level-0 propagation that all calls share (the base mark), and
+undoes to that mark when it ends, however it ends.
 
 Atoms are interned from arbitrary hashable keys; callers deal only in keys.
 """
@@ -36,8 +48,9 @@ Atoms are interned from arbitrary hashable keys; callers deal only in keys.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from typing import Hashable, Iterator, Optional, Sequence
 
 from almc.errors import BudgetExceeded
@@ -86,7 +99,10 @@ class Program:
         self.rules: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         self.cr_rules: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         self.atmost: list[tuple[tuple[int, ...], int]] = []
-        self._loops: Optional[tuple[tuple[int, int, int], list[int]]] = None
+        # caches for the program shape given by `_stamp()`
+        self._loops: Optional[tuple[tuple, list[int]]] = None
+        self._search: Optional[tuple[tuple, _Search]] = None
+        self._index: Optional[tuple[tuple, tuple]] = None
 
     # ------------------------------------------------------------ building
 
@@ -132,6 +148,11 @@ class Program:
         new.atmost = list(self.atmost)
         return new
 
+    def _stamp(self) -> tuple:
+        """Changes whenever an atom, a rule or a group is added."""
+        return (len(self.keys), len(self.rules), len(self.cr_rules),
+                len(self.choice), len(self.atmost))
+
     # ------------------------------------------------------------ solving
 
     def answer_sets(self, max_models: Optional[int] = None,
@@ -143,19 +164,46 @@ class Program:
         `add_fact` after the other rules; the program itself is unchanged, so
         one ground program serves many calls.  A fact the program never
         mentions constrains nothing: it is added to every answer set.
+
+        The calls share one search state while the program is unchanged:
+        each fact atom is an external atom of that search, and a call only
+        sets their switches.  A call made while another one on the program
+        is suspended gets a search of its own.  The models, and their order,
+        are those of a copy extended with `add_fact` and solved alone.
         """
-        fact_rules = []
+        atoms: dict[int, None] = {}
         unmentioned = []
         for key in facts:
             a = self._ids.get(key)
             if a is None:
                 unmentioned.append(key)
             else:
-                fact_rules.append((a, (), ()))
+                atoms[a] = None
+        search = self._multi_shot(atoms)
+        fact_rules = [(a, (), ()) for a in atoms]
+        run = search.run(budget,
+                         lambda model: self.is_answer_set(model, fact_rules),
+                         atoms)
         keys = self.keys
-        for model in islice(_Search(self, fact_rules).run(budget),
-                            max_models):
-            yield frozenset(chain((keys[a] for a in model), unmentioned))
+        try:
+            for model in islice(run, max_models):
+                yield frozenset(chain((keys[a] for a in model), unmentioned))
+        finally:
+            run.close()  # undo to the base mark, also after a cut
+
+    def _multi_shot(self, atoms) -> "_Search":
+        """The program's search, built on first use and rebuilt after the
+        program changes, with `atoms` declared external."""
+        stamp = self._stamp()
+        if self._search is None or self._search[0] != stamp:
+            self._search = (stamp, _Search(self))
+        search = self._search[1]
+        if search.busy:
+            search = _Search(self)
+        new = [a for a in atoms if a not in search.externals]
+        if new:
+            search.declare(new)
+        return search
 
     def solve_cr(self, max_models: Optional[int] = None,
                  budget: Optional[Budget] = None,
@@ -183,7 +231,8 @@ class Program:
         card = minimality == "card"
         best = n
         found: list[tuple[frozenset, frozenset]] = []
-        for model in solver.run(budget):
+        for model in solver.run(
+                budget, lambda model: self.is_answer_set(model, extra, n)):
             applied = frozenset(a - base for a in model if a >= base)
             if card and len(applied) < best:
                 best, found = len(applied), []
@@ -212,9 +261,9 @@ class Program:
         may name a few atoms too many, which costs time, not soundness.
         Choice atoms are founded whenever they are true, so they and their
         edges are left out.  The list is empty for a tight program.  It is
-        cached until a rule or a choice atom is added.
+        cached until the program changes.
         """
-        stamp = (len(self.rules), len(self.cr_rules), len(self.choice))
+        stamp = self._stamp()
         if self._loops is not None and self._loops[0] == stamp:
             return self._loops[1]
         n = len(self.keys)
@@ -268,58 +317,90 @@ class Program:
         self._loops = (stamp, cyclic)
         return cyclic
 
+    def _certifier(self) -> tuple:
+        """The certifier's index of the regular rules, built once per
+        program shape: the rules' heads and positive-body sizes, the rules
+        without a positive body, and the rules whose positive (negative)
+        body holds each atom (`_by_atom`)."""
+        stamp = self._stamp()
+        if self._index is not None and self._index[0] == stamp:
+            return self._index[1]
+        rules, n = self.rules, len(self.keys)
+        index = (array("i", [h for h, _, _ in rules]),
+                 array("i", [len(pos) for _, pos, _ in rules]),
+                 [r for r, (_, pos, _) in enumerate(rules) if not pos],
+                 _by_atom(n, [pos for _, pos, _ in rules]),
+                 _by_atom(n, [neg for _, _, neg in rules]))
+        self._index = (stamp, index)
+        return index
+
     def is_answer_set(self, model: set[int],
                       extra_rules=(), n_extra: int = 0) -> bool:
-        """Reduct + least-model certification of a candidate.  The
-        `n_extra` atoms after the program's are choice atoms, as in
-        `_Search`."""
-        rules = chain(self.rules, extra_rules)
-        n = len(self.keys) + n_extra
-        choice = self.choice.union(range(len(self.keys), n))
-        # Constraint violation and reduct construction in one pass.
-        derived = [False] * n
-        queue = [a for a in choice if a in model]
-        for a in queue:
-            derived[a] = True
-        # counting scheme over the reduct
-        watch: list[list[int]] = [[] for _ in range(n)]
-        need: list[int] = []
-        heads: list[int] = []
-        kept = 0
-        for head, pos, neg in rules:
-            if any(b in model for b in neg):
-                continue  # dropped by the reduct
-            if head == _NO_HEAD:
-                if all(b in model for b in pos):
-                    return False  # violated constraint
-                continue
-            heads.append(head)
-            cnt = 0
-            for b in pos:
-                if not derived[b]:
-                    watch[b].append(kept)
-                    cnt += 1
-            need.append(cnt)
-            if cnt == 0 and not derived[head]:
-                derived[head] = True
-                queue.append(head)
-            kept += 1
-        qi = 0
-        while qi < len(queue):
-            a = queue[qi]
-            qi += 1
-            for r in watch[a]:
-                need[r] -= 1
-                if need[r] == 0:
-                    h = heads[r]
-                    if not derived[h]:
-                        derived[h] = True
-                        queue.append(h)
-        return {a for a in range(n) if derived[a]} == set(model)
+        """Reduct + least-model certification of a candidate against the
+        regular rules plus `extra_rules`.  The `n_extra` atoms after the
+        program's are choice atoms, as in `_Search`.
+
+        A rule with a negative body atom in the model is dropped by the
+        reduct.  The least model of the rest, grown from the candidate's
+        choice atoms, must be the candidate: a fired constraint or a
+        derived atom outside the candidate ends the check."""
+        heads, need, bodyless, (pos_rules, pos_at), (neg_rules, neg_at) = \
+            self._certifier()
+        base = len(self.keys)
+        need = need[:]
+        for a in model:
+            if a < base:
+                for r in neg_rules[neg_at[a]:neg_at[a + 1]]:
+                    need[r] = -1  # dropped by the reduct
+        choice = self.choice
+        stack = [a for a in model if a >= base or a in choice]
+        stack += [heads[r] for r in bodyless if need[r] == 0]
+        pending = [(h, pos) for h, pos, neg in extra_rules
+                   if not any(b in model for b in neg)]
+        derived = bytearray(base + n_extra)
+        while True:
+            while stack:
+                h = stack.pop()
+                if h == _NO_HEAD or h not in model:
+                    return False
+                if derived[h]:
+                    continue
+                derived[h] = 1
+                if h < base:
+                    for r in pos_rules[pos_at[h]:pos_at[h + 1]]:
+                        need[r] -= 1
+                        if need[r] == 0:
+                            stack.append(heads[r])
+            waiting = []
+            for h, pos in pending:
+                if all(derived[b] for b in pos):
+                    stack.append(h)
+                else:
+                    waiting.append((h, pos))
+            if not stack:
+                return derived.count(1) == len(model)
+            pending = waiting
+
+
+def _by_atom(n: int, bodies: list[tuple[int, ...]]) -> tuple[array, array]:
+    """For atoms 0..n-1, the indices of the bodies that hold each, in one
+    flat array: atom a's are `flat[start[a]:start[a + 1]]`."""
+    start = [0] * (n + 1)
+    for body in bodies:
+        for b in body:
+            start[b + 1] += 1
+    start = list(accumulate(start))
+    flat = array("i", bytes(4 * start[-1]))
+    fill = start[:-1]
+    for r, body in enumerate(bodies):
+        for b in body:
+            flat[fill[b]] = r
+            fill[b] += 1
+    return flat, array("i", start)
 
 
 class _Search:
-    """One enumeration over a program plus extra rules and `n_extra` extra
+    """One search state over a program plus extra rules and `n_extra` extra
     atoms, numbered after the program's.  The extra atoms are choice atoms
     in one at-most group, the last, whose bound starts at `n_extra`.
 
@@ -328,23 +409,33 @@ class _Search:
     false (r is dead while it is positive), `support[h]` the alive rules
     with head h, and `gcount[g]` the true members of group g.  `_assign`
     applies an atom's updates at once and `_undo_to` reverts them.
+
+    `declare` makes atoms external: each gets a rule whose body is a fresh
+    choice atom, its switch, numbered after the extra atoms.  The level-0
+    propagation (`_start`) leaves the switches undecided; its trail length
+    is the base mark.  Each `run` sets every switch, searches, and undoes to
+    the base mark, so one state serves any number of runs.  The search
+    holds no reference to the program.
     """
 
     def __init__(self, program: Program, extra_rules=(), n_extra: int = 0):
-        self.program = program
         base = len(program.keys)
-        self.n = base + n_extra
+        self.n = self.n_model = base + n_extra
         self.choice = program.choice.union(range(base, self.n))
-        self.extra_rules = tuple(extra_rules)
-        rules = chain(program.rules, self.extra_rules)
-        self.n_extra = n_extra
+        rules = chain(program.rules, extra_rules)
+        self.externals: dict[int, int] = {}  # external atom -> its switch
+        self.base = -1  # trail mark after level 0; -1 before `_start`
+        self.base_ok = True
+        self.busy = False  # a run is in progress
 
+        # watch lists are built as lists and kept as tuples, which share
+        # one empty tuple: most atoms are in no group and no loop
         self.rhead: list[int] = []
         self.rpos: list[tuple[int, ...]] = []
         self.rneg: list[tuple[int, ...]] = []
-        self.posw: list[list[int]] = [[] for _ in range(self.n)]
-        self.negw: list[list[int]] = [[] for _ in range(self.n)]
-        self.headw: list[list[int]] = [[] for _ in range(self.n)]
+        posw: list[list[int]] = [[] for _ in range(self.n)]
+        negw: list[list[int]] = [[] for _ in range(self.n)]
+        headw: list[list[int]] = [[] for _ in range(self.n)]
         self.support = [0] * self.n
         for head, pos, neg in rules:
             r = len(self.rhead)
@@ -352,21 +443,25 @@ class _Search:
             self.rpos.append(pos)
             self.rneg.append(neg)
             for b in pos:
-                self.posw[b].append(r)
+                posw[b].append(r)
             for b in neg:
-                self.negw[b].append(r)
+                negw[b].append(r)
             if head != _NO_HEAD:
-                self.headw[head].append(r)
+                headw[head].append(r)
                 self.support[head] += 1
+        self.posw = [tuple(w) for w in posw]
+        self.negw = [tuple(w) for w in negw]
+        self.headw = [tuple(w) for w in headw]
 
         groups = program.atmost + [(range(base, self.n), n_extra)]
         self.gmembers = [tuple(m) for m, _ in groups]
         self.gbound = [k for _, k in groups]
         self.gcount = [0] * len(groups)
-        self.gwatch: list[list[int]] = [[] for _ in range(self.n)]
+        gwatch: list[list[int]] = [[] for _ in range(self.n)]
         for g, members in enumerate(self.gmembers):
             for a in members:
-                self.gwatch[a].append(g)
+                gwatch[a].append(g)
+        self.gwatch = [tuple(w) for w in gwatch]
 
         self.status = [UNDEF] * self.n
         self.need = [len(p) + len(ng)
@@ -380,18 +475,56 @@ class _Search:
             [a for a in range(self.n) if a not in self.choice]
 
         # Unfounded-set bookkeeping over the loop atoms.  For a rule whose
-        # head is a loop atom, lpos holds the distinct loop atoms of its
+        # head is a loop atom, lcount counts the distinct loop atoms of its
         # positive body, and lwatch maps each of those back to the rule.
         self.loop_atoms = program.loop_atoms()
-        self.lpos: list[tuple[int, ...]] = [()] * len(self.rhead)
-        self.lwatch: list[list[int]] = [[] for _ in range(self.n)]
+        self.lcount = [0] * len(self.rhead)
+        lwatch: list[list[int]] = [[] for _ in range(self.n)]
         in_loop = set(self.loop_atoms)
         for a in self.loop_atoms:
             for r in self.headw[a]:
-                self.lpos[r] = tuple({b: None for b in self.rpos[r]
-                                      if b in in_loop})
-                for b in self.lpos[r]:
-                    self.lwatch[b].append(r)
+                body = {b for b in self.rpos[r] if b in in_loop}
+                self.lcount[r] = len(body)
+                for b in body:
+                    lwatch[b].append(r)
+        self.lwatch = [tuple(w) for w in lwatch]
+
+    def declare(self, atoms) -> None:
+        """Make each atom external with a rule `a :- x_a` over a fresh
+        switch `x_a`.  Level 0 is propagated again by the next run."""
+        self._undo_to(0)
+        self.base = -1
+        for a in atoms:
+            x, r = self.n, len(self.rhead)
+            self.n += 1
+            self.choice.add(x)
+            self.externals[a] = x
+            for table in (self.negw, self.headw, self.gwatch, self.lwatch):
+                table.append(())
+            self.posw.append((r,))
+            self.status.append(UNDEF)
+            self.support.append(0)
+            self.rhead.append(a)
+            self.rpos.append((x,))
+            self.rneg.append(())
+            self.lcount.append(0)
+            self.need.append(1)
+            self.bad.append(0)
+            self.headw[a] += (r,)
+            self.support[a] += 1
+
+    def _start(self) -> None:
+        """Propagate level 0 and set the base mark."""
+        self.base_ok = self._init()
+        self.base = len(self.trail)
+
+    def _assume(self, facts) -> bool:
+        """Switch the external atoms in `facts` on and the others off."""
+        on = set(facts)
+        for a, x in self.externals.items():
+            if not self._assign(x, TRUE if a in on else FALSE):
+                return False
+        return self._propagate()
 
     def _assign(self, a: int, val: int) -> bool:
         s = self.status[a]
@@ -524,7 +657,7 @@ class _Search:
         Atoms outside loops count as founded, because support counting
         already falsifies them when they lose their last rule.
         """
-        status, bad, lpos = self.status, self.bad, self.lpos
+        status, bad, lcount = self.status, self.bad, self.lcount
         candidates = [a for a in self.loop_atoms if status[a] != FALSE]
         founded: set[int] = set()
         stack: list[int] = []
@@ -533,11 +666,11 @@ class _Search:
             for r in self.headw[a]:
                 if bad[r]:
                     continue
-                if not lpos[r]:
+                if not lcount[r]:
                     founded.add(a)
                     stack.append(a)
                     break
-                waiting[r] = len(lpos[r])
+                waiting[r] = lcount[r]
         while stack:
             for r in self.lwatch[stack.pop()]:
                 k = waiting.get(r)
@@ -577,42 +710,52 @@ class _Search:
                 return a
         return -1
 
-    def run(self, budget: Optional[Budget]) -> Iterator[set[int]]:
-        """Yield every answer set; once exhausted, undo every assignment."""
-        conflict = not self._init()
-        # decision stack: (trail mark, atom, next value or 0 when exhausted)
-        stack: list[list[int]] = []
-        while True:
-            if not conflict:
-                a = self._pick()
-                if self.loop_atoms and (a < 0 or a not in self.choice):
-                    unfounded = self._unfounded()
-                    if unfounded:
-                        conflict = not (all(self._assign(b, FALSE)
-                                            for b in unfounded)
+    def run(self, budget: Optional[Budget], certify,
+            facts=()) -> Iterator[set[int]]:
+        """Yield every answer set that passes `certify`, with the external
+        atoms in `facts` switched on and the other switches off.  However
+        the run ends (exhausted, closed early, or by `BudgetExceeded`), the
+        assignment is undone to the base mark."""
+        self.busy = True
+        try:
+            if self.base < 0:
+                self._start()
+            conflict = not (self.base_ok and self._assume(facts))
+            # decision stack: (trail mark, atom, next value or 0 when
+            # exhausted)
+            stack: list[list[int]] = []
+            while True:
+                if not conflict:
+                    a = self._pick()
+                    if self.loop_atoms and (a < 0 or a not in self.choice):
+                        unfounded = self._unfounded()
+                        if unfounded:
+                            conflict = not (all(self._assign(b, FALSE)
+                                                for b in unfounded)
+                                            and self._propagate())
+                            continue
+                    if a < 0:
+                        model = {i for i in range(self.n_model)
+                                 if self.status[i] == TRUE}
+                        if certify(model):
+                            yield model
+                        conflict = True
+                    else:
+                        if budget is not None:
+                            budget.decide()
+                        stack.append([len(self.trail), a, TRUE])
+                        conflict = not (self._assign(a, FALSE)
                                         and self._propagate())
-                        continue
-                if a < 0:
-                    model = {i for i in range(self.n)
-                             if self.status[i] == TRUE}
-                    if self.program.is_answer_set(
-                            model, self.extra_rules, self.n_extra):
-                        yield model
-                    conflict = True
                 else:
-                    if budget is not None:
-                        budget.decide()
-                    stack.append([len(self.trail), a, TRUE])
-                    conflict = not (self._assign(a, FALSE)
-                                    and self._propagate())
-            else:
-                while stack and stack[-1][2] == 0:
-                    stack.pop()
-                if not stack:
-                    self._undo_to(0)
-                    return
-                mark, a, val = stack[-1]
-                self._undo_to(mark)
-                stack[-1][2] = 0
-                conflict = not (self._assign(a, val) and self._propagate()
-                                and self._within_bound())
+                    while stack and stack[-1][2] == 0:
+                        stack.pop()
+                    if not stack:
+                        return
+                    mark, a, val = stack[-1]
+                    self._undo_to(mark)
+                    stack[-1][2] = 0
+                    conflict = not (self._assign(a, val) and self._propagate()
+                                    and self._within_bound())
+        finally:
+            self._undo_to(max(self.base, 0))
+            self.busy = False

@@ -38,7 +38,9 @@ program shape is ground once and solved many times with a state's facts
 passed to the solver (`Program.answer_sets(facts=...)`): a grounder keeps
 its horizon-0 program (`state_program()`) for state generation and for
 every certification, and `compute_transitions` grounds one horizon-1
-program for all its source states.
+program for all its source states.  The solver keeps one search state and
+one certifier index per program and makes the facts external atoms of that
+search, so each of these solves only switches the facts of its state.
 
 States are enumerated by adding free choices over the values of basic
 fluents (with the companion domain atoms closed as "false unless a value

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from almc.bat import (
@@ -175,6 +176,8 @@ class ProjectionResult:
     #: the grounder of every pre-model with a trajectory, which ground
     #: queries (`entails_at`)
     grounders: list[Grounder] = field(default_factory=list)
+    #: the history's `initial_coverage`
+    coverage: tuple[int, int] = (0, 0)
 
     @property
     def consistent(self) -> bool:
@@ -245,21 +248,21 @@ def program_fingerprint(prog: Program) -> tuple:
 
 
 def _history_programs(
-        cs: CompiledSystem, hist: History, horizon: int,
+        cs: CompiledSystem, hist: History, observed: list, horizon: int,
         budget: Optional[Budget] = None,
         extend: Optional[Callable[[Grounder, Program], None]] = None,
         extend_key: Callable[[Grounder], Hashable] = lambda g: None,
 ) -> Iterator[tuple[list[Grounder], Program]]:
     """The history program of each group of equal pre-models, grounded up
     to `horizon` and extended by `extend(g, prog)`, skipping any program
-    equal to one already yielded.
+    equal to one already yielded.  `observed` holds the history's
+    `_observation_lits`.
 
     Pre-models are grouped by `Grounder.program_key` and by
     `extend_key(g)`, which covers what `extend` reads from the grounder;
     one program is ground, extended and yielded per group, with the list
     of the grounders whose program it is.  The first of them ground it;
     the others join the list until the generator is exhausted."""
-    observed = _observation_lits(cs, hist)
     groups: dict[tuple, tuple[Grounder, list[Grounder]]] = {}
     yielded: dict[tuple, list[Grounder]] = {}
     for g in cs.grounders:
@@ -301,9 +304,10 @@ def temporal_project(cs: CompiledSystem, hist: History,
     last step).  `facts` are atom keys that hold in addition to the history,
     passed to the solver so that the history program stays the same."""
     n = hist.max_step if horizon is None else horizon
+    observed = _observation_lits(cs, hist)
     found: dict[Trajectory, None] = {}
     with_models: list[list[Grounder]] = []
-    for members, prog in _history_programs(cs, hist, n, budget):
+    for members, prog in _history_programs(cs, hist, observed, n, budget):
         g = members[0]
         state_cache: dict[State, str] = {}
         with_model = False
@@ -329,7 +333,8 @@ def temporal_project(cs: CompiledSystem, hist: History,
         if with_model:
             with_models.append(members)
     return ProjectionResult(list(found), n,
-                            [g for ms in with_models for g in ms])
+                            [g for ms in with_models for g in ms],
+                            _coverage(cs, hist, observed))
 
 
 def _holds(state: State, key: tuple) -> bool:
@@ -342,9 +347,15 @@ def _holds(state: State, key: tuple) -> bool:
 
 def entails_at(cs: CompiledSystem, result: ProjectionResult,
                lit: ast.Lit, step: int) -> bool:
-    """Does the literal hold at `step` in every model of the history?
+    """Does the literal hold at `step` in every model of the history?"""
+    return entails_all(result, normalize_goal(cs, [lit]), step)
 
-    Every pre-model with a trajectory grounds the literal as the planner
+
+def entails_all(result: ProjectionResult, lits: list, step: int) -> bool:
+    """Do the literals, as `normalize_goal` gives them, all hold at `step`
+    in every model of the history?
+
+    Every pre-model with a trajectory grounds each literal as the planner
     grounds a goal (`Grounder.ground_lit`): a static or hierarchy literal
     must be true in each of them, and a fluent literal's key must hold in
     every trajectory's state.  `f(t̄) != v` holds only where f is defined
@@ -352,7 +363,7 @@ def entails_at(cs: CompiledSystem, result: ProjectionResult,
     """
     if not result.trajectories:
         return False
-    for fl in normalize_goal(cs, [lit]):
+    for fl in lits:
         for g in result.grounders:
             r = g.ground_lit(fl, {})
             if r is True:
@@ -368,13 +379,20 @@ def initial_coverage(cs: CompiledSystem, hist: History) -> tuple[int, int]:
 
     Unobserved instances default to "undefined at step 0"; the count lets
     callers report how much of the initial situation was stated explicitly.
+    A projection reports it too (`ProjectionResult.coverage`).
     """
+    return _coverage(cs, hist, _observation_lits(cs, hist))
+
+
+def _coverage(cs: CompiledSystem, hist: History,
+              observed: list) -> tuple[int, int]:
+    """`initial_coverage` from the history's `_observation_lits`."""
     if not cs.grounders:
         return (0, 0)
     g = cs.grounders[0]
     basic = {f.name: len(g.tuples[f.name]) for f in g.basic_nondom_fluents()}
     seen = set()
-    for lit, (_, _, step) in zip(_observation_lits(cs, hist), hist.observed):
+    for lit, (_, _, step) in zip(observed, hist.observed):
         r = g.ground_lit(lit, {})
         if step == 0 and isinstance(r, tuple) and r[0][1] in basic:
             seen.add(r[0][1:3])
@@ -452,8 +470,8 @@ def find_plans(cs: CompiledSystem, hist: History, goal: list[ast.Lit],
                                 (prog.atom(("some_action", i)),))
 
     plans: dict[Plan, None] = {}
-    for _, prog in _history_programs(cs, hist, horizon, budget, extend,
-                                     goal_body):
+    for _, prog in _history_programs(cs, hist, _observation_lits(cs, hist),
+                                     horizon, budget, extend, goal_body):
         for model, _applied in prog.solve_cr(max_models=max_plans,
                                              budget=budget,
                                              minimality=minimality):
@@ -477,17 +495,20 @@ def normalize_goal(cs: CompiledSystem, goal: list[ast.Lit]) -> list:
 
     Raises `SemanticError` for an unknown symbol or a non-ground literal.
     """
+    return [fl for lits in normalize_each(cs, goal) for fl in lits]
+
+
+def normalize_each(cs: CompiledSystem, lits: list[ast.Lit]) -> list[list]:
+    """`normalize_goal` of each literal alone; the errors of all of them
+    are raised together."""
     norm = _Normalizer(cs.sig, cs.sink)
     out = []
-    for lit in goal:
+    for lit in lits:
         norm.extra = []
         fl = norm.normalize(lit)
-        if fl is None:
-            continue
-        out.append(fl)
-        out.extend(norm.extra)
+        out.append([] if fl is None else [fl] + norm.extra)
     cs.sink.raise_if_errors()
-    for fl in out:
+    for fl in chain.from_iterable(out):
         if lit_vars(fl):
             raise SemanticError("history, goal and query literals must be "
                                 "ground", fl.span)
@@ -555,8 +576,7 @@ def validate_plan(cs: CompiledSystem, hist: History, goal: list[ast.Lit],
     occs = [("occ", a, i) for i, acts in enumerate(plan.steps) for a in acts]
     result = temporal_project(cs, hist, horizon=end, budget=budget,
                               facts=occs)
-    return result.consistent \
-        and all(entails_at(cs, result, lit, end) for lit in goal)
+    return entails_all(result, normalize_goal(cs, goal), end)
 
 
 # ================================================================ well-founded

@@ -42,6 +42,16 @@ def test_check_well_founded_monkey(capsys):
     assert "well-founded (syntactic check)" in out
 
 
+def test_check_well_founded_needs_a_structure(capsys):
+    # a bare theory has no states to check: a usage error, not a silent ok
+    path = CORPUS / "commonsense_lib.alm"
+    code, out, err = run(capsys, "check", str(path), "--well-founded")
+    assert code == 1
+    assert out == ""
+    assert "--well-founded needs a system description with a structure" \
+        in err and str(path) in err
+
+
 def test_flatten_motion_prints_flat_module(capsys):
     code, out, _ = run(capsys, "flatten", str(CORPUS / "motion.alm"))
     assert code == 0
@@ -412,6 +422,42 @@ def test_observation_outside_a_fluents_sorts_is_input_error(capsys, tmp_path,
     assert code == 2
     assert f"{hist}:2:" in err and "within its sorts" in err
     assert out == ""
+
+
+def test_bad_history_fails_before_the_coverage_note(capsys, tmp_path):
+    hist = tmp_path / "bad.hist"
+    hist.write_text("observed(g(nosuch), o, 0).\n")
+    code, out, err = run(capsys, "project", str(CORPUS / "t0.alm"),
+                         "--history", str(hist))
+    assert code == 2 and out == ""
+    assert err.startswith(f"almc: {hist}:1:") and "note:" not in err
+    hist.write_text("observed(g(x), o, 0).\n")
+    code, _, err = run(capsys, "project", str(CORPUS / "t0.alm"),
+                       "--history", str(hist))
+    assert code == 0
+    assert err.startswith("note: initial situation observes 1 of 2 basic "
+                          "fluent instances")
+
+
+def test_project_normalizes_each_literal_once(capsys, monkeypatch):
+    # the observations serve the coverage note and the projection, and
+    # each query its check up front and its verdict
+    import almc.cli
+    import almc.tasks
+    seen = []
+    normalize_each = almc.tasks.normalize_each
+
+    def counted(cs, lits):
+        seen.extend(map(repr, lits))
+        return normalize_each(cs, lits)
+
+    monkeypatch.setattr(almc.tasks, "normalize_each", counted)
+    monkeypatch.setattr(almc.cli, "normalize_each", counted)
+    code, out, _ = run(capsys, *GAMMA1, "--query",
+                       "loc_in(monkey) = initial_box", "--query",
+                       "loc_in(box) = initial_box")
+    assert code == 0 and out.count("entailed") == 2
+    assert len(seen) == len(set(seen)) == 4, seen
 
 
 @pytest.mark.parametrize("query,code,message", [

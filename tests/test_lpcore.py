@@ -7,7 +7,9 @@ candidates the search hands to `Program.is_answer_set`: with unfounded sets
 propagated, the certifier should never reject one.
 """
 
+import gc
 import random
+import weakref
 from collections import Counter
 from functools import wraps
 from itertools import combinations, islice
@@ -283,6 +285,67 @@ def test_300_random_programs_solved_with_facts():
 
 
 @never_rejected
+def test_one_program_solved_again_and_again_matches_fresh_copies():
+    # one program, one search state, many fact sets: each call returns the
+    # models of a copy extended with add_fact and solved alone, in the same
+    # order, also after a call cut by max_models, stopped by a budget, or
+    # left suspended while another call runs
+    rng = random.Random(60606)
+    cuts = Counter()
+    for trial in range(240):
+        n = rng.randrange(2, 11)
+        make = random_loop_program if trial % 2 else random_program
+        rules, choice, atmost = make(rng, n)
+        prog = build(n, rules, choice, atmost)
+        for _ in range(6):
+            facts = [rng.randrange(n + 2) for _ in range(rng.randrange(0, 5))]
+            extended = prog.copy()
+            for k in facts:
+                extended.add_fact(k)
+            want = list(extended.answer_sets())
+            how = rng.randrange(4)
+            if how == 1:
+                got = list(prog.answer_sets(max_models=1, facts=facts))
+                assert got == want[:1], (trial, facts)
+            elif how == 2:
+                try:
+                    got = list(prog.answer_sets(budget=Budget(max_decisions=0),
+                                                facts=facts))
+                    assert got == want, (trial, facts)
+                except BudgetExceeded:
+                    cuts["budget"] += 1
+            elif how == 3 and want:
+                pending = prog.answer_sets(facts=facts)
+                assert next(pending) == want[0]
+                other = [rng.randrange(n) for _ in range(2)]
+                alone = prog.copy()
+                for k in other:
+                    alone.add_fact(k)
+                assert list(prog.answer_sets(facts=other)) == \
+                    list(alone.answer_sets()), (trial, other)
+                assert list(pending) == want[1:], (trial, facts)
+                cuts["suspended"] += 1
+            cuts[how] += 1
+            assert list(prog.answer_sets(facts=facts)) == want, (trial, facts)
+    assert cuts["budget"] > 50 and cuts["suspended"] > 50, cuts
+
+
+def test_a_solved_program_is_freed_by_reference_counting():
+    # the program holds its search and its certifier index, and neither
+    # refers back to it, so no cycle keeps dead tables alive
+    prog = build(3, [(0, (1,), ()), (1, (0,), ()), (2, (), (0,))],
+                 choice=[1])
+    assert len(list(prog.answer_sets(facts=[0]))) == 1
+    dead = weakref.ref(prog)
+    gc.disable()
+    try:
+        del prog
+        assert dead() is None
+    finally:
+        gc.enable()
+
+
+@never_rejected
 def test_200_random_cr_programs():
     rng = random.Random(987654)
     for trial in range(200):
@@ -345,8 +408,9 @@ def counters_from_status(search):
 
 def test_search_counters_are_functions_of_the_assignment():
     # at every model the counters equal those recomputed from the
-    # assignment; once the search is exhausted, the trail is empty and the
-    # counters are back at their initial values
+    # assignment; once a run is exhausted, the trail is back at the base
+    # mark and the counters equal those of a fresh search right after its
+    # level-0 propagation, so the next run starts from the same state
     rng = random.Random(8080)
     models = 0
     for trial in range(360):
@@ -361,17 +425,30 @@ def test_search_counters_are_functions_of_the_assignment():
             extra = [(rng.randrange(n), (n + i,), ()) for i in range(n_extra)]
         search = _Search(prog, extra, n_extra)
         fresh = _Search(prog, extra, n_extra)
+        # half of them get external atoms, switched differently per run
+        externals = rng.sample(range(n), k=rng.randrange(1, n + 1)) \
+            if trial % 4 < 2 else []
+        if externals:
+            search.declare(externals)
+            fresh.declare(externals)
+        fresh._start()
         initial = (fresh.need, fresh.bad, fresh.support, fresh.gcount)
-        for model in search.run(None):
-            models += 1
-            assert model == {a for a in range(search.n)
-                             if search.status[a] == TRUE}
+        for _ in range(2):
+            facts = rng.sample(externals, k=rng.randrange(len(externals) + 1))
+            rules_now = extra + [(a, (), ()) for a in facts]
+            for model in search.run(
+                    None, lambda m: prog.is_answer_set(m, rules_now, n_extra),
+                    facts):
+                models += 1
+                assert model == {a for a in range(search.n_model)
+                                 if search.status[a] == TRUE}
+                assert (search.need, search.bad, search.support,
+                        search.gcount) == counters_from_status(search), trial
+            assert search.trail == fresh.trail and search.queue == []
+            assert search.base == len(fresh.trail)
+            assert search.status == fresh.status
             assert (search.need, search.bad, search.support,
-                    search.gcount) == counters_from_status(search), trial
-        assert search.trail == [] and search.queue == []
-        assert search.status == fresh.status
-        assert (search.need, search.bad, search.support,
-                search.gcount) == initial, trial
+                    search.gcount) == initial, trial
     assert models > 300
 
 

@@ -19,19 +19,33 @@ Grounding is body-ordered, as in gringo (Gebser, Kaminski, König, Schaub,
 *Advances in gringo series 3*, LPNMR 2011): a statement's variables are
 bound in nested loops, and each literal is ground (`ground_lit`, the one
 literal evaluator) as soon as its variables are bound, so a statically
-false literal cuts off every binding below it.  A binding's ground literals
-never depend on the step, so each surviving binding becomes a step-free
-*rule template*, computed once per grounder by its first `build_program`
-call; every call then only adds the steps to the templates, in statement,
-binding, step order.  A ground instance whose arithmetic has no value
-(`X mod 0`) is dropped, as gringo drops it, and the budget's deadline is
-read while templates are ground and while steps are added.
+false literal cuts off every binding below it.  Rule templates are ground
+in two stages.  The *reads* stage (`reads`), the only one that walks the
+pre-model, binds each statement over its static and comparison literals
+and keeps the surviving bindings, less those the pre-model rules out: a
+static head that holds discharges its rule, and a law's action must be an
+instance of the law's sort.  The *template* stage grounds the fluent and
+occurrence literals of those bindings and drops a binding at a statically
+false one.  A binding's ground literals never depend on the step, so each
+surviving binding becomes a step-free *rule template*, computed once per
+grounder by its first `build_program` call; every call then only adds the
+steps to the templates, in statement, binding, step order.  A ground
+instance whose arithmetic has no value (`X mod 0`) is dropped, as gringo
+drops it, and the budget's deadline is read in both stages and while steps
+are added.
 
 Pre-models come from `system_pre_models`; callers build one grounder per
 pre-model once and pass the grounders around (`build_diagrams` takes them).
-Pre-models that differ only in what no rule reads give equal templates:
-`program_key` covers everything a history program reads from a pre-model,
-so that projection and planning ground one program per group of equal keys.
+Once the ground fluent instances, values, actions and object constants are
+fixed, the template stage reads nothing else from the pre-model.  So
+`program_key`, the reads and those four, covers everything a history
+program reads from a pre-model, and it is computed without grounding a
+template: it records what the grounding reads, not what it produces, as a
+verifying trace does (Mokhov, Mitchell, Peyton Jones, *Build systems à la
+carte*, ICFP 2018).  Pre-models that differ only in what no rule reads,
+such as monkey's 8 placements, get equal keys; projection and planning
+ground one program per group of equal keys, and only the group's first
+grounder runs the template stage (`share_ground`).
 
 Only the facts of a state change from one solve to the next, so each
 program shape is ground once and solved many times with a state's facts
@@ -206,6 +220,9 @@ class Grounder:
             self.tuples[f.name] = [tuple(t) for t in product(*doms)]
             self.values[f.name] = list(pm.sort_values(f.result))
         self.actions: list[Value] = list(pm.members.get(ACTIONS, ()))
+        #: `reads` and `program_key`, computed on first use
+        self._reads: Optional[tuple] = None
+        self._key: Optional[tuple] = None
         #: rule templates by group, built by the first `build_program` call
         self._templates: Optional[tuple[tuple, ...]] = None
         self._state_program: Optional[Program] = None
@@ -303,14 +320,29 @@ class Grounder:
             stages[max((depth[v] for v in lit_vars(lit)), default=0)].append(i)
         env: dict[str, Value] = {}
         results: list = [True] * len(lits)
-        ground_lit = self.ground_lit
+        _check_time(budget)
+        for i in stages[0]:
+            results[i] = self.ground_lit(lits[i], env)
+            if results[i] is False:
+                return iter(())
+        if not names:
+            return iter([(env, results)])
+        return self._bind(lits, names, [domains[n] for n in names],
+                          stages[1:], env, results, budget)
 
-        def bind(d: int):
-            if d == 1:
-                _check_time(budget)
-            name, stage = names[d], stages[d + 1]
-            deeper = d + 1 < len(names)
-            for v in domains[name]:
+    def _bind(self, lits, names, domains, stages, env, results,
+              budget: Optional[Budget]
+              ) -> Iterator[tuple[dict[str, Value], list]]:
+        """The nested loops of `bindings`, one iterator per bound variable
+        on a stack: a plain generator, which refers to no closure, so the
+        grounder is freed by reference counting once it is dropped."""
+        ground_lit = self.ground_lit
+        last = len(names) - 1
+        stack = [iter(domains[0])]
+        while stack:
+            d = len(stack) - 1
+            name, stage = names[d], stages[d]
+            for v in stack[d]:
                 env[name] = v
                 for i in stage:
                     r = ground_lit(lits[i], env)
@@ -318,17 +350,14 @@ class Grounder:
                         break
                     results[i] = r
                 else:
-                    if deeper:
-                        yield from bind(d + 1)
-                    else:
-                        yield env, results
-
-        _check_time(budget)
-        for i in stages[0]:
-            results[i] = ground_lit(lits[i], env)
-            if results[i] is False:
-                return iter(())
-        return bind(0) if names else iter([(env, results)])
+                    if d < last:
+                        if d == 0:
+                            _check_time(budget)
+                        stack.append(iter(domains[d + 1]))
+                        break
+                    yield env, results
+            else:
+                stack.pop()
 
     # ---------------------------------------------------- literal grounding
 
@@ -375,18 +404,99 @@ class Grounder:
 
     # ---------------------------------------------------- rule templates
 
+    def _is_static_lit(self, lit) -> bool:
+        """Is the body literal decided by the pre-model alone: a static,
+        attribute, hierarchy or comparison literal?"""
+        return isinstance(lit, CmpLit) or \
+            isinstance(lit, FunLit) and not self._is_fluent_lit(lit)
+
+    def _read_bindings(self, budget: Optional[Budget]) -> tuple:
+        """The reads stage, the only one that walks the pre-model: per
+        statement (state constraints, definitions, dynamic laws,
+        executability conditions, in this order) the pair ``(names,
+        bindings)`` of its variables and of the bindings, each the tuple
+        of its variables' values, that survive the statement's static and
+        comparison literals (`bindings`) and its pre-model checks, in
+        binding order.  A binding whose static head holds is dropped, as
+        the rule is discharged, and so is a law's binding whose action is
+        not an instance of its sort."""
+        th, pm = self.theory, self.pm
+        out = []
+        for stmt in chain(th.constraints, th.definitions, th.dynamic,
+                          th.executability):
+            head = getattr(stmt, "head", None)
+            static_head = head is not None and not self._is_fluent_lit(head)
+            law = isinstance(stmt, (DynLaw, Exec))
+            static = [lit for lit in stmt.body if self._is_static_lit(lit)]
+            kept = []
+            env: dict[str, Value] = {}
+            for env, _ in self.bindings(stmt, static, budget):
+                try:
+                    if law:
+                        if not pm.is_instance(self.eval_term(stmt.act, env),
+                                              stmt.sort):
+                            continue
+                    elif static_head and static_truth(
+                            pm, head, tuple(self.eval_term(a, env)
+                                            for a in head.args),
+                            self.eval_term(head.value, env)):
+                        continue
+                except UndefinedArithmetic:
+                    continue
+                kept.append(tuple(env.values()))
+            out.append((tuple(env) if kept else (), tuple(kept)))
+        return tuple(out)
+
+    def reads(self, budget: Optional[Budget] = None) -> tuple:
+        """The reads stage (`_read_bindings`), run once per grounder."""
+        if self._reads is None:
+            self._reads = self._read_bindings(budget)
+        return self._reads
+
+    def _completed(self, stmt, read: tuple, budget: Optional[Budget]
+                   ) -> Iterator[tuple[dict[str, Value], list]]:
+        """The template stage of one statement: each binding of its reads
+        entry `read` (`_read_bindings`) with its fluent and occurrence
+        literals ground (`ground_lit`), unless one is statically false, as
+        ``(env, results)`` in body order, both reused as in `bindings`."""
+        names, kept = read
+        lits = stmt.body
+        later = [i for i, lit in enumerate(lits)
+                 if not self._is_static_lit(lit)]
+        env: dict[str, Value] = {}
+        results: list = [True] * len(lits)
+        ground_lit = self.ground_lit
+        for n, values in enumerate(kept):
+            if not n & 255:
+                _check_time(budget)
+            env.update(zip(names, values))
+            for i in later:
+                r = ground_lit(lits[i], env)
+                if r is False:
+                    break
+                results[i] = r
+            else:
+                yield env, results
+
     def _ground_templates(self, budget: Optional[Budget]
                           ) -> tuple[tuple, ...]:
-        """The rule templates of every statement binding that survives its
-        static literals, and of the fixed rules, in six groups that
-        `build_program` instantiates over different step ranges."""
+        """The template stage: the rule templates of every binding of the
+        reads (`reads`) whose fluent and occurrence literals are not
+        statically false, and of the fixed rules, in six groups that
+        `build_program` instantiates over different step ranges.  Beyond
+        the reads, they depend only on `program_key`'s fluent instances,
+        values and constants."""
         th = self.theory
+        reads = iter(self.reads(budget))
         state: list = []
         for stmt in th.constraints + th.definitions:
             head = stmt.head
-            for env, results in self.bindings(stmt, stmt.body, budget):
+            static_head = head is not None and not self._is_fluent_lit(head)
+            for env, results in self._completed(stmt, next(reads), budget):
                 pos, neg = _body_keys(results)
-                if head is None:
+                if head is None or static_head:
+                    # the reads stage dropped a binding whose static head
+                    # holds: what is left is a plain constraint
                     state.append((_rule(None, pos, neg),))
                     continue
                 try:
@@ -394,13 +504,7 @@ class Grounder:
                     val = self.eval_term(head.value, env)
                 except UndefinedArithmetic:
                     continue
-                info = self.sig.functions.get(head.func)
-                if info is None or not info.is_fluent:
-                    # statics are fixed: a satisfied head discharges the
-                    # rule, anything else is a plain constraint
-                    if not static_truth(self.pm, head, argvals, val):
-                        state.append((_rule(None, pos, neg),))
-                    continue
+                info = self.sig.functions[head.func]
                 if not self._typed(info, argvals) \
                         or val not in self.values[head.func]:
                     if self.sink is not None:
@@ -415,7 +519,7 @@ class Grounder:
 
         dynamic: list = []
         for stmt in th.dynamic:
-            for env, results in self.bindings(stmt, stmt.body, budget):
+            for env, results in self._completed(stmt, next(reads), budget):
                 try:
                     act = self.eval_term(stmt.act, env)
                     argvals = tuple(self.eval_term(a, env)
@@ -424,8 +528,7 @@ class Grounder:
                 except UndefinedArithmetic:
                     continue
                 info = self.sig.functions[stmt.head.func]
-                if not self.pm.is_instance(act, stmt.sort) \
-                        or not self._typed(info, argvals) \
+                if not self._typed(info, argvals) \
                         or val not in self.values[stmt.head.func]:
                     continue
                 pos, neg = _body_keys(results)
@@ -435,16 +538,11 @@ class Grounder:
 
         executable: list = []
         for stmt in th.executability:
-            for env, results in self.bindings(stmt, stmt.body, budget):
-                try:
-                    act = self.eval_term(stmt.act, env)
-                except UndefinedArithmetic:
-                    continue
-                if not self.pm.is_instance(act, stmt.sort):
-                    continue
+            for env, results in self._completed(stmt, next(reads), budget):
                 pos, neg = _body_keys(results)
-                executable.append(
-                    (_rule(None, [(("occ", act), 0)] + pos, neg),))
+                executable.append((_rule(
+                    None, [(("occ", self.eval_term(stmt.act, env)), 0)] + pos,
+                    neg),))
 
         # closed world assumption for defined fluents
         closed = [(_rule((("v", f.name, args, FALSE), 0), (),
@@ -526,23 +624,26 @@ class Grounder:
         return self._state_program
 
     def program_key(self, budget: Optional[Budget] = None) -> tuple:
-        """Everything a history program reads from the pre-model: the rule
-        templates, the ground fluent instances and values, the actions and
-        the object constants.  Grounders with equal keys ground equal
-        programs at every horizon.  The templates come from grounding, so
-        a grounder that has ground nothing yet grounds its horizon-0
-        program (`state_program`) first."""
-        if self._templates is None:
-            self.state_program(budget)
-        return (self._templates,
+        """Everything a history program reads from the pre-model: the
+        bindings that survive each statement's static literals and
+        pre-model checks (`reads`), the ground fluent instances
+        and values, the actions and the object constants.  The rule
+        templates are a function of this key, so grounders with equal keys
+        ground equal programs at every horizon.  Computed once per
+        grounder, without grounding a template or a program."""
+        if self._key is None:
+            self._key = (
+                self.reads(budget),
                 tuple((f, tuple(ts)) for f, ts in self.tuples.items()),
                 tuple((f, tuple(vs)) for f, vs in self.values.items()),
                 tuple(self.actions), tuple(self.pm.consts.items()))
+        return self._key
 
     def share_ground(self, other: "Grounder") -> None:
-        """Use the templates and horizon-0 program of a grounder with an
-        equal `program_key`, which equal this grounder's own, so that one
-        copy is kept per group of pre-models."""
+        """Use the rule templates and horizon-0 program that a grounder
+        with an equal `program_key` has ground so far, which equal this
+        grounder's own, so that one copy is kept per group of pre-models:
+        only the group's first grounder grounds."""
         self._templates = other._templates
         self._state_program = other._state_program
 

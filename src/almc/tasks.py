@@ -25,13 +25,15 @@ on first use, and keeps one `Grounder` per pre-model (`grounders`); every
 task iterates that list.  The ground programs such pre-models induce are
 often literally identical because statics are evaluated away.  Both tasks
 get their programs from one generator (`_history_programs`).  It groups the
-pre-models before grounding the horizon, by `Grounder.program_key` (the
-rule templates, ground fluent instances, values, actions and constants)
-and, for planning, by the ground goal, and grounds, extends and yields one
-program per group; the grounders of a group share one copy of their
-templates and horizon-0 program.  As a final guard it skips a program equal
-to one it has already yielded: atoms, rules, choice atoms,
-consistency-restoring rules and cardinality groups are compared as they are
+pre-models before grounding anything, by `Grounder.program_key` (what
+grounding reads from the pre-model: the bindings that survive each
+statement's static literals, the ground fluent instances, values, actions
+and constants) and, for planning, by the ground goal, and grounds, extends
+and yields one program per group; only the group's first grounder grounds
+rule templates, and the others share its copy of the templates and of the
+horizon-0 program.  As a final guard it skips a program equal to one it
+has already yielded: atoms, rules, choice atoms, consistency-restoring
+rules and cardinality groups are compared as they are
 (`program_fingerprint`).  Each distinct program is solved once and the
 trajectories/plans are merged across pre-models; a projection keeps the
 grounders of every pre-model with a trajectory, which ground its queries.
@@ -258,11 +260,13 @@ def _history_programs(
     equal to one already yielded.  `observed` holds the history's
     `_observation_lits`.
 
-    Pre-models are grouped by `Grounder.program_key` and by
-    `extend_key(g)`, which covers what `extend` reads from the grounder;
-    one program is ground, extended and yielded per group, with the list
-    of the grounders whose program it is.  The first of them ground it;
-    the others join the list until the generator is exhausted."""
+    Pre-models are grouped by `Grounder.program_key`, which grounds no
+    template, and by `extend_key(g)`, which covers what `extend` reads
+    from the grounder; one program is ground, extended and yielded per
+    group, with the list of the grounders whose program it is.  The first
+    of them ground it; the others share what it has ground
+    (`Grounder.share_ground`) and join the list until the generator is
+    exhausted."""
     groups: dict[tuple, tuple[Grounder, list[Grounder]]] = {}
     yielded: dict[tuple, list[Grounder]] = {}
     for g in cs.grounders:

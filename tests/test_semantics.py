@@ -17,8 +17,8 @@ from almc.lpcore import Program
 from almc.modular import UndefinedArithmetic, compare
 from almc.ontology import BASIC_FLUENT, DEFINED_FLUENT, FALSE, TRUE, dom_name
 from almc.semantics import (
-    Grounder, build_diagrams, enumerate_states, compute_transitions,
-    static_truth, system_pre_models,
+    Grounder, _body_keys, _rule, build_diagrams, enumerate_states,
+    compute_transitions, static_truth, system_pre_models,
 )
 from almc.syntax.parser import parse_file
 from almc.tasks import compile_system, program_fingerprint
@@ -481,3 +481,172 @@ def test_templates_ground_the_reference_programs():
                 program_fingerprint(reference_program(g, horizon)), horizon
             checked += 1
     assert checked == 4 * (16 + 100)
+
+
+# ------------------------------------------------------------ group keys
+
+def direct_templates(g):
+    """The state, dynamic and executability templates ground in one pass:
+    every binding of `bindings(stmt, stmt.body)`, the static and fluent
+    literals together, with the static head and the action's sort checked
+    after the body."""
+    th = g.theory
+    state, dynamic, executable = [], [], []
+
+    def ground_head(lit, env):
+        try:
+            return (tuple(g.eval_term(a, env) for a in lit.args),
+                    g.eval_term(lit.value, env))
+        except UndefinedArithmetic:
+            return None
+
+    def fits(f, args, val):
+        return g._typed(g.sig.functions[f], args) and val in g.values[f]
+
+    for stmt in th.constraints + th.definitions:
+        for env, results in g.bindings(stmt, stmt.body):
+            pos, neg = _body_keys(results)
+            head = stmt.head
+            ground = None if head is None else ground_head(head, env)
+            if head is not None and ground is None:
+                continue
+            if head is None or not g._is_fluent_lit(head):
+                if head is None or not static_truth(g.pm, head, *ground):
+                    state.append((_rule(None, pos, neg),))
+            elif fits(head.func, *ground):
+                state.append((_rule((("v", head.func, *ground), 0),
+                                    pos, neg),))
+            else:
+                state.append((_rule(None, pos, neg),))
+    for stmt in th.dynamic + th.executability:
+        for env, results in g.bindings(stmt, stmt.body):
+            act = g.eval_term(stmt.act, env)
+            if not g.pm.is_instance(act, stmt.sort):
+                continue
+            pos, neg = _body_keys(results)
+            body = [(("occ", act), 0)] + pos
+            if isinstance(stmt, DynLaw):
+                ground = ground_head(stmt.head, env)
+                if ground is not None and fits(stmt.head.func, *ground):
+                    dynamic.append((_rule(
+                        (("v", stmt.head.func, *ground), 1), body, neg),))
+            else:
+                executable.append((_rule(None, body, neg),))
+    return tuple(map(tuple, (state, dynamic, executable)))
+
+
+READERS = ["false if instance(X, kind_a), p(X).",
+           "occurs(A) causes p(X) if instance(A, acts), instance(X, kind_a).",
+           "impossible occurs(A) if instance(A, acts), instance(X, kind_a), "
+           "q(X).",
+           ""]
+
+
+def placed_bat_systems():
+    """Random BATs whose objects are placed into one of two source sorts,
+    which a state constraint, a causal law, an executability condition or
+    nothing reads, so that their pre-models group alike or not."""
+    rng, kinds = random.Random(413), random.Random(7)
+    for _ in range(100):
+        src = make_source(rng).replace(
+            "        acts :: actions",
+            "        kind_a, kind_b :: elems\n        acts :: actions")
+        yield compile_src(src.replace(
+            "      axioms\n",
+            "      axioms\n        " + kinds.choice(READERS) + "\n"))
+
+
+def group_sizes(grounders):
+    """The number of grounders per `program_key`, and, under each key, the
+    templates, which must be the same for every grounder: the rule
+    templates are a function of the key."""
+    groups = {}
+    for g in grounders:
+        templates = g._ground_templates(None)
+        assert templates[:3] == direct_templates(g)
+        seen = groups.setdefault(g.program_key(), [templates, 0])
+        assert seen[0] == templates
+        seen[1] += 1
+    return sorted(n for _, n in groups.values())
+
+
+def test_equal_program_keys_give_equal_templates():
+    """The key is sound: pre-models with equal keys ground equal templates,
+    each equal to one-pass grounding over the whole body."""
+    for name in GROUND_SYSTEMS:
+        cs = compile_system(parse_path(CORPUS / f"{name}.alm"), [str(CORPUS)],
+                            DiagnosticSink())
+        sizes = group_sizes(cs.grounders)
+        if name == "monkey_and_banana":
+            assert sizes == [8]
+        elif name == "cell_cycle2":
+            assert sizes == [2]
+    rng = random.Random(413)
+    for _ in range(100):
+        assert group_sizes(compile_src(make_source(rng)).grounders) == [1]
+    grouped = split = 0
+    for cs in placed_bat_systems():
+        sizes = group_sizes(cs.grounders)
+        assert sum(sizes) == len(cs.grounders) > 1
+        grouped += sizes[-1] > 1
+        split += len(sizes) > 1
+    assert grouped > 0 and split > 0
+
+
+STATIC_HEAD = """
+system description heads
+  theory t
+    module m
+      sort declarations
+        elems :: universe
+        kind_a, kind_b :: elems
+      function declarations
+        statics
+          basic
+            st : booleans
+        fluents
+          basic
+            p : elems -> booleans
+      axioms
+        st if p(X).
+  structure s
+    instances
+      e0 in elems
+    values of statics
+      st if instance(e0, kind_a).
+"""
+
+ACTION_SORT = """
+system description acts
+  theory t
+    module m
+      sort declarations
+        elems :: universe
+        go :: actions
+        go_a, go_b :: go
+      function declarations
+        fluents
+          basic
+            p : elems -> booleans
+      axioms
+        occurs(a0) causes p(e0) if instance(a0, go_a).
+        impossible occurs(a0) if instance(a0, go_b), p(e0).
+  structure s
+    instances
+      e0 in elems
+      a0 in go
+"""
+
+
+@pytest.mark.parametrize("src", [STATIC_HEAD, ACTION_SORT],
+                         ids=["static-head", "action-sort"])
+def test_program_keys_tell_apart_what_the_templates_read(src):
+    """The key is not too coarse: two placements that differ only in the
+    truth of a static head (the structure makes `st` true for kind_a only,
+    and a nullary static has no domain definition that would read it),
+    or only in the sort of a law's action, ground different templates and
+    get different keys."""
+    a, b = compile_src(src).grounders
+    assert a.program_key()[1:] == b.program_key()[1:]
+    assert a.program_key() != b.program_key()
+    assert a.build_program(1).rules != b.build_program(1).rules

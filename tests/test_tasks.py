@@ -1,10 +1,12 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from almc import lpcore, tasks
-from almc.cli import compile_from_path
-from almc.errors import DiagnosticSink, InputError
+from almc.cli import compile_from_path, main
+from almc.errors import BudgetExceeded, DiagnosticSink, InputError
 from almc.lpcore import Program
 from almc.semantics import Grounder
 from almc.syntax.parser import parse_file, parse_literal_text
@@ -383,6 +385,72 @@ def test_monkey_grounds_one_history_program_per_task(monkey, monkey_task,
         horizons.clear()
         run()
         assert horizons.count(horizon) == 1
+
+
+def record_stages(monkeypatch):
+    """Record each run of the reads stage and of the template stage as
+    ``(stage, grounder, exception or None)``."""
+    runs = []
+    for stage, name in (("reads", "_read_bindings"),
+                        ("templates", "_ground_templates")):
+        def recorded(self, budget, stage=stage, real=getattr(Grounder, name)):
+            try:
+                out = real(self, budget)
+            except Exception as exc:
+                runs.append((stage, self, exc))
+                raise
+            runs.append((stage, self, None))
+            return out
+        monkeypatch.setattr(Grounder, name, recorded)
+    return runs
+
+
+MB = [str(CORPUS / "monkey_and_banana.alm"), "--lib", str(CORPUS),
+      "--history", str(CORPUS / "mb.hist")]
+
+
+def test_monkey_plan_and_validation_ground_templates_once(monkeypatch,
+                                                          capsys):
+    """`plan --validate` reads each of monkey's 8 pre-models once to key
+    it, and grounds rule templates once, for the first of the group: the
+    keys are cached, so validation finds the templates already ground."""
+    runs = record_stages(monkeypatch)
+    code = main(["plan", *MB, "--goal", str(CORPUS / "mb.goal"),
+                 "--horizon", "6", "--validate"])
+    out = capsys.readouterr().out
+    assert code == 0 and out.count("re-execution: reaches the goal") == 2
+    reads = [g for stage, g, _ in runs if stage == "reads"]
+    assert len(reads) == len({id(g) for g in reads}) == 8
+    assert [(stage, g) for stage, g, _ in runs if stage == "templates"] \
+        == [("templates", reads[0])]
+
+
+def test_zero_budget_stops_the_reads_stage(monkeypatch, capsys):
+    """Keying the pre-models is the first grounding a projection does, so
+    `--budget-seconds 0` stops it there (exit 4), before any template."""
+    runs = record_stages(monkeypatch)
+    assert main(["project", *MB, "--budget-seconds", "0"]) == 4
+    assert "budget exhausted" in capsys.readouterr().err
+    assert [(stage, type(exc)) for stage, _, exc in runs] == \
+        [("reads", BudgetExceeded)]
+
+
+def test_grounders_are_freed_by_reference_counting():
+    # grounding leaves no reference cycle behind, so a projection's
+    # grounders, templates and programs go as soon as the system does
+    cs = compile_from_path(str(CORPUS / "monkey_and_banana.alm"),
+                           [str(CORPUS)])
+    hist = parse_history((CORPUS / "gamma1.hist").read_text())
+    gc.collect()
+    gc.disable()
+    try:
+        result = temporal_project(cs, hist)
+        assert result.consistent and len(result.grounders) == 8
+        dead = [weakref.ref(g) for g in cs.grounders]
+        del cs, result
+        assert [ref() for ref in dead] == [None] * 8
+    finally:
+        gc.enable()
 
 
 def keyed_history_programs(monkeypatch, cs, run, goal=()):

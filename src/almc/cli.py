@@ -129,15 +129,16 @@ def flatten_any(node, search_paths: list[str],
 
 
 def compile_from_path(path: str, search_paths: list[str],
-                      sink: Optional[DiagnosticSink] = None
-                      ) -> CompiledSystem:
-    """Read, parse and compile a system description file."""
+                      sink: Optional[DiagnosticSink] = None,
+                      budget: Optional[Budget] = None) -> CompiledSystem:
+    """Read, parse and compile a system description file; `budget` is the
+    command's, which the derivation of its pre-models reads too."""
     node = load_source(path)
     if not isinstance(node, ast.System):
         raise InputError(
             f"{path} is a theory; this command needs a system description "
             "(theory + structure)")
-    return compile_system(node, search_paths, sink)
+    return compile_system(node, search_paths, sink, budget)
 
 
 def make_budget(args) -> Optional[Budget]:
@@ -163,8 +164,9 @@ def cmd_check(args, sink: DiagnosticSink) -> int:
     theory = build_action_theory(flat, sig, sink)
     wf = None
     if args.well_founded:
-        cs = CompiledSystem(flat, sig, theory, node.structure, sink)
-        wf = check_well_founded(cs, make_budget(args))
+        budget = make_budget(args)
+        cs = CompiledSystem(flat, sig, theory, node.structure, sink, budget)
+        wf = check_well_founded(cs, budget)
     print(f"{args.file}: ok "
           f"({len(sig.sorts)} sorts, {len(sig.functions)} functions)")
     if wf is not None:
@@ -212,8 +214,9 @@ def cmd_bat(args, sink: DiagnosticSink) -> int:
 
 
 def cmd_states(args, sink: DiagnosticSink) -> int:
-    cs = compile_from_path(args.file, search_paths_of(args), sink)
-    diagrams = build_diagrams(cs.grounders, budget=make_budget(args),
+    budget = make_budget(args)
+    cs = compile_from_path(args.file, search_paths_of(args), sink, budget)
+    diagrams = build_diagrams(cs.grounders, budget=budget,
                               with_transitions=False)
     for m, d in enumerate(diagrams):
         if not args.json_lines:
@@ -230,9 +233,9 @@ def cmd_states(args, sink: DiagnosticSink) -> int:
 
 
 def cmd_transitions(args, sink: DiagnosticSink) -> int:
-    cs = compile_from_path(args.file, search_paths_of(args), sink)
-    diagrams = build_diagrams(cs.grounders, args.action_sets,
-                              make_budget(args))
+    budget = make_budget(args)
+    cs = compile_from_path(args.file, search_paths_of(args), sink, budget)
+    diagrams = build_diagrams(cs.grounders, args.action_sets, budget)
     for m, d in enumerate(diagrams):
         if not args.json_lines:
             print(f"model {m}: {len(d.states)} state(s), "
@@ -250,7 +253,8 @@ def cmd_transitions(args, sink: DiagnosticSink) -> int:
 
 
 def cmd_project(args, sink: DiagnosticSink) -> int:
-    cs = compile_from_path(args.file, search_paths_of(args), sink)
+    budget = make_budget(args)
+    cs = compile_from_path(args.file, search_paths_of(args), sink, budget)
     hist = parse_history(read_input(args.history), args.history)
     horizon = hist.max_step if args.horizon is None else args.horizon
     if args.at is not None and args.at > horizon:
@@ -260,8 +264,7 @@ def cmd_project(args, sink: DiagnosticSink) -> int:
     texts = args.query or []
     queries = list(zip(texts, normalize_each(
         cs, [parse_literal_text(q) for q in texts])))
-    result = temporal_project(cs, hist, horizon=horizon,
-                              budget=make_budget(args))
+    result = temporal_project(cs, hist, horizon=horizon, budget=budget)
     covered, total = result.coverage
     if covered < total and not args.json_lines:
         print(f"note: initial situation observes {covered} of {total} basic "
@@ -296,10 +299,10 @@ def cmd_project(args, sink: DiagnosticSink) -> int:
 
 
 def cmd_plan(args, sink: DiagnosticSink) -> int:
-    cs = compile_from_path(args.file, search_paths_of(args), sink)
+    budget = make_budget(args)  # one for pre-models, search and validation
+    cs = compile_from_path(args.file, search_paths_of(args), sink, budget)
     hist = parse_history(read_input(args.history), args.history)
     goal = parse_goal(read_input(args.goal), args.goal)
-    budget = make_budget(args)  # one budget for the search and validation
     result = find_plans(cs, hist, goal, args.horizon, budget=budget,
                         max_plans=args.max_plans,
                         minimality=args.cr_min,
@@ -329,8 +332,6 @@ def cmd_plan(args, sink: DiagnosticSink) -> int:
 
 def cmd_emit_asp(args, sink: DiagnosticSink) -> int:
     cs = compile_from_path(args.file, search_paths_of(args), sink)
-    if not cs.grounders:
-        raise SemanticError("no pre-model: structure is inconsistent")
     prog = cs.grounders[0].build_program(args.horizon)
     text = program_text(prog)
     if args.output:

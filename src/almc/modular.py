@@ -11,11 +11,10 @@ Three jobs live here:
 * expanding a structure into a concrete object universe (plain instances,
   parameterised instance schemas with `where` clauses, and parameterised
   object constants declared in modules);
-* enumerating the pre-models of a system: one candidate per placement of
-  objects into source nodes of the sort hierarchy, each completed with the
-  values of statics and attributes derivable from the structure and from the
-  static-only axioms of the theory.  Candidates whose statics conflict are
-  discarded.
+* enumerating the candidate pre-models of a system: one per placement of
+  objects into source nodes of the sort hierarchy, with the structure's
+  attribute values.  The semantics layer derives the other static values
+  (`semantics.system_pre_models`).
 """
 
 from __future__ import annotations
@@ -247,14 +246,15 @@ class PreModel:
     #: declared links object -> declared sorts (for reporting)
     declared: dict[str, tuple[str, ...]]
 
-    def sort_values(self, key: str) -> list[Value]:
-        """Ground values of a sort key: node members, booleans, or a range."""
+    def sort_values(self, key: str, span: Span = Span()) -> list[Value]:
+        """Ground values of a sort key: node members, booleans, or a range.
+        An unbounded numeric sort is an error located at `span`."""
         if key == BOOLEANS:
             return [TRUE, FALSE]
         if key in NUMERIC_SORTS:
             raise SemanticError(
                 f"the numeric sort {key!r} is unbounded and cannot be "
-                "grounded; use a range sort instead")
+                "grounded; use a range sort instead", span)
         if key in self.sig.ranges:
             return list(self.range_values(key))
         return list(self.members.get(key, ()))
@@ -430,8 +430,8 @@ def build_universe(sig: Signature, structure: ast.Structure,
         if not changed:
             break
         if len(uni.objects) > 100000:
-            sink.error("instance expansion did not converge "
-                       "(more than 100000 objects)", structure.span)
+            sink.error("instance expansion exceeds 100000 objects",
+                       structure.span)
             break
     else:
         sink.error("instance expansion did not reach a fixpoint",
@@ -581,9 +581,12 @@ def enumerate_placements(sig: Signature, structure: ast.Structure,
                          limit: int = 1_000_000) -> Iterator[PreModel]:
     """Pre-model candidates, one per object placement, deterministic order.
 
-    Each candidate carries the structure's attribute assignments; values of
-    statics derivable from axioms are completed (and conflicting candidates
-    discarded) by the semantics layer.
+    Each candidate carries the placement and the structure's attribute
+    assignments, and no other static value.  `semantics.system_pre_models`
+    completes it by solving its statics program: the structure's `values of
+    statics` and the theory's static axioms derive the rest, each answer
+    set gives one pre-model, and a candidate whose statics conflict gives
+    none.
     """
     uni, consts = build_universe(sig, structure, sink)
 

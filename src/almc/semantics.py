@@ -34,7 +34,12 @@ instance whose arithmetic has no value (`X mod 0`) is dropped, as gringo
 drops it, and the budget's deadline is read in both stages and while steps
 are added.
 
-Pre-models come from `system_pre_models`; callers build one grounder per
+Pre-models come from `system_pre_models`, which grounds and solves one
+more program per placement of the structure's objects: a grounder whose
+atoms are the derived statics instead of the fluents grounds the rules
+that derive static values (`statics_theory`), and each answer set
+completes the placement into one pre-model, as the paper's translation
+into a logic program decides these values.  Callers build one grounder per
 pre-model once and pass the grounders around (`build_diagrams` takes them).
 Once the ground fluent instances, values, actions and object constants are
 fixed, the template stage reads nothing else from the pre-model.  So
@@ -67,13 +72,13 @@ sets witness that the theory is not well-founded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, product
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from almc.bat import (
-    ActionTheory, CmpLit, Constraint, DefClause, DynLaw, Exec, FunLit,
-    OccLit, lit_vars, term_vars,
+    ActionTheory, CmpLit, DynLaw, Exec, FunLit, OccLit, _has_fluent_lit,
+    lit_vars, term_vars,
 )
 from almc.errors import (
     BudgetExceeded, DiagnosticSink, SemanticError, Span,
@@ -84,7 +89,7 @@ from almc.modular import (
     eval_ground_term, structure_static_rules,
 )
 from almc.ontology import (
-    ACTIONS, BOOLEANS, FALSE, TRUE, UNIVERSE, FuncInfo, Signature, dom_name,
+    ACTIONS, FALSE, TRUE, UNIVERSE, FuncInfo, dom_name,
 )
 from almc.syntax import ast
 
@@ -130,12 +135,10 @@ def static_truth(pm: PreModel, lit: FunLit,
         return (truth == want) if lit.op == "=" else (truth != want)
     info = sig.functions[lit.func]
     if info.dom_of is not None and not info.is_fluent:
-        # domain of a static: true iff the base static has a value
-        base = sig.functions[info.dom_of]
-        if base.is_defined:
-            defined = True  # defined functions are total
-        else:
-            defined = pm.static_value(info.dom_of, argvals) is not None
+        # domain of a static: true iff the base static has a value, as a
+        # defined function always has
+        defined = sig.functions[info.dom_of].is_defined \
+            or pm.static_value(info.dom_of, argvals) is not None
         sv: Optional[Value] = TRUE if defined else FALSE
     else:
         sv = pm.static_value(lit.func, argvals)
@@ -195,30 +198,35 @@ def _check_time(budget: Optional[Budget]) -> None:
 
 class Grounder:
     def __init__(self, theory: ActionTheory, pm: PreModel,
-                 sink: Optional[DiagnosticSink] = None):
+                 sink: Optional[DiagnosticSink] = None,
+                 atoms: Optional[frozenset[str]] = None):
+        """`atoms` names the functions whose literals ground to atoms: the
+        fluents by default, the derived statics for the statics program of
+        `system_pre_models`.  Every other literal is decided by `pm`."""
         self.theory = theory
         self.pm = pm
         self.sig = theory.sig
         #: receives the warnings issued while the rule templates are built
         self.sink = sink
-        # Ground instances of every fluent: argument tuples and value domain.
+        # Ground instances of every atom function: argument tuples and value
+        # domain, in signature order.
         self.tuples: dict[str, list[tuple[Value, ...]]] = {}
         self.values: dict[str, list[Value]] = {}
         count = 0
         for f in self.sig.functions.values():
-            if not f.is_fluent:
+            if not (f.is_fluent if atoms is None else f.name in atoms):
                 continue
-            doms = [pm.sort_values(a) for a in f.args]
+            doms = [pm.sort_values(a, f.span) for a in f.args]
             size = 1
             for d in doms:
                 size *= len(d)
             count += size
             if count > MAX_GROUND_INSTANCES:
                 raise BudgetExceeded(
-                    f"too many ground fluent instances (over "
+                    f"too many ground function instances (over "
                     f"{MAX_GROUND_INSTANCES}); bound your sorts")
             self.tuples[f.name] = [tuple(t) for t in product(*doms)]
-            self.values[f.name] = list(pm.sort_values(f.result))
+            self.values[f.name] = pm.sort_values(f.result, f.span)
         self.actions: list[Value] = list(pm.members.get(ACTIONS, ()))
         #: `reads` and `program_key`, computed on first use
         self._reads: Optional[tuple] = None
@@ -387,9 +395,9 @@ class Grounder:
                         not lit.neg)
         except UndefinedArithmetic:
             return False
-        info = self.sig.functions.get(lit.func)
-        if info is None or not info.is_fluent:
+        if lit.func not in self.tuples:
             return static_truth(self.pm, lit, argvals, val)
+        info = self.sig.functions[lit.func]
         if not self._typed(info, argvals):
             return False
         if val not in self.values[lit.func]:
@@ -405,10 +413,11 @@ class Grounder:
     # ---------------------------------------------------- rule templates
 
     def _is_static_lit(self, lit) -> bool:
-        """Is the body literal decided by the pre-model alone: a static,
-        attribute, hierarchy or comparison literal?"""
+        """Is the body literal decided by the pre-model alone: a comparison
+        literal, or a static, attribute or hierarchy literal that grounds to
+        no atom?"""
         return isinstance(lit, CmpLit) or \
-            isinstance(lit, FunLit) and not self._is_fluent_lit(lit)
+            isinstance(lit, FunLit) and not self._is_atom_lit(lit)
 
     def _read_bindings(self, budget: Optional[Budget]) -> tuple:
         """The reads stage, the only one that walks the pre-model: per
@@ -425,7 +434,7 @@ class Grounder:
         for stmt in chain(th.constraints, th.definitions, th.dynamic,
                           th.executability):
             head = getattr(stmt, "head", None)
-            static_head = head is not None and not self._is_fluent_lit(head)
+            static_head = head is not None and not self._is_atom_lit(head)
             law = isinstance(stmt, (DynLaw, Exec))
             static = [lit for lit in stmt.body if self._is_static_lit(lit)]
             kept = []
@@ -491,7 +500,7 @@ class Grounder:
         state: list = []
         for stmt in th.constraints + th.definitions:
             head = stmt.head
-            static_head = head is not None and not self._is_fluent_lit(head)
+            static_head = head is not None and not self._is_atom_lit(head)
             for env, results in self._completed(stmt, next(reads), budget):
                 pos, neg = _body_keys(results)
                 if head is None or static_head:
@@ -544,12 +553,12 @@ class Grounder:
                     None, [(("occ", self.eval_term(stmt.act, env)), 0)] + pos,
                     neg),))
 
-        # closed world assumption for defined fluents
-        closed = [(_rule((("v", f.name, args, FALSE), 0), (),
-                         [(("v", f.name, args, TRUE), 0)]),)
-                  for f in self.sig.functions.values()
-                  if f.kind == "defined fluent"
-                  for args in self.tuples[f.name]]
+        # closed world assumption for defined functions
+        closed = [(_rule((("v", f, args, FALSE), 0), (),
+                         [(("v", f, args, TRUE), 0)]),)
+                  for f, args_list in self.tuples.items()
+                  if self.sig.functions[f].is_defined
+                  for args in args_list]
 
         # a function has at most one value
         unique: list = []
@@ -564,7 +573,7 @@ class Grounder:
 
         # inertia for basic fluents
         inertia: list = []
-        for f in self.sig.functions.values():
+        for f in map(self.sig.functions.get, self.tuples):
             if f.kind != "basic fluent":
                 continue
             if f.dom_of is not None:
@@ -657,9 +666,8 @@ class Grounder:
                     prog.add_rule(prog.atom(key),
                                   (prog.atom(("v", fname, args, w, step)),))
 
-    def _is_fluent_lit(self, lit: FunLit) -> bool:
-        info = self.sig.functions.get(lit.func)
-        return info is not None and info.is_fluent
+    def _is_atom_lit(self, lit: FunLit) -> bool:
+        return lit.func in self.tuples
 
     # ---------------------------------------------------- state machinery
 
@@ -795,14 +803,63 @@ class Diagram:
     well_founded: bool
 
 
+def statics_theory(theory: ActionTheory, structure: ast.Structure,
+                   sink: DiagnosticSink) -> tuple[ActionTheory, frozenset]:
+    """The rules that derive static values, and the derived statics: the
+    structure's `values of statics`, then the state constraints and the
+    definitions that mention no fluent, less the domain definitions of the
+    statics that no rule derives.  The derived statics are the other rules'
+    heads and their domains; every other static is fixed by the placement."""
+    sig = theory.sig
+    rules = [r for r in chain(structure_static_rules(theory, structure, sink),
+                              theory.constraints, theory.definitions)
+             if not _has_fluent_lit(r.body, sig) and
+             (r.head is None or not sig.functions[r.head.func].is_fluent)]
+    heads = {r.head.func for r in rules if r.head is not None
+             and sig.functions[r.head.func].dom_of is None}
+    derived = heads | {dom_name(f) for f in heads if sig.functions[f].args}
+    rules = [r for r in rules if r.head is None or r.head.func in derived]
+    return ActionTheory(sig, [], rules, [], []), frozenset(derived)
+
+
 def system_pre_models(theory: ActionTheory, structure: ast.Structure,
-                      sink: DiagnosticSink) -> list[PreModel]:
-    """Placements completed with derivable statics; conflicts dropped."""
-    rules = structure_static_rules(theory, structure, sink)
+                      sink: DiagnosticSink,
+                      budget: Optional[Budget] = None) -> list[PreModel]:
+    """Each placement (`enumerate_placements`) completed by each answer set
+    of its statics program, in placement and answer-set order.
+
+    The statics program is the horizon-0 program of a grounder over
+    `statics_theory` whose atoms are the derived statics, as fluents are in
+    a state program, with the structure's values of them as facts.
+    Stratified definitions give one answer set; conflicting statics give
+    none.  Placements with equal program keys and facts share one program
+    and its answer sets.  The budget is read for every placement and while
+    a program is ground and solved."""
+    rules, derived = statics_theory(theory, structure, sink)
+    sig = theory.sig
+    solved: dict[tuple, list] = {}
     out = []
-    for pm in enumerate_placements(theory.sig, structure, sink):
-        if complete_statics(theory, rules, pm):
-            out.append(pm)
+    for pm in enumerate_placements(sig, structure, sink):
+        _check_time(budget)
+        for f in sig.functions.values():  # a fluent sort's error first
+            for key in (*f.args, f.result) if f.is_fluent else ():
+                pm.sort_values(key, f.span)
+        g = Grounder(rules, pm, sink, derived)
+        facts = tuple(("v", f, args, v, 0)
+                      for (f, args), v in pm.statics.items() if f in derived)
+        group = (g.program_key(budget), facts)
+        if group not in solved:
+            prog = g.build_program(0, budget)
+            for fact in facts:
+                prog.add_fact(fact)
+            # domains and false defined statics are read off (`static_truth`)
+            kept = [k for k in prog.keys if k[0] == "v"
+                    and sig.functions[k[1]].dom_of is None
+                    and not (k[3] == FALSE and sig.functions[k[1]].is_defined)]
+            solved[group] = [[(k[1:3], k[3]) for k in kept if k in model]
+                             for model in prog.answer_sets(budget=budget)]
+        out.extend(replace(pm, statics={**pm.statics, **dict(values)})
+                   for values in solved[group])
     return out
 
 
@@ -819,70 +876,3 @@ def build_diagrams(grounders: list[Grounder], action_sets: str = "singleton",
             if with_transitions else []
         diagrams.append(Diagram(g, space.states, trans, space.well_founded))
     return diagrams
-
-
-# ------------------------------------------------------------ statics fixpoint
-
-def complete_statics(theory: ActionTheory, struct_rules: list[Constraint],
-                     pm: PreModel) -> bool:
-    """Derive static/attribute values to a fixpoint; False on conflict.
-
-    Uses the structure's `values of statics` clauses, the definitions of
-    defined statics, and the state constraints whose bodies mention no
-    fluents.  Closed world for defined statics is implicit (missing = false).
-    """
-    g = Grounder(theory, pm)
-
-    def static_only(body) -> bool:
-        for lit in body:
-            if isinstance(lit, OccLit):
-                return False
-            if isinstance(lit, FunLit) and g._is_fluent_lit(lit):
-                return False
-        return True
-
-    derive_rules: list = []
-    check_rules: list = []
-    for c in struct_rules:
-        derive_rules.append(c)
-    for c in theory.constraints:
-        if not static_only(c.body):
-            continue
-        if c.head is None:
-            check_rules.append(c)
-        elif not g._is_fluent_lit(c.head):
-            derive_rules.append(c)
-    for d in theory.definitions:
-        info = theory.sig.functions.get(d.head.func)
-        if info is None or info.is_fluent:
-            continue
-        if info.dom_of is not None:
-            continue  # domains of statics are evaluated, not stored
-        if static_only(d.body):
-            derive_rules.append(d)
-
-    for _ in range(200):
-        changed = False
-        for rule in derive_rules:
-            for env, _ in g.bindings(rule, rule.body):
-                head = rule.head
-                try:
-                    argvals = tuple(g.eval_term(a, env) for a in head.args)
-                    val = g.eval_term(head.value, env)
-                except UndefinedArithmetic:
-                    continue
-                prev = pm.static_value(head.func, argvals)
-                if prev is None:
-                    pm.statics[(head.func, argvals)] = val
-                    changed = True
-                elif prev != val:
-                    return False
-        if not changed:
-            break
-    else:
-        raise BudgetExceeded("static value derivation did not converge")
-
-    for rule in check_rules:
-        for _ in g.bindings(rule, rule.body):
-            return False
-    return True

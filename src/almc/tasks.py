@@ -73,22 +73,32 @@ class CompiledSystem:
     theory: ActionTheory
     structure: ast.Structure
     sink: DiagnosticSink
+    #: the command's budget, which the derivation of the pre-models reads
+    budget: Optional[Budget] = None
 
     @cached_property
     def grounders(self) -> list[Grounder]:
         """One grounder per pre-model, computed on first use: `check`,
-        `flatten` and `bat` never need the pre-models."""
-        return [Grounder(self.theory, pm, self.sink) for pm in
-                system_pre_models(self.theory, self.structure, self.sink)]
+        `flatten` and `bat` never need the pre-models.  A structure with
+        no pre-model is a semantic error located at the structure."""
+        pms = system_pre_models(self.theory, self.structure, self.sink,
+                                self.budget)
+        if not pms:
+            raise SemanticError(
+                f"structure {self.structure.name!r} has no pre-model: its "
+                "statics have no consistent values in any placement of its "
+                "objects", self.structure.span)
+        return [Grounder(self.theory, pm, self.sink) for pm in pms]
 
 
 def compile_system(node: ast.System, search_paths: list[str],
-                   sink: Optional[DiagnosticSink] = None) -> CompiledSystem:
+                   sink: Optional[DiagnosticSink] = None,
+                   budget: Optional[Budget] = None) -> CompiledSystem:
     sink = sink if sink is not None else DiagnosticSink()
     module = flatten_system(node, search_paths, sink)
     sig = build_signature(module, sink)
     theory = build_action_theory(module, sig, sink)
-    return CompiledSystem(module, sig, theory, node.structure, sink)
+    return CompiledSystem(module, sig, theory, node.structure, sink, budget)
 
 
 # ================================================================ histories
@@ -391,8 +401,6 @@ def initial_coverage(cs: CompiledSystem, hist: History) -> tuple[int, int]:
 def _coverage(cs: CompiledSystem, hist: History,
               observed: list) -> tuple[int, int]:
     """`initial_coverage` from the history's `_observation_lits`."""
-    if not cs.grounders:
-        return (0, 0)
     g = cs.grounders[0]
     basic = {f.name: len(g.tuples[f.name]) for f in g.basic_nondom_fluents()}
     seen = set()
@@ -525,8 +533,6 @@ def prefer_most_specific(cs: CompiledSystem,
     that one replaces an action by a strictly more specific one (instance of
     strictly more action sorts, agreeing on all shared attribute values),
     keep only the more specific plan."""
-    if not cs.grounders:
-        return result
     pm = cs.grounders[0].pm
     action_sorts = [s for s in cs.sig.sorts
                     if s == ACTIONS or cs.sig.is_subsort(s, ACTIONS)]

@@ -583,3 +583,95 @@ def test_ill_typed_head_warns_once(capsys, tmp_path):
     # the rule is a constraint at every step
     assert all(f":- val(g(x), true, {i})." in out.splitlines()
                for i in range(3))
+
+
+ORDERED_STATICS = """system description order
+  theory t
+    module m
+      sort declarations
+        c :: universe
+      function declarations
+        statics
+          defined
+            p : c -> booleans
+            q : c -> booleans
+      axioms
+        {first}
+        {second}
+  structure s
+    instances
+      a in c
+      b in c
+"""
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["as-given", "swapped"])
+def test_static_values_follow_the_definitions_not_their_order(
+        capsys, tmp_path, swap):
+    axioms = ["q(X) if instance(X, c), -p(X).",
+              "p(X) if instance(X, c), X = b."]
+    if swap:
+        axioms.reverse()
+    system = tmp_path / "order.alm"
+    system.write_text(ORDERED_STATICS.format(first=axioms[0],
+                                             second=axioms[1]))
+    history = tmp_path / "empty.hist"
+    history.write_text("")
+    code, out, _ = run(capsys, "project", str(system), "--history",
+                       str(history), "--query", "q(b)", "--query", "q(a)",
+                       "--at", "0")
+    assert code == 0
+    assert "query 'q(b)' at step 0: not entailed" in out
+    assert "query 'q(a)' at step 0: entailed" in out
+
+
+CLASHING_STATICS = """system description clash
+  theory t
+    module m
+      sort declarations
+        c :: universe
+      function declarations
+        statics
+          basic
+            p : booleans
+        fluents
+          basic
+            f : c -> booleans
+  structure s
+    instances
+      a in c
+    values of statics
+      p.
+      -p.
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["states"], ["transitions"], ["emit-asp"],
+    ["project", "--history", "{history}"],
+    ["plan", "--history", "{history}", "--goal", "{goal}", "--horizon", "1"],
+], ids=lambda c: c[0])
+def test_no_pre_model_is_a_located_semantic_error(capsys, tmp_path, command):
+    """Every command that needs the pre-models fails at the structure, not
+    with empty output or a blame on the history."""
+    system = tmp_path / "clash.alm"
+    system.write_text(CLASHING_STATICS)
+    (tmp_path / "empty.hist").write_text("")
+    (tmp_path / "f.goal").write_text("f(a).\n")
+    code, out, err = run(capsys, command[0], str(system), *(
+        a.format(history=tmp_path / "empty.hist", goal=tmp_path / "f.goal")
+        for a in command[1:]))
+    assert code == 3 and out == ""
+    assert err.strip() == (
+        f"almc: {system}:13:3: structure 's' has no pre-model: its statics "
+        "have no consistent values in any placement of its objects")
+
+
+def test_unbounded_numeric_sort_is_located_at_its_function(capsys):
+    code, out, err = run(capsys, "states", str(CORPUS / "cell_cycle1.alm"),
+                         *LIB)
+    assert code == 3 and out == ""
+    assert err.strip() == (
+        f"almc: {CORPUS / 'cell_cycle_lib.alm'}:20:11: the numeric sort "
+        "'natural_numbers' is unbounded and cannot be grounded; use a range "
+        "sort instead")

@@ -1,27 +1,32 @@
-"""State/transition semantics.
+"""Pre-model, state and transition semantics.
 
 The T0-style fixture values are frozen from the worked example; the random
-suite generates small action theories as source text and re-checks every
-enumerated state and transition with evaluators written here from scratch.
+suite generates small action theories as source text and re-checks the
+static values of every pre-model and every enumerated state and transition
+with evaluators written here from scratch.
 """
 
 import random
+import time
 from collections import Counter
 from itertools import product
 
 import pytest
 
 from almc.bat import CmpLit, Constraint, DynLaw, FunLit, OccLit
-from almc.errors import DiagnosticSink
-from almc.lpcore import Program
-from almc.modular import UndefinedArithmetic, compare
+from almc.errors import BudgetExceeded, DiagnosticSink
+from almc.lpcore import Budget, Program
+from almc.modular import UndefinedArithmetic, compare, enumerate_placements
 from almc.ontology import BASIC_FLUENT, DEFINED_FLUENT, FALSE, TRUE, dom_name
 from almc.semantics import (
     Grounder, _body_keys, _rule, build_diagrams, enumerate_states,
     compute_transitions, static_truth, system_pre_models,
 )
-from almc.syntax.parser import parse_file
-from almc.tasks import compile_system, program_fingerprint
+from almc.syntax.parser import parse_file, parse_literal_text
+from almc.tasks import (
+    History, compile_system, entails_at, program_fingerprint,
+    temporal_project,
+)
 
 from conftest import CORPUS, parse_path
 
@@ -122,9 +127,11 @@ def test_empty_action_set_is_inertia(t0):
 
 def test_diagrams_ground_one_program_per_horizon(monkeypatch):
     # states and transitions reuse one horizon-0 and one horizon-1 program
-    # per pre-model, whatever the number of states
+    # per pre-model, whatever the number of states; the pre-models, whose
+    # statics programs are ground too, are derived first
     cs = compile_system(parse_path(CORPUS / "travel.alm"), [],
                         DiagnosticSink())
+    grounders = cs.grounders
     calls = Counter()
     build = Grounder.build_program
 
@@ -133,10 +140,10 @@ def test_diagrams_ground_one_program_per_horizon(monkeypatch):
         return build(self, horizon, sink)
 
     monkeypatch.setattr(Grounder, "build_program", counting)
-    diagrams = build_diagrams(cs.grounders)
+    diagrams = build_diagrams(grounders)
     assert sum(len(d.states) for d in diagrams) > 2
     assert set(calls.values()) == {1}
-    assert len(calls) <= 2 * len(cs.grounders)
+    assert len(calls) <= 2 * len(grounders)
 
 
 def test_travel_certifies_only_the_models_it_returns(monkeypatch):
@@ -186,6 +193,13 @@ def test_three_pre_models_for_alice():
 
 # ------------------------------------------------------------ random BATs
 
+STATICS = ["s0", "s1", "s2"]
+
+
+def neg(rng):
+    return "-" if rng.random() < 0.5 else ""
+
+
 def make_source(rng):
     n_obj = rng.randrange(1, 3)
     objects = [f"e{i}" for i in range(n_obj)]
@@ -209,15 +223,40 @@ def make_source(rng):
         axioms.append(f"false if {lit()}, {lit()}, instance(X, elems).")
     if rng.random() < 0.5:
         axioms.append(f"{lit()} if {lit()}, instance(X, elems).")
+    d_at = len(axioms)
     axioms.append(f"d(X) if {lit()}, {lit()}, instance(X, elems).")
     if rng.random() < 0.5:
         axioms.append(
             f"impossible occurs(A) if instance(A, acts), "
             f"instance(X, elems), {lit()}.")
 
+    # defined statics, stratified in name order: a clause reads a lower
+    # static, negated or not, and its own static only positively; the
+    # clauses come in random order, and d may read a static
+    statics = STATICS[: rng.randrange(1, 4)]
+    clauses = []
+    for i, st in enumerate(statics):
+        for _ in range(rng.randrange(1, 3)):
+            body = ["instance(X, elems)"]
+            if i and rng.random() < 0.8:
+                body.append(f"{neg(rng)}{rng.choice(statics[:i])}(X)")
+            if rng.random() < 0.4:
+                body.append(f"X {rng.choice(['=', '!='])} "
+                            f"{rng.choice(objects)}")
+            if rng.random() < 0.3:
+                body += [f"{st}(Y)", "instance(Y, elems)", "X != Y"]
+            clauses.append(f"{st}(X) if {', '.join(body)}.")
+    rng.shuffle(clauses)
+    axioms += clauses
+    if rng.random() < 0.5:
+        axioms[d_at] = \
+            f"{axioms[d_at][:-1]}, {neg(rng)}{rng.choice(statics)}(X)."
+
     decls = "\n".join(
         f"              {'total ' if f in total else ''}{f} : "
         "elems -> booleans" for f in fluents)
+    static_decls = "\n".join(f"            {st} : elems -> booleans"
+                             for st in statics)
     ax = "\n".join(f"        {a}" for a in axioms)
     insts = "\n".join(f"      {o} in elems" for o in objects) + "\n" + \
         "\n".join(f"      {a} in acts" for a in actions)
@@ -229,6 +268,9 @@ system description rnd
         elems :: universe
         acts :: actions
       function declarations
+        statics
+          defined
+{static_decls}
         fluents
           basic
 {decls}
@@ -276,12 +318,15 @@ def check_state(g, pm, theory, state):
                    if not isinstance(b, OccLit)):
                 assert c.head is not None, (c, env, values)
                 assert lit_true(g, pm, c.head, env, values), (c, env, values)
-    # (b) defined fluents are exactly the definitional fixpoint
+    # (b) defined fluents are exactly the definitional fixpoint; static
+    # clauses are checked by `stratified_statics`
     derived = {}
     changed = True
     while changed:
         changed = False
         for clause in theory.definitions:
+            if not g._is_atom_lit(clause.head):
+                continue
             for env in envs(g, clause):
                 base = dict(values)
                 base.update(derived)
@@ -326,15 +371,58 @@ def check_transitions(g, theory, states, trans):
                 assert key[0] in affected, (key, i, j, acts)
 
 
+def static_lit_true(g, lit, env, true):
+    """Truth of a static body literal, the defined statics `STATICS` read
+    from the set `true` of their true instances."""
+    if isinstance(lit, CmpLit):
+        return compare(lit.op, g.eval_term(lit.lhs, env),
+                       g.eval_term(lit.rhs, env), lit.span)
+    argvals = tuple(g.eval_term(a, env) for a in lit.args)
+    val = g.eval_term(lit.value, env)
+    if lit.func not in STATICS:
+        return static_truth(g.pm, lit, argvals, val)
+    holds = ((lit.func, argvals) in true) == (val == TRUE)
+    return holds if lit.op == "=" else not holds
+
+
+def stratified_statics(g, theory):
+    """The true instances of the defined statics of a random BAT, stratum
+    by stratum in name order, each to its own fixpoint: a stratum reads
+    the lower ones, complete by then, and itself only positively."""
+    true = set()
+    for st in STATICS:
+        clauses = [c for c in theory.definitions if c.head.func == st]
+        changed = True
+        while changed:
+            changed = False
+            for c in clauses:
+                for env in envs(g, c):
+                    key = (st, tuple(g.eval_term(a, env) for a in c.head.args))
+                    if key not in true and all(
+                            static_lit_true(g, b, env, true) for b in c.body):
+                        true.add(key)
+                        changed = True
+    return true
+
+
 def test_100_random_bats_satisfy_inertia_cwa_and_constraints():
     rng = random.Random(413)
     n_states = 0
+    n_true = n_negated = 0
     for trial in range(100):
         src = make_source(rng)
         cs = compile_src(src)
         pms = system_pre_models(cs.theory, cs.structure, cs.sink)
         (pm,) = pms
         g = Grounder(cs.theory, pm)
+        # the pre-model's defined statics are those of the stratified
+        # evaluation, and nothing else is stored for them
+        true = stratified_statics(g, cs.theory)
+        assert {(f, args) for (f, args), v in pm.statics.items()
+                if f in STATICS} == true
+        assert all(pm.statics[key] == TRUE for key in true)
+        n_true += len(true)
+        n_negated += "-s" in src
         space = enumerate_states(g)
         for s in space.states:
             check_state(g, pm, cs.theory, s)
@@ -342,6 +430,7 @@ def test_100_random_bats_satisfy_inertia_cwa_and_constraints():
         check_transitions(g, cs.theory, space.states, trans)
         n_states += len(space.states)
     assert n_states > 100  # the suite is not vacuous
+    assert n_true > 50 and n_negated > 50
 
 
 # ------------------------------------------------------------ grounding oracle
@@ -510,7 +599,7 @@ def direct_templates(g):
             ground = None if head is None else ground_head(head, env)
             if head is not None and ground is None:
                 continue
-            if head is None or not g._is_fluent_lit(head):
+            if head is None or not g._is_atom_lit(head):
                 if head is None or not static_truth(g.pm, head, *ground):
                     state.append((_rule(None, pos, neg),))
             elif fits(head.func, *ground):
@@ -650,3 +739,153 @@ def test_program_keys_tell_apart_what_the_templates_read(src):
     assert a.program_key()[1:] == b.program_key()[1:]
     assert a.program_key() != b.program_key()
     assert a.build_program(1).rules != b.build_program(1).rules
+
+
+# ------------------------------------------------------------ static values
+
+def statics_system(decls, axioms, structure="      a in c\n      b in c\n",
+                   sorts="        c :: universe\n"):
+    """A system of statics over a sort c, with an empty fluent part."""
+    axioms = "".join(f"        {a}\n" for a in axioms)
+    return compile_src(f"""
+system description derived
+  theory t
+    module m
+      sort declarations
+{sorts}      function declarations
+        statics
+{decls}      axioms
+{axioms}  structure s
+    instances
+{structure}""")
+
+
+def entailed(cs, query):
+    """`project --query` over the empty history, at step 0."""
+    return entails_at(cs, temporal_project(cs, History(), 0),
+                      parse_literal_text(query), 0)
+
+
+ORDER_DECLS = """          defined
+            p : c -> booleans
+            q : c -> booleans
+"""
+ORDER_AXIOMS = ["q(X) if instance(X, c), -p(X).",
+                "p(X) if instance(X, c), X = b."]
+
+
+@pytest.mark.parametrize("axioms", [ORDER_AXIOMS, ORDER_AXIOMS[::-1]],
+                         ids=["negation-first", "negation-last"])
+def test_static_values_do_not_depend_on_the_axiom_order(axioms):
+    """Stratified definitions have one pre-model whatever the order of
+    their clauses: p(b) holds, so q(b) does not."""
+    cs = statics_system(ORDER_DECLS, axioms)
+    (g,) = cs.grounders
+    assert g.pm.statics == {("q", ("a",)): TRUE, ("p", ("b",)): TRUE}
+    assert entailed(cs, "q(a)") and entailed(cs, "p(b)")
+    assert not entailed(cs, "q(b)") and not entailed(cs, "p(a)")
+
+
+def test_domain_of_a_derived_static_follows_its_values():
+    """dom_p is derived from p's values: p(a) is derived and p(b) has no
+    value, whatever the order of the axioms."""
+    decls = """          basic
+            p : c -> booleans
+          defined
+            q : c -> booleans
+"""
+    axioms = ["q(X) if instance(X, c), dom_p(X).",
+              "p(X) if instance(X, c), X = a."]
+    for order in (axioms, axioms[::-1]):
+        cs = statics_system(decls, order)
+        (g,) = cs.grounders
+        assert g.pm.statics == {("p", ("a",)): TRUE, ("q", ("a",)): TRUE}
+        assert entailed(cs, "q(a)") and not entailed(cs, "q(b)")
+
+
+def test_even_negative_loop_gives_two_pre_models_in_a_fixed_order():
+    decls = """          defined
+            p : booleans
+            q : booleans
+"""
+    cs = statics_system(decls, ["p if -q.", "q if -p."],
+                        structure="      a in c\n")
+    assert [g.pm.statics for g in cs.grounders] == \
+        [{("q", ()): TRUE}, {("p", ()): TRUE}]
+
+
+def test_conflicting_placement_is_dropped_and_the_others_kept():
+    """e0 is placed into kind_a or kind_b; in kind_a the structure gives p
+    both values, so only the kind_b placement is a pre-model."""
+    cs = statics_system(
+        "          basic\n            p : c -> booleans\n", [],
+        sorts="        c :: universe\n        kind_a, kind_b :: c\n",
+        structure="      e0 in c\n    values of statics\n"
+                  "      p(e0) if instance(e0, kind_a).\n      -p(e0).\n")
+    placements = list(enumerate_placements(cs.sig, cs.structure, cs.sink))
+    assert [sorted(pm.is_a["e0"]) for pm in placements] == \
+        [["kind_a"], ["kind_b"]]
+    (pm,) = system_pre_models(cs.theory, cs.structure, cs.sink)
+    assert pm.is_a["e0"] == {"kind_b"}
+    assert pm.statics == {("p", ("e0",)): FALSE}
+
+
+def test_cell_cycle2_part_of_is_the_transitive_closure():
+    """The recursive definition of part_of derives the closure of
+    is_part_of, in both of cell_cycle2's pre-models, and no false value
+    of it is stored."""
+    cs = compile_system(parse_path(CORPUS / "cell_cycle2.alm"),
+                        [str(CORPUS)], DiagnosticSink())
+    assert len(cs.grounders) == 2
+    for g in cs.grounders:
+        assert {k: v for k, v in g.pm.statics.items()
+                if k[0] == "part_of"} == {
+            ("part_of", ("cell", "sample")): TRUE,
+            ("part_of", ("nucleus", "cell")): TRUE,
+            ("part_of", ("nucleus", "sample")): TRUE}
+
+
+def test_passed_deadline_stops_pre_model_derivation(monkeypatch):
+    """A budget whose deadline has passed stops `system_pre_models` before
+    it grounds any template, also where no static rule is read."""
+    grounded = []
+    monkeypatch.setattr(Grounder, "_ground_templates",
+                        lambda self, budget: grounded.append(self))
+    for name in GROUND_SYSTEMS:
+        cs = compile_system(parse_path(CORPUS / f"{name}.alm"),
+                            [str(CORPUS)], DiagnosticSink())
+        with pytest.raises(BudgetExceeded):
+            system_pre_models(cs.theory, cs.structure, cs.sink,
+                              Budget(deadline=time.monotonic() - 1))
+    assert grounded == []
+
+
+def test_stratified_corpus_statics_need_no_decision():
+    """Propagation alone solves the statics programs of the corpus, so a
+    decision budget of 0 derives the same pre-models as no budget."""
+    for name in GROUND_SYSTEMS:
+        cs = compile_system(parse_path(CORPUS / f"{name}.alm"),
+                            [str(CORPUS)], DiagnosticSink())
+        budget = Budget(max_decisions=0)
+        assert system_pre_models(cs.theory, cs.structure, cs.sink, budget) \
+            == system_pre_models(cs.theory, cs.structure, cs.sink)
+        assert budget.decisions == 0
+
+
+def test_grouped_statics_programs_give_the_ungrouped_pre_models(
+        monkeypatch):
+    """Placements with equal program keys and facts share one statics
+    program and its answer sets; solving each placement alone gives the
+    same pre-models, in the same order."""
+    systems = [compile_system(parse_path(CORPUS / f"{name}.alm"),
+                              [str(CORPUS)], DiagnosticSink())
+               for name in GROUND_SYSTEMS]
+    systems += [compile_src(STATIC_HEAD), *placed_bat_systems()]
+    alone = iter(range(10 ** 9))
+    grouped = [system_pre_models(cs.theory, cs.structure, cs.sink)
+               for cs in systems]
+    monkeypatch.setattr(Grounder, "program_key",
+                        lambda self, budget=None: next(alone))
+    assert grouped == [system_pre_models(cs.theory, cs.structure, cs.sink)
+                       for cs in systems]
+    assert next(alone) >= sum(map(len, grouped))  # one key per placement

@@ -389,7 +389,8 @@ def test_monkey_grounds_one_history_program_per_task(monkey, monkey_task,
 
 def record_stages(monkeypatch):
     """Record each run of the reads stage and of the template stage as
-    ``(stage, grounder, exception or None)``."""
+    ``(stage, grounder, exception or None)``, the runs of the statics
+    programs that derive the pre-models (`system_pre_models`) included."""
     runs = []
     for stage, name in (("reads", "_read_bindings"),
                         ("templates", "_ground_templates")):
@@ -413,26 +414,46 @@ def test_monkey_plan_and_validation_ground_templates_once(monkeypatch,
                                                           capsys):
     """`plan --validate` reads each of monkey's 8 pre-models once to key
     it, and grounds rule templates once, for the first of the group: the
-    keys are cached, so validation finds the templates already ground."""
+    keys are cached, so validation finds the templates already ground.
+    The same holds for the statics programs that derive the pre-models,
+    whose theory has no causal law: each placement is read once, and the
+    templates of their one group are ground once."""
     runs = record_stages(monkeypatch)
     code = main(["plan", *MB, "--goal", str(CORPUS / "mb.goal"),
                  "--horizon", "6", "--validate"])
     out = capsys.readouterr().out
     assert code == 0 and out.count("re-execution: reaches the goal") == 2
-    reads = [g for stage, g, _ in runs if stage == "reads"]
+    statics = [(stage, g) for stage, g, _ in runs if not g.theory.dynamic]
+    assert [stage for stage, _ in statics] == \
+        ["reads", "templates"] + ["reads"] * 7
+    assert len({id(g) for _, g in statics}) == 8
+    runs = [(stage, g) for stage, g, _ in runs if g.theory.dynamic]
+    reads = [g for stage, g in runs if stage == "reads"]
     assert len(reads) == len({id(g) for g in reads}) == 8
-    assert [(stage, g) for stage, g, _ in runs if stage == "templates"] \
+    assert [(stage, g) for stage, g in runs if stage == "templates"] \
         == [("templates", reads[0])]
 
 
-def test_zero_budget_stops_the_reads_stage(monkeypatch, capsys):
-    """Keying the pre-models is the first grounding a projection does, so
-    `--budget-seconds 0` stops it there (exit 4), before any template."""
+def test_zero_budget_stops_pre_model_derivation(monkeypatch, capsys):
+    """Deriving the pre-models is the first grounding a projection does,
+    so `--budget-seconds 0` stops it there (exit 4), before any reads or
+    template stage."""
     runs = record_stages(monkeypatch)
+    stopped = []
+    derive = tasks.system_pre_models
+
+    def recorded(*args):
+        try:
+            return derive(*args)
+        except BudgetExceeded:
+            stopped.append(args[-1])
+            raise
+
+    monkeypatch.setattr(tasks, "system_pre_models", recorded)
     assert main(["project", *MB, "--budget-seconds", "0"]) == 4
     assert "budget exhausted" in capsys.readouterr().err
-    assert [(stage, type(exc)) for stage, _, exc in runs] == \
-        [("reads", BudgetExceeded)]
+    assert len(stopped) == 1 and stopped[0].deadline is not None
+    assert runs == []
 
 
 def test_grounders_are_freed_by_reference_counting():
@@ -459,6 +480,7 @@ def keyed_history_programs(monkeypatch, cs, run, goal=()):
     found = []
     program_key = Grounder.program_key
     goal_lits = normalize_goal(cs, list(goal))
+    cs.grounders  # the pre-models, whose derivation groups too, come first
     fingerprint = tasks.program_fingerprint
 
     def ungrouped(self, budget=None):

@@ -26,7 +26,11 @@ smodels and clasp do: before it branches on a non-choice atom, and at every
 total assignment, every atom of a cyclic component of the positive
 dependency graph that no alive rule can derive from outside the unfounded
 set is made false.  Tight programs, whose graph has no cycle, skip this
-check (Fages 1994).  Every total assignment that survives is an answer
+check (Fages 1994).  Each propagated atom records the reason for its
+value, and each conflict is resolved over those reasons into a learned
+nogood (first-UIP, as in clasp); backtracking stays chronological, so the
+models come in the order of a search without learning, and the nogoods
+live for one search.  Every total assignment that survives is an answer
 set; it is still certified by an independent reduct + least-model check
 (`is_answer_set`) before it is reported.  The certifier keeps its own index
 of the rules, built once per program shape; it shares no table with the
@@ -58,6 +62,7 @@ from almc.errors import BudgetExceeded
 UNDEF, TRUE, FALSE = 0, 1, 2
 
 _NO_HEAD = -1
+_LOST = "lost"  # the reason of an atom whose rules are all dead
 
 
 @dataclass
@@ -410,6 +415,27 @@ class _Search:
     with head h, and `gcount[g]` the true members of group g.  `_assign`
     applies an atom's updates at once and `_undo_to` reverts them.
 
+    Each assigned atom keeps the reason for its value in `reason[a]`, one
+    value naming a nogood (literals no answer set has together) whose other
+    literals came earlier on the trail: the int r for rule r (its body true
+    and its head false), `~r` for a body literal of the one alive rule r of
+    a true head, `_LOST` for an atom whose rules are all dead, a 1-tuple
+    for an at-most group, a frozenset for an unfounded set (its loop
+    nogood), a list for a learned nogood, and None for decisions and
+    switches.  Their literals are read off the program only when a conflict
+    is analysed (`_antecedents`), so propagation allocates nothing.
+
+    `_learn` resolves a conflict to its first unique implication point
+    (Gebser, Kaufmann, Schaub, *Conflict-driven answer set solving*, AIJ
+    2012), and `_nogoods` propagates the learned nogoods with two watched
+    literals.  Backtracking stays chronological (Nadel, Ryvchin,
+    *Chronological backtracking*, SAT 2018): the last open decision is
+    flipped, so the models come in the order of a search without learning.
+    After the undo, `_reassert` asserts the new nogood, and each nogood
+    whose implied literal was undone, where it is unit again.  A learned
+    nogood follows from the program, the run's switches and the bound on
+    the extra atoms, which only falls, so it holds until the run ends.
+
     `declare` makes atoms external: each gets a rule whose body is a fresh
     choice atom, its switch, numbered after the extra atoms.  The level-0
     propagation (`_start`) leaves the switches undecided; its trail length
@@ -457,6 +483,7 @@ class _Search:
         self.gmembers = [tuple(m) for m, _ in groups]
         self.gbound = [k for _, k in groups]
         self.gcount = [0] * len(groups)
+        self.gtag = [(g,) for g in range(len(groups))]  # their reasons
         gwatch: list[list[int]] = [[] for _ in range(self.n)]
         for g, members in enumerate(self.gmembers):
             for a in members:
@@ -464,11 +491,19 @@ class _Search:
         self.gwatch = [tuple(w) for w in gwatch]
 
         self.status = [UNDEF] * self.n
+        self.reason: list = [None] * self.n
         self.need = [len(p) + len(ng)
                      for p, ng in zip(self.rpos, self.rneg)]
         self.bad = [0] * len(self.rhead)
         self.trail: list[int] = []
         self.queue: list[int] = []
+        # learned nogoods, as literals 2a + v - 1 (atom a has value v):
+        # watch lists by literal, the (trail position, nogood) of each
+        # literal a nogood implied, and the last conflict as (atom or -1,
+        # reason): its nogood is the reason's plus the atom's literal
+        self.watches: dict[int, list[list[int]]] = {}
+        self.implied: list[tuple[int, list[int]]] = []
+        self.conflict: Optional[tuple] = None
 
         # branch order: choice atoms first, then everything else
         self.order = sorted(self.choice) + \
@@ -503,6 +538,7 @@ class _Search:
                 table.append(())
             self.posw.append((r,))
             self.status.append(UNDEF)
+            self.reason.append(None)
             self.support.append(0)
             self.rhead.append(a)
             self.rpos.append((x,))
@@ -522,15 +558,18 @@ class _Search:
         """Switch the external atoms in `facts` on and the others off."""
         on = set(facts)
         for a, x in self.externals.items():
-            if not self._assign(x, TRUE if a in on else FALSE):
+            if not self._assign(x, TRUE if a in on else FALSE, None):
                 return False
         return self._propagate()
 
-    def _assign(self, a: int, val: int) -> bool:
+    def _assign(self, a: int, val: int, why) -> bool:
         s = self.status[a]
         if s != UNDEF:
+            if s != val:
+                self.conflict = (a, why)
             return s == val
         self.status[a] = val
+        self.reason[a] = why
         self.trail.append(a)
         self.queue.append(a)
         if val == TRUE:
@@ -571,14 +610,18 @@ class _Search:
                     support[rhead[r]] += 1
 
     def _enforce_support(self, a: int) -> bool:
-        """`a` is true with a single alive rule: satisfy its body."""
+        """`a` is true with a single alive rule: satisfy its body.  An atom
+        derived by one of its own rules has that rule's body true already."""
+        w = self.reason[a]
+        if type(w) is int and w >= 0 and self.rhead[w] == a:
+            return True
         status = self.status
         r = next(r for r in self.headw[a] if not self.bad[r])
         for b in self.rpos[r]:
-            if status[b] != TRUE and not self._assign(b, TRUE):
+            if status[b] != TRUE and not self._assign(b, TRUE, ~r):
                 return False
         for b in self.rneg[r]:
-            if status[b] != FALSE and not self._assign(b, FALSE):
+            if status[b] != FALSE and not self._assign(b, FALSE, ~r):
                 return False
         return True
 
@@ -588,7 +631,7 @@ class _Search:
         status, need, bad, support = self.status, self.need, self.bad, \
             self.support
         rhead, choice, assign = self.rhead, self.choice, self._assign
-        queue = self.queue
+        queue, watches = self.queue, self.watches
         while queue:
             a = queue.pop()
             true = status[a] == TRUE
@@ -602,9 +645,10 @@ class _Search:
                     continue
                 if support[h] == 0:
                     if status[h] == TRUE:
+                        self.conflict = (h, _LOST)
                         return False
                     if status[h] == UNDEF:
-                        assign(h, FALSE)
+                        assign(h, FALSE, _LOST)
                 elif support[h] == 1 and status[h] == TRUE \
                         and not self._enforce_support(h):
                     return False
@@ -616,36 +660,191 @@ class _Search:
                 h = rhead[r]
                 if h == _NO_HEAD or status[h] == FALSE:
                     if need[r] == 0:
+                        self.conflict = (-1, r)
                         return False
                     if need[r] == 1:  # falsify the one undefined literal
                         for b in self.rpos[r]:
                             if status[b] == UNDEF:
-                                assign(b, FALSE)
+                                assign(b, FALSE, r)
                         for b in self.rneg[r]:
                             if status[b] == UNDEF:
-                                assign(b, TRUE)
+                                assign(b, TRUE, r)
                 elif need[r] == 0 and status[h] == UNDEF:
-                    assign(h, TRUE)
+                    assign(h, TRUE, r)
+            if watches:
+                lit = a + a + status[a] - 1
+                if lit in watches and not self._nogoods(lit):
+                    return False
             if not true:
                 continue
             for g in self.gwatch[a]:
                 if not self._at_most(g):
                     return False
-            if a not in choice and (support[a] == 0 or support[a] == 1
-                                    and not self._enforce_support(a)):
+            if a in choice:
+                continue
+            if support[a] == 0:
+                self.conflict = (a, _LOST)
+                return False
+            if support[a] == 1 and not self._enforce_support(a):
                 return False
         return True
+
+    def _nogoods(self, lit: int) -> bool:
+        """`lit` has become true: each learned nogood that watches it
+        watches another literal that is not true, or else asserts the
+        opposite of its other watched literal, or is violated."""
+        status, watches = self.status, self.watches
+        watching, keep = watches[lit], []
+        for j, ng in enumerate(watching):
+            if ng[0] == lit:
+                ng[0], ng[1] = ng[1], lit
+            other = ng[0]
+            s = status[other >> 1]
+            if s == 2 - (other & 1):  # the nogood holds already
+                keep.append(ng)
+                continue
+            for k in range(2, len(ng)):
+                free = ng[k]
+                if status[free >> 1] != 1 + (free & 1):
+                    ng[1], ng[k] = free, lit
+                    watches.setdefault(free, []).append(ng)
+                    break
+            else:
+                keep.append(ng)
+                if s != UNDEF:
+                    watches[lit] = keep + watching[j + 1:]
+                    self.conflict = (-1, ng)
+                    return False
+                self.implied.append((len(self.trail), ng))
+                self._assign(other >> 1, 2 - (other & 1), ng)
+        watches[lit] = keep
+        return True
+
+    def _reassert(self, mark: int, learned: Optional[list[int]]) -> bool:
+        """After an undo to `mark`, assert the opposite of the one open
+        literal of `learned` and of each nogood whose implied literal the
+        undo removed, where the other literals still hold."""
+        redo = [learned] if learned else []
+        implied, status = self.implied, self.status
+        while implied and implied[-1][0] >= mark:
+            redo.append(implied.pop()[1])
+        for ng in redo:
+            open_lit = -1
+            for lit in ng:
+                s = status[lit >> 1]
+                if s == 1 + (lit & 1):
+                    continue
+                if s != UNDEF or open_lit >= 0:
+                    break  # false, or a second open literal
+                open_lit = lit
+            else:
+                if open_lit < 0:
+                    self.conflict = (-1, ng)
+                    return False
+                implied.append((len(self.trail), ng))
+                self._assign(open_lit >> 1, 2 - (open_lit & 1), ng)
+        return True
+
+    def _antecedents(self, p: int, why, limit: int,
+                     pos: dict[int, int]) -> list[int]:
+        """The atoms of the nogood named by reason `why`, other than `p`,
+        all assigned before trail position `limit`; `pos` maps atoms above
+        level 0 to their positions.  A dead rule stands for one of its
+        false literals."""
+        status, rhead, rpos, rneg = self.status, self.rhead, self.rpos, \
+            self.rneg
+
+        def dead(r: int) -> int:
+            return next(chain(
+                (b for b in rpos[r]
+                 if status[b] == FALSE and pos.get(b, -1) < limit),
+                (b for b in rneg[r]
+                 if status[b] == TRUE and pos.get(b, -1) < limit)))
+
+        if type(why) is int:
+            if why < 0:  # p is a body literal of the one support ~why
+                h = rhead[~why]
+                return [h] + [dead(r) for r in self.headw[h] if r != ~why]
+            atoms = [b for b in chain(rpos[why], rneg[why]) if b != p]
+            h = rhead[why]
+            return atoms + [h] if h != _NO_HEAD and h != p else atoms
+        if why is _LOST:
+            return [dead(r) for r in self.headw[p]]
+        if type(why) is tuple:  # p exceeds the bound, or p = -1 does
+            g = why[0]
+            true = sorted((pos.get(m, -1), m) for m in self.gmembers[g]
+                          if m != p and status[m] == TRUE
+                          and pos.get(m, -1) < limit)
+            return [m for _, m in true[:self.gbound[g] + (p < 0)]]
+        if type(why) is list:
+            return [lit >> 1 for lit in why if lit >> 1 != p]
+        # the unfounded set `why`: every rule from outside it is dead
+        return [dead(r) for a in why for r in self.headw[a]
+                if not any(b in why for b in rpos[r])]
+
+    def _learn(self, lo: int, cur: int) -> Optional[list[int]]:
+        """The first-UIP nogood of `self.conflict`, with its two latest
+        literals first and the current level's latest first of all.  The
+        current level starts at trail position `cur`; literals below `lo`
+        (level 0) hold throughout the run and are left out.  None if the
+        conflict has no literal at the current level, or is a flipped
+        decision that an asserted literal contradicts."""
+        p, why = self.conflict
+        if why is None:
+            return None
+        trail, status, reason = self.trail, self.status, self.reason
+        pos = {a: i for i, a in enumerate(trail[lo:], lo)}
+        seen: set[int] = set()
+        lower: list[int] = []  # atoms below the current level
+        count = 0  # atoms of the resolvent at the current level
+
+        def add(atoms) -> None:
+            nonlocal count
+            for b in atoms:
+                if b not in seen:
+                    seen.add(b)
+                    i = pos.get(b, -1)
+                    if i >= cur:
+                        count += 1
+                    elif i >= lo:
+                        lower.append(b)
+
+        add(self._antecedents(p, why, len(trail), pos) + [p] * (p >= 0))
+        if not count:
+            return None
+        # Resolve the current level's atoms, latest first, until one is
+        # left.  An atom without a reason (the level's decision) stays, and
+        # so resolution goes on past it: a literal asserted after the undo
+        # may precede it in its level.
+        kept: list[int] = []
+        i = len(trail)
+        while count > len(kept):
+            i -= 1
+            q = trail[i]
+            if q not in seen:
+                continue
+            if count == 1 or reason[q] is None:
+                kept.append(q)  # the first unique implication point
+            else:
+                count -= 1
+                add(self._antecedents(q, reason[q], i, pos))
+        lower.sort(key=pos.__getitem__, reverse=True)
+        nogood = [a + a + status[a] - 1 for a in kept + lower]
+        if len(nogood) > 1:
+            for lit in nogood[:2]:
+                self.watches.setdefault(lit, []).append(nogood)
+        return nogood
 
     def _init(self) -> bool:
         # an atom without rules is false, and the head of a fact is true
         for a in range(self.n):
             if self.support[a] == 0 and a not in self.choice:
-                self._assign(a, FALSE)
+                self._assign(a, FALSE, _LOST)
         for r, h in enumerate(self.rhead):
             if self.need[r] == 0:
                 if h == _NO_HEAD:
                     return False
-                self._assign(h, TRUE)
+                self._assign(h, TRUE, r)
         return self._propagate()
 
     def _unfounded(self) -> list[int]:
@@ -692,11 +891,12 @@ class _Search:
         """False if group g has too many true members; at its bound, the
         undefined members are falsified."""
         if self.gcount[g] > self.gbound[g]:
+            self.conflict = (-1, self.gtag[g])
             return False
         if self.gcount[g] == self.gbound[g]:
             for m in self.gmembers[g]:
                 if self.status[m] == UNDEF:
-                    self._assign(m, FALSE)
+                    self._assign(m, FALSE, self.gtag[g])
         return True
 
     def _within_bound(self) -> bool:
@@ -715,7 +915,8 @@ class _Search:
         """Yield every answer set that passes `certify`, with the external
         atoms in `facts` switched on and the other switches off.  However
         the run ends (exhausted, closed early, or by `BudgetExceeded`), the
-        assignment is undone to the base mark."""
+        assignment is undone to the base mark and the learned nogoods are
+        dropped."""
         self.busy = True
         try:
             if self.base < 0:
@@ -730,7 +931,8 @@ class _Search:
                     if self.loop_atoms and (a < 0 or a not in self.choice):
                         unfounded = self._unfounded()
                         if unfounded:
-                            conflict = not (all(self._assign(b, FALSE)
+                            why = frozenset(unfounded)
+                            conflict = not (all(self._assign(b, FALSE, why)
                                                 for b in unfounded)
                                             and self._propagate())
                             continue
@@ -739,14 +941,16 @@ class _Search:
                                  if self.status[i] == TRUE}
                         if certify(model):
                             yield model
-                        conflict = True
+                        conflict, self.conflict = True, None
                     else:
                         if budget is not None:
                             budget.decide()
                         stack.append([len(self.trail), a, TRUE])
-                        conflict = not (self._assign(a, FALSE)
+                        conflict = not (self._assign(a, FALSE, None)
                                         and self._propagate())
                 else:
+                    learned = self._learn(stack[0][0], stack[-1][0]) \
+                        if stack and self.conflict else None
                     while stack and stack[-1][2] == 0:
                         stack.pop()
                     if not stack:
@@ -754,8 +958,12 @@ class _Search:
                     mark, a, val = stack[-1]
                     self._undo_to(mark)
                     stack[-1][2] = 0
-                    conflict = not (self._assign(a, val) and self._propagate()
+                    conflict = not (self._reassert(mark, learned)
+                                    and self._assign(a, val, None)
+                                    and self._propagate()
                                     and self._within_bound())
         finally:
             self._undo_to(max(self.base, 0))
+            self.watches.clear()
+            self.implied.clear()
             self.busy = False

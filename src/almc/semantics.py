@@ -240,6 +240,9 @@ class Grounder:
     def var_domains(self, stmt) -> dict[str, list[Value]]:
         domains: dict[str, list[Value]] = {}
 
+        def sort_values(key: str) -> list[Value]:
+            return self.pm.sort_values(key, stmt.span)
+
         def narrow(var: str, dom: list[Value]) -> None:
             if var in domains:
                 cur = set(dom)
@@ -252,9 +255,9 @@ class Grounder:
                 info = self.sig.functions[lit.func]
                 for i, a in enumerate(lit.args):
                     if isinstance(a, ast.Var) and i < info.arity:
-                        narrow(a.name, self.pm.sort_values(info.args[i]))
+                        narrow(a.name, sort_values(info.args[i]))
                 if isinstance(lit.value, ast.Var):
-                    narrow(lit.value.name, self.pm.sort_values(info.result))
+                    narrow(lit.value.name, sort_values(info.result))
                 return
             # hierarchy functions
             nodes = list(self.sig.sorts)
@@ -267,9 +270,9 @@ class Grounder:
                         and lit.value.name == TRUE and lit.op == "="
                     if positive and isinstance(c, ast.Sym) \
                             and self.sig.is_node(c.name):
-                        narrow(o.name, self.pm.sort_values(c.name))
+                        narrow(o.name, sort_values(c.name))
                     else:
-                        narrow(o.name, self.pm.sort_values(UNIVERSE))
+                        narrow(o.name, sort_values(UNIVERSE))
             else:
                 for a in lit.args:
                     if isinstance(a, ast.Var):
@@ -278,7 +281,7 @@ class Grounder:
         lits = []
         if isinstance(stmt, (DynLaw, Exec)):
             if isinstance(stmt.act, ast.Var):
-                narrow(stmt.act.name, self.pm.sort_values(stmt.sort))
+                narrow(stmt.act.name, sort_values(stmt.sort))
             lits.extend(stmt.body)
             if isinstance(stmt, DynLaw):
                 lits.append(stmt.head)

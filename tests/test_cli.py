@@ -675,3 +675,35 @@ def test_unbounded_numeric_sort_is_located_at_its_function(capsys):
         f"almc: {CORPUS / 'cell_cycle_lib.alm'}:20:11: the numeric sort "
         "'natural_numbers' is unbounded and cannot be grounded; use a range "
         "sort instead")
+
+
+UNBOUNDED_VARIABLE = """system description big
+  theory t
+    module m
+      sort declarations
+        c :: universe
+          attributes
+            w : natural_numbers
+      function declarations
+        statics
+          defined
+            big : c -> booleans
+      axioms
+        big(X) if w(X) = N, N > 2.
+  structure s
+    instances
+      a in c
+        w = 3
+"""
+
+
+def test_unbounded_rule_variable_is_located_at_its_axiom(capsys, tmp_path):
+    """A rule variable bound through an attribute over an unbounded numeric
+    sort cannot be ground; the message names the axiom that binds it."""
+    system = tmp_path / "big.alm"
+    system.write_text(UNBOUNDED_VARIABLE)
+    code, out, err = run(capsys, "states", str(system))
+    assert code == 3 and out == ""
+    assert err.strip() == (
+        f"almc: {system}:13:9: the numeric sort 'natural_numbers' is "
+        "unbounded and cannot be grounded; use a range sort instead")

@@ -11,6 +11,7 @@ import gc
 import random
 import weakref
 from collections import Counter
+from contextlib import contextmanager
 from functools import wraps
 from itertools import combinations, islice
 
@@ -554,3 +555,106 @@ def test_cr_set_minimality():
     subset = prog.solve_cr(minimality="set")
     assert frozenset({0, 1}) in {a for _, a in subset}
     assert frozenset({2}) in {a for _, a in subset}
+
+
+# ------------------------------------------------------- nogood learning
+
+@contextmanager
+def spy_learn():
+    """Record what each conflict analysis returns."""
+    learned = []
+    learn = _Search._learn
+
+    def spying(self, *args):
+        nogood = learn(self, *args)
+        learned.append(None if nogood is None else list(nogood))
+        return nogood
+
+    _Search._learn = spying
+    try:
+        yield learned
+    finally:
+        _Search._learn = learn
+
+
+def test_a_learned_nogood_of_one_literal_holds_for_the_whole_run():
+    # {a}. {b}. {c}. :- not c.  Branching c false is the only conflict; it
+    # leaves the nogood {c false}, which makes c true after every later
+    # undo too, so c is decided once instead of once per (a, b)
+    a, b, c = range(3)
+    prog = build(3, [(None, (), (c,))], choice=[a, b, c])
+    budget = Budget()
+    with spy_learn() as learned:
+        models = list(prog.answer_sets(budget=budget))
+    assert models == [
+        frozenset({c}), frozenset({b, c}), frozenset({a, c}),
+        frozenset({a, b, c})]
+    assert learned == [[2 * c + FALSE - 1]]
+    assert budget.decisions == 4  # a, b, c, and b again; 7 without learning
+
+
+def test_resolution_goes_past_the_flipped_decision():
+    # {a}. {b}. u :- not b. u :- a. x :- u, not a. y :- u, not a. :- x, y.
+    # :- not u, b.  Under a false, b false derives u, x and y; the conflict
+    # leaves {u, a false}, which makes u false before b is flipped, in b's
+    # level.  b true then violates the last rule.  Stopping at the flipped
+    # b would learn {b} and lose the model {a, b, u}; resolving u too
+    # learns {b, a false}
+    a, b, u, x, y = range(5)
+    prog = build(5, [(u, (), (b,)), (u, (a,), ()), (x, (u,), (a,)),
+                     (y, (u,), (a,)), (None, (x, y), ()),
+                     (None, (b,), (u,))], choice=[a, b])
+    with spy_learn() as learned:
+        models = list(prog.answer_sets())
+    assert models == [frozenset({a, u}), frozenset({a, b, u})]
+    assert learned == [[2 * u + TRUE - 1, 2 * a + FALSE - 1],
+                       [2 * b + TRUE - 1, 2 * a + FALSE - 1]]
+
+
+def test_a_conflict_below_the_current_level_learns_nothing():
+    # p :- not q.  q :- not p.  :- not r.  r is restored by its rule.  The
+    # applied atom is forced at level 1 (the learned nogood {r false} makes
+    # r true before the decision is flipped); the first model fills
+    # max_models=1, so the bound falls to 0, and flipping p at level 2
+    # violates it with no literal of level 2
+    r, p, q = range(3)
+    prog = build(3, [(p, (), (q,)), (q, (), (p,)), (None, (), (r,))],
+                 cr=[(r, (), ())])
+    with spy_learn() as learned:
+        found = prog.solve_cr(max_models=1)
+    assert found == [(frozenset({r, q}), frozenset({0}))]
+    assert learned == [[2 * r + FALSE - 1], None]
+
+
+@never_rejected
+def test_nogoods_learned_in_one_run_are_dropped_before_the_next():
+    # runs that learn nogoods leave none behind: the same search, with
+    # other facts and after `declare` brings new external atoms, gives the
+    # models of a fresh copy extended with add_fact, in the same order
+    rng = random.Random(7477)
+    after = Counter()
+    with spy_learn() as learned:
+        for trial in range(300):
+            n = rng.randrange(3, 13)
+            make = random_loop_program if trial % 2 else random_program
+            rules, choice, atmost = make(rng, n)
+            prog = build(n, rules, choice, atmost)
+            learning = False
+            for _ in range(6):
+                facts = rng.sample(range(n), k=rng.randrange(0, 3))
+                extended = prog.copy()
+                for k in facts:
+                    extended.add_fact(k)
+                want = list(extended.answer_sets())
+                externals = len(prog._search[1].externals) \
+                    if prog._search else 0
+                del learned[:]
+                assert list(prog.answer_sets(facts=facts)) == want, \
+                    (trial, facts)
+                search = prog._search[1]
+                assert not search.watches and not search.implied
+                if learning:
+                    after["declared" if len(search.externals) > externals
+                          else "same"] += 1
+                learning = any(learned)
+    assert after["declared"] > 30 and after["same"] > 30, after

@@ -345,6 +345,20 @@ def test_monkey_planning_is_one_search(monkey, monkeypatch, horizon,
     assert len(searches) == 1
 
 
+@pytest.mark.parametrize("horizon,n_plans,most", [(5, 0, 40), (7, 2, 300)])
+def test_monkey_planning_learns_from_its_conflicts(monkey, horizon, n_plans,
+                                                   most):
+    """With nogoods learned from each conflict, planning makes few
+    decisions: without learning it made 85 at horizon 5 (the proof that
+    no plan exists) and 1,636 at horizon 7."""
+    hist = parse_history((CORPUS / "mb.hist").read_text())
+    goal = parse_goal((CORPUS / "mb.goal").read_text())
+    budget = lpcore.Budget()
+    assert len(find_plans(monkey, hist, goal, horizon, budget).plans) \
+        == n_plans
+    assert budget.decisions <= most
+
+
 def test_validation_rejects_a_plan_that_misses_the_goal(monkey, monkey_task):
     hist, goal, plans = monkey_task
     steps = plans[0].steps

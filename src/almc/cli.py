@@ -259,12 +259,15 @@ def cmd_project(args, sink: DiagnosticSink) -> int:
     horizon = hist.max_step if args.horizon is None else args.horizon
     if args.at is not None and args.at > horizon:
         raise UsageError(f"--at {args.at} is beyond the horizon {horizon}")
-    # a bad query fails before anything is projected or printed, and a bad
-    # history before the note on its coverage
+    # a query that cannot be parsed or normalized fails before anything is
+    # projected, a bad history before the note on its coverage, and a query
+    # that cannot be ground before anything is printed
     texts = args.query or []
     queries = list(zip(texts, normalize_each(
         cs, [parse_literal_text(q) for q in texts])))
     result = temporal_project(cs, hist, horizon=horizon, budget=budget)
+    step = horizon if args.at is None else args.at
+    verdicts = [(q, entails_all(result, lits, step)) for q, lits in queries]
     covered, total = result.coverage
     if covered < total and not args.json_lines:
         print(f"note: initial situation observes {covered} of {total} basic "
@@ -286,9 +289,7 @@ def cmd_project(args, sink: DiagnosticSink) -> int:
             print(f"  step {i}: {state_text(s)}")
             if i < len(t.occurrences) and t.occurrences[i]:
                 print(f"  occurs: {', '.join(sorted(map(str, t.occurrences[i])))}")
-    for q, lits in queries:
-        step = horizon if args.at is None else args.at
-        verdict = entails_all(result, lits, step)
+    for q, verdict in verdicts:
         if args.json_lines:
             emit_json({"type": "query", "literal": q, "step": step,
                        "entailed": verdict})

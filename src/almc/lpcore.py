@@ -13,7 +13,11 @@ negation-as-failure body literals) extended with:
   of consistency-restoring search);
 * *consistency-restoring rules* — rules that may be used only when the
   regular rules are inconsistent, applied in cardinality-minimal (default)
-  or subset-minimal numbers.
+  or subset-minimal numbers (CR-Prolog, Balduccini & Gelfond 2003).  They
+  are solved as a rewrite: a copy of the program makes each of them an
+  ordinary rule guarded by a private choice atom, under one at-most group
+  over those atoms whose bound falls as models are found (`solve_cr`), so
+  every program goes through the same search and the same certifier.
 
 The search is branch-and-propagate over a trail of atoms (smodels): every
 counter is a function of the assignment, so backtracking pops atoms and
@@ -63,6 +67,7 @@ UNDEF, TRUE, FALSE = 0, 1, 2
 
 _NO_HEAD = -1
 _LOST = "lost"  # the reason of an atom whose rules are all dead
+_APPLIED = object()  # (_APPLIED, i) switches consistency-restoring rule i
 
 
 @dataclass
@@ -154,9 +159,10 @@ class Program:
         return new
 
     def _stamp(self) -> tuple:
-        """Changes whenever an atom, a rule or a group is added."""
-        return (len(self.keys), len(self.rules), len(self.cr_rules),
-                len(self.choice), len(self.atmost))
+        """Changes whenever an atom, a regular rule, a choice atom or a
+        group is added: the caches read nothing else."""
+        return (len(self.keys), len(self.rules), len(self.choice),
+                len(self.atmost))
 
     # ------------------------------------------------------------ solving
 
@@ -185,10 +191,8 @@ class Program:
             else:
                 atoms[a] = None
         search = self._multi_shot(atoms)
-        fact_rules = [(a, (), ()) for a in atoms]
         run = search.run(budget,
-                         lambda model: self.is_answer_set(model, fact_rules),
-                         atoms)
+                         lambda model: self.is_answer_set(model, atoms), atoms)
         keys = self.keys
         try:
             for model in islice(run, max_models):
@@ -220,24 +224,29 @@ class Program:
         cardinality; with "set" they are the subset-minimal ones.  Answer
         sets of the regular rules apply none, so they win if there are any.
 
-        One search runs over the program plus an "applied" atom in the body
-        of each consistency-restoring rule.  With "card" it is branch-and-
-        bound (clasp's model-guided optimization): a model that applies fewer
-        rules than the best so far resets the list and lowers the bound on
-        applied atoms to its count, and to one below once `max_models` are
-        held.  As the search branches in a fixed order, the models come in
-        the order of a search bounded by the optimum alone.  With "set" the
+        The consistency-restoring rules are solved as ordinary rules of a
+        copy: rule i, `h :- body`, becomes `h :- body, applied_i` over a
+        fresh choice atom `applied_i`, numbered after the program's atoms,
+        and the copy gets one at-most group, its last, over those atoms with
+        bound n.  With "card" one search over the copy is branch-and-bound
+        (clasp's model-guided optimization): a model that applies fewer
+        rules than the best so far resets the list and lowers the group's
+        bound to its count, and to one below once `max_models` are held.
+        As the search branches in a fixed order, the models come in the
+        order of a search bounded by the optimum alone.  With "set" the
         whole enumeration is filtered by inclusion, then cut to `max_models`.
         """
         base, n = len(self.keys), len(self.cr_rules)
-        extra = [(h, pos + (base + i,), neg)
-                 for i, (h, pos, neg) in enumerate(self.cr_rules)]
-        solver = _Search(self, extra, n)
+        prog = self.copy()
+        prog.cr_rules = []
+        for i, (h, pos, neg) in enumerate(self.cr_rules):
+            prog.add_rule(h, pos + (prog.add_choice((_APPLIED, i)),), neg)
+        prog.add_atmost([(_APPLIED, i) for i in range(n)], n)
+        solver = _Search(prog)
         card = minimality == "card"
         best = n
         found: list[tuple[frozenset, frozenset]] = []
-        for model in solver.run(
-                budget, lambda model: self.is_answer_set(model, extra, n)):
+        for model in solver.run(budget, prog.is_answer_set):
             applied = frozenset(a - base for a in model if a >= base)
             if card and len(applied) < best:
                 best, found = len(applied), []
@@ -261,9 +270,6 @@ class Program:
         positive body.  Only these atoms can be unfounded while support
         counting still sees an alive rule for them.
 
-        The graph includes the consistency-restoring rules, so one list
-        serves every search over the program; for a search without them it
-        may name a few atoms too many, which costs time, not soundness.
         Choice atoms are founded whenever they are true, so they and their
         edges are left out.  The list is empty for a tight program.  It is
         cached until the program changes.
@@ -274,7 +280,7 @@ class Program:
         n = len(self.keys)
         choice = self.choice
         succ: list[list[int]] = [[] for _ in range(n)]
-        for head, pos, _ in chain(self.rules, self.cr_rules):
+        for head, pos, _ in self.rules:
             if head != _NO_HEAD and head not in choice:
                 succ[head].extend(b for b in pos if b not in choice)
         # iterative Tarjan
@@ -339,52 +345,37 @@ class Program:
         self._index = (stamp, index)
         return index
 
-    def is_answer_set(self, model: set[int],
-                      extra_rules=(), n_extra: int = 0) -> bool:
+    def is_answer_set(self, model: set[int], facts=()) -> bool:
         """Reduct + least-model certification of a candidate against the
-        regular rules plus `extra_rules`.  The `n_extra` atoms after the
-        program's are choice atoms, as in `_Search`.
+        regular rules plus the atoms `facts`, as if added with `add_fact`.
 
         A rule with a negative body atom in the model is dropped by the
         reduct.  The least model of the rest, grown from the candidate's
-        choice atoms, must be the candidate: a fired constraint or a
-        derived atom outside the candidate ends the check."""
+        choice atoms and the facts, must be the candidate: a fired
+        constraint or a derived atom outside the candidate ends the check."""
         heads, need, bodyless, (pos_rules, pos_at), (neg_rules, neg_at) = \
             self._certifier()
-        base = len(self.keys)
         need = need[:]
         for a in model:
-            if a < base:
-                for r in neg_rules[neg_at[a]:neg_at[a + 1]]:
-                    need[r] = -1  # dropped by the reduct
+            for r in neg_rules[neg_at[a]:neg_at[a + 1]]:
+                need[r] = -1  # dropped by the reduct
         choice = self.choice
-        stack = [a for a in model if a >= base or a in choice]
+        stack = [a for a in model if a in choice]
+        stack += facts
         stack += [heads[r] for r in bodyless if need[r] == 0]
-        pending = [(h, pos) for h, pos, neg in extra_rules
-                   if not any(b in model for b in neg)]
-        derived = bytearray(base + n_extra)
-        while True:
-            while stack:
-                h = stack.pop()
-                if h == _NO_HEAD or h not in model:
-                    return False
-                if derived[h]:
-                    continue
-                derived[h] = 1
-                if h < base:
-                    for r in pos_rules[pos_at[h]:pos_at[h + 1]]:
-                        need[r] -= 1
-                        if need[r] == 0:
-                            stack.append(heads[r])
-            waiting = []
-            for h, pos in pending:
-                if all(derived[b] for b in pos):
-                    stack.append(h)
-                else:
-                    waiting.append((h, pos))
-            if not stack:
-                return derived.count(1) == len(model)
-            pending = waiting
+        derived = bytearray(len(self.keys))
+        while stack:
+            h = stack.pop()
+            if h == _NO_HEAD or h not in model:
+                return False
+            if derived[h]:
+                continue
+            derived[h] = 1
+            for r in pos_rules[pos_at[h]:pos_at[h + 1]]:
+                need[r] -= 1
+                if need[r] == 0:
+                    stack.append(heads[r])
+        return derived.count(1) == len(model)
 
 
 def _by_atom(n: int, bodies: list[tuple[int, ...]]) -> tuple[array, array]:
@@ -405,9 +396,7 @@ def _by_atom(n: int, bodies: list[tuple[int, ...]]) -> tuple[array, array]:
 
 
 class _Search:
-    """One search state over a program plus extra rules and `n_extra` extra
-    atoms, numbered after the program's.  The extra atoms are choice atoms
-    in one at-most group, the last, whose bound starts at `n_extra`.
+    """One search state over a program.
 
     The counters are functions of the assignment alone: `need[r]` counts
     the body literals of rule r that are not true, `bad[r]` those that are
@@ -433,22 +422,21 @@ class _Search:
     flipped, so the models come in the order of a search without learning.
     After the undo, `_reassert` asserts the new nogood, and each nogood
     whose implied literal was undone, where it is unit again.  A learned
-    nogood follows from the program, the run's switches and the bound on
-    the extra atoms, which only falls, so it holds until the run ends.
+    nogood follows from the program, the run's switches and the bound of
+    the last at-most group, which only falls (`lower_bound`), so it holds
+    until the run ends.
 
     `declare` makes atoms external: each gets a rule whose body is a fresh
-    choice atom, its switch, numbered after the extra atoms.  The level-0
+    choice atom, its switch, numbered after the program's atoms.  The level-0
     propagation (`_start`) leaves the switches undecided; its trail length
     is the base mark.  Each `run` sets every switch, searches, and undoes to
     the base mark, so one state serves any number of runs.  The search
     holds no reference to the program.
     """
 
-    def __init__(self, program: Program, extra_rules=(), n_extra: int = 0):
-        base = len(program.keys)
-        self.n = self.n_model = base + n_extra
-        self.choice = program.choice.union(range(base, self.n))
-        rules = chain(program.rules, extra_rules)
+    def __init__(self, program: Program):
+        self.n = self.n_model = len(program.keys)
+        self.choice = set(program.choice)
         self.externals: dict[int, int] = {}  # external atom -> its switch
         self.base = -1  # trail mark after level 0; -1 before `_start`
         self.base_ok = True
@@ -463,7 +451,7 @@ class _Search:
         negw: list[list[int]] = [[] for _ in range(self.n)]
         headw: list[list[int]] = [[] for _ in range(self.n)]
         self.support = [0] * self.n
-        for head, pos, neg in rules:
+        for head, pos, neg in program.rules:
             r = len(self.rhead)
             self.rhead.append(head)
             self.rpos.append(pos)
@@ -479,11 +467,10 @@ class _Search:
         self.negw = [tuple(w) for w in negw]
         self.headw = [tuple(w) for w in headw]
 
-        groups = program.atmost + [(range(base, self.n), n_extra)]
-        self.gmembers = [tuple(m) for m, _ in groups]
-        self.gbound = [k for _, k in groups]
-        self.gcount = [0] * len(groups)
-        self.gtag = [(g,) for g in range(len(groups))]  # their reasons
+        self.gmembers = [m for m, _ in program.atmost]
+        self.gbound = [k for _, k in program.atmost]
+        self.gcount = [0] * len(self.gbound)
+        self.gtag = [(g,) for g in range(len(self.gbound))]  # their reasons
         gwatch: list[list[int]] = [[] for _ in range(self.n)]
         for g, members in enumerate(self.gmembers):
             for a in members:
@@ -884,7 +871,8 @@ class _Search:
         return [a for a in candidates if a not in founded]
 
     def lower_bound(self, k: int) -> None:
-        """Lower the extra atoms' bound within the running search."""
+        """Lower the bound of the last at-most group within the running
+        search."""
         self.gbound[-1] = k
 
     def _at_most(self, g: int) -> bool:
@@ -900,9 +888,9 @@ class _Search:
         return True
 
     def _within_bound(self) -> bool:
-        """Apply the extra atoms' bound again to a state the search has
+        """Apply the last group's bound again to a state the search has
         backtracked to: `lower_bound` may have lowered it since."""
-        return self._at_most(-1) and self._propagate()
+        return not self.gbound or (self._at_most(-1) and self._propagate())
 
     def _pick(self) -> int:
         for a in self.order:

@@ -49,8 +49,8 @@ template: it records what the grounding reads, not what it produces, as a
 verifying trace does (Mokhov, Mitchell, Peyton Jones, *Build systems à la
 carte*, ICFP 2018).  Pre-models that differ only in what no rule reads,
 such as monkey's 8 placements, get equal keys; projection and planning
-ground one program per group of equal keys, and only the group's first
-grounder runs the template stage (`share_ground`).
+ground one program per group of equal keys, so only the group's first
+grounder runs the template stage.
 
 Only the facts of a state change from one solve to the next, so each
 program shape is ground once and solved many times with a state's facts
@@ -650,14 +650,6 @@ class Grounder:
                 tuple((f, tuple(vs)) for f, vs in self.values.items()),
                 tuple(self.actions), tuple(self.pm.consts.items()))
         return self._key
-
-    def share_ground(self, other: "Grounder") -> None:
-        """Use the rule templates and horizon-0 program that a grounder
-        with an equal `program_key` has ground so far, which equal this
-        grounder's own, so that one copy is kept per group of pre-models:
-        only the group's first grounder grounds."""
-        self._templates = other._templates
-        self._state_program = other._state_program
 
     def define_neqs(self, prog: Program, keys) -> None:
         """Define each disequality atom ``('neq', f, args, v, step)`` by one

@@ -29,9 +29,8 @@ pre-models before grounding anything, by `Grounder.program_key` (what
 grounding reads from the pre-model: the bindings that survive each
 statement's static literals, the ground fluent instances, values, actions
 and constants) and, for planning, by the ground goal, and grounds, extends
-and yields one program per group; only the group's first grounder grounds
-rule templates, and the others share its copy of the templates and of the
-horizon-0 program.  As a final guard it skips a program equal to one it
+and yields one program per group, so only the group's first grounder
+grounds rule templates.  As a final guard it skips a program equal to one it
 has already yielded: atoms, rules, choice atoms, consistency-restoring
 rules and cardinality groups are compared as they are
 (`program_fingerprint`).  Each distinct program is solved once and the
@@ -274,17 +273,14 @@ def _history_programs(
     template, and by `extend_key(g)`, which covers what `extend` reads
     from the grounder; one program is ground, extended and yielded per
     group, with the list of the grounders whose program it is.  The first
-    of them ground it; the others share what it has ground
-    (`Grounder.share_ground`) and join the list until the generator is
+    of them grounds it; the others join the list until the generator is
     exhausted."""
-    groups: dict[tuple, tuple[Grounder, list[Grounder]]] = {}
+    groups: dict[tuple, list[Grounder]] = {}
     yielded: dict[tuple, list[Grounder]] = {}
     for g in cs.grounders:
         key = (g.program_key(budget), extend_key(g))
         if key in groups:
-            leader, members = groups[key]
-            g.share_ground(leader)
-            members.append(g)
+            groups[key].append(g)
             continue
         prog = g.build_program(horizon, budget)
         _ground_history(g, hist, observed, prog, horizon)
@@ -294,7 +290,7 @@ def _history_programs(
         fresh = fp not in yielded
         members = yielded.setdefault(fp, [])
         members.append(g)
-        groups[key] = (g, members)
+        groups[key] = members
         if fresh:
             yield members, prog
 

@@ -164,6 +164,19 @@ def test_project_monkey_query(capsys):
     assert "query 'loc_in(monkey) = initial_box' at step 1: entailed" in out
 
 
+@pytest.mark.parametrize("mode", [[], ["--json-lines"]])
+def test_project_query_that_cannot_be_ground_prints_nothing(capsys, mode):
+    # the query fails when a pre-model grounds it, after the projection;
+    # no trajectory or coverage note comes before the message
+    code, out, err = run(capsys, "project", str(CORPUS / "t0.alm"),
+                         "--history", str(CORPUS / "t0.hist"),
+                         "--query", "nosuch < 3", *mode)
+    assert code == 3
+    assert out == ""
+    assert "order comparison < over non-integers" in err
+    assert "note:" not in err
+
+
 def test_project_inconsistent_history(capsys, tmp_path):
     bad = tmp_path / "bad.hist"
     bad.write_text("observed(loc_in(monkey), initial_monkey, 0).\n"

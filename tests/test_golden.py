@@ -64,6 +64,9 @@ def _cases() -> dict[str, list[str]]:
     cases["plan-mb-h5"] = plan + ["--horizon", "5"]
     cases["plan-mb-h6"] = plan + ["--horizon", "6", "--validate",
                                   "--most-specific"]
+    cases["plan-mb-h6-set"] = plan + ["--horizon", "6", "--cr-min", "set"]
+    cases["plan-mb-h6-concurrent"] = plan + ["--horizon", "6", "--concurrent",
+                                             "--max-plans", "3"]
     return cases
 
 

@@ -13,7 +13,7 @@ import weakref
 from collections import Counter
 from contextlib import contextmanager
 from functools import wraps
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -419,13 +419,16 @@ def test_search_counters_are_functions_of_the_assignment():
         make = random_loop_program if trial % 2 else random_program
         rules, choice, atmost = make(rng, n)
         prog = build(n, rules, choice, atmost)
-        # a third of the searches get consistency-restoring extra atoms
-        extra, n_extra = [], 0
+        # a third of the programs get the switches that `solve_cr` adds:
+        # choice atoms, each in the body of one rule, in a last at-most
+        # group whose bound is their number
         if trial % 3 == 0:
-            n_extra = rng.randrange(1, 3)
-            extra = [(rng.randrange(n), (n + i,), ()) for i in range(n_extra)]
-        search = _Search(prog, extra, n_extra)
-        fresh = _Search(prog, extra, n_extra)
+            switches = [("applied", i) for i in range(rng.randrange(1, 3))]
+            for key in switches:
+                prog.add_rule(rng.randrange(n), (prog.add_choice(key),))
+            prog.add_atmost(switches, len(switches))
+        search = _Search(prog)
+        fresh = _Search(prog)
         # half of them get external atoms, switched differently per run
         externals = rng.sample(range(n), k=rng.randrange(1, n + 1)) \
             if trial % 4 < 2 else []
@@ -436,10 +439,8 @@ def test_search_counters_are_functions_of_the_assignment():
         initial = (fresh.need, fresh.bad, fresh.support, fresh.gcount)
         for _ in range(2):
             facts = rng.sample(externals, k=rng.randrange(len(externals) + 1))
-            rules_now = extra + [(a, (), ()) for a in facts]
             for model in search.run(
-                    None, lambda m: prog.is_answer_set(m, rules_now, n_extra),
-                    facts):
+                    None, lambda m: prog.is_answer_set(m, facts), facts):
                 models += 1
                 assert model == {a for a in range(search.n_model)
                                  if search.status[a] == TRUE}
@@ -542,6 +543,31 @@ def test_cr_set_minimality_holds_under_max_models():
         [(frozenset({x, a}), frozenset({0}))]
     assert prog.solve_cr(max_models=1, minimality="set") == \
         [(frozenset({x, a}), frozenset({0}))]
+
+
+def test_solve_cr_is_blind_to_keys_like_its_switches():
+    # the caller names its atoms ("applied", i), as the switches of the
+    # consistency-restoring rules might be named; the results are those of
+    # the same program under other keys
+    rng = random.Random(1618)
+    for trial in range(100):
+        n = rng.randrange(2, 9)
+        rules, choice, atmost = random_program(rng, n)
+        cr = [(rng.randrange(n), tuple(rng.sample(range(n), k=rng.randrange(
+            0, 2))), ()) for _ in range(rng.randrange(1, 4))]
+        plain = build(n, rules, choice, atmost, cr)
+        named = Program()
+        for a in range(n):
+            named.atom(("applied", a))
+        named.choice = set(plain.choice)
+        named.rules, named.cr_rules = plain.rules, plain.cr_rules
+        named.atmost = plain.atmost
+        for max_models, minimality in product((None, 1), ("card", "set")):
+            want = [(frozenset(("applied", a) for a in m), applied)
+                    for m, applied in plain.solve_cr(max_models,
+                                                     minimality=minimality)]
+            assert named.solve_cr(max_models, minimality=minimality) == want, \
+                (trial, rules, choice, atmost, cr)
 
 
 def test_cr_set_minimality():
@@ -658,3 +684,38 @@ def test_nogoods_learned_in_one_run_are_dropped_before_the_next():
                           else "same"] += 1
                 learning = any(learned)
     assert after["declared"] > 30 and after["same"] > 30, after
+
+
+def random_dense_program(rng, n):
+    """About n rules of one to three body literals, a tenth of them
+    constraints, over n atoms of which half are choice atoms: enough
+    conflicts reach back past a flipped decision to test `_learn`."""
+    rules = []
+    for _ in range(n):
+        head = None if rng.random() < 0.1 else rng.randrange(n)
+        body = rng.sample(range(n), k=rng.randrange(1, 4))
+        cut = rng.randrange(len(body) + 1)
+        rules.append((head, tuple(body[:cut]), tuple(body[cut:])))
+    return rules, rng.sample(range(n), k=n // 2)
+
+
+def test_no_answer_set_violates_a_learned_nogood(monkeypatch):
+    # each nogood learned while solving a random program holds in no answer
+    # set; the answer sets come from a copy solved without learning, and
+    # the search that learns finds them too, in the same order
+    rng = random.Random(3)
+    checked = 0
+    for trial in range(150):
+        n = rng.randrange(14, 30)
+        rules, choice = random_dense_program(rng, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(_Search, "_learn", lambda self, lo, cur: None)
+            want = list(build(n, rules, choice).answer_sets())
+        with spy_learn() as learned:
+            assert list(build(n, rules, choice).answer_sets()) == want, trial
+        for nogood in filter(None, learned):
+            checked += 1
+            for model in want:
+                assert not all((lit >> 1 in model) == (lit % 2 == 0)
+                               for lit in nogood), (trial, nogood, model)
+    assert checked > 300, checked

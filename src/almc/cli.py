@@ -216,8 +216,7 @@ def cmd_bat(args, sink: DiagnosticSink) -> int:
 def cmd_states(args, sink: DiagnosticSink) -> int:
     budget = make_budget(args)
     cs = compile_from_path(args.file, search_paths_of(args), sink, budget)
-    diagrams = build_diagrams(cs.grounders, budget=budget,
-                              with_transitions=False)
+    diagrams = build_diagrams(cs, budget=budget, with_transitions=False)
     for m, d in enumerate(diagrams):
         if not args.json_lines:
             print(f"model {m}: {len(d.states)} state(s)"
@@ -235,7 +234,7 @@ def cmd_states(args, sink: DiagnosticSink) -> int:
 def cmd_transitions(args, sink: DiagnosticSink) -> int:
     budget = make_budget(args)
     cs = compile_from_path(args.file, search_paths_of(args), sink, budget)
-    diagrams = build_diagrams(cs.grounders, args.action_sets, budget)
+    diagrams = build_diagrams(cs, args.action_sets, budget)
     for m, d in enumerate(diagrams):
         if not args.json_lines:
             print(f"model {m}: {len(d.states)} state(s), "

@@ -34,23 +34,24 @@ instance whose arithmetic has no value (`X mod 0`) is dropped, as gringo
 drops it, and the budget's deadline is read in both stages and while steps
 are added.
 
-Pre-models come from `system_pre_models`, which grounds and solves one
-more program per placement of the structure's objects: a grounder whose
-atoms are the derived statics instead of the fluents grounds the rules
-that derive static values (`statics_theory`), and each answer set
-completes the placement into one pre-model, as the paper's translation
-into a logic program decides these values.  Callers build one grounder per
-pre-model once and pass the grounders around (`build_diagrams` takes them).
-Once the ground fluent instances, values, actions and object constants are
-fixed, the template stage reads nothing else from the pre-model.  So
-`program_key`, the reads and those four, covers everything a history
-program reads from a pre-model, and it is computed without grounding a
-template: it records what the grounding reads, not what it produces, as a
-verifying trace does (Mokhov, Mitchell, Peyton Jones, *Build systems à la
-carte*, ICFP 2018).  Pre-models that differ only in what no rule reads,
-such as monkey's 8 placements, get equal keys; projection and planning
-ground one program per group of equal keys, so only the group's first
-grounder runs the template stage.
+Pre-models come from `system_pre_models`, which grounds and solves one more
+program per placement of the structure's objects: a grounder whose atoms
+are the derived statics instead of the fluents grounds the rules that
+derive static values (`statics_theory`), and each answer set completes the
+placement into one pre-model, as the paper's translation into a logic
+program decides these values.  A compiled system builds one grounder per
+pre-model (`CompiledSystem.grounders`).  When the ground fluent instances,
+values, actions and object constants are fixed, the template stage reads
+nothing else from the pre-model.  So `program_key`, the reads and those
+four, covers everything a history program or a diagram reads from a
+pre-model, and it is computed without grounding a template: it records what
+the grounding reads, not what it produces, as a verifying trace does
+(Mokhov, Mitchell, Peyton Jones, *Build systems à la carte*, ICFP 2018).
+Pre-models that differ only in what no rule reads, such as monkey's 8
+placements, get equal keys.  A compiled system groups its grounders by key
+(`CompiledSystem.groups`), and every task enumerates the states or grounds
+the programs of a group once, so only the group's first grounder runs the
+template stage.
 
 Only the facts of a state change from one solve to the next, so each
 program shape is ground once and solved many times with a state's facts
@@ -74,7 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain, product
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from almc.bat import (
     ActionTheory, CmpLit, DynLaw, Exec, FunLit, OccLit, _has_fluent_lit,
@@ -92,6 +93,9 @@ from almc.ontology import (
     ACTIONS, FALSE, TRUE, UNIVERSE, FuncInfo, dom_name,
 )
 from almc.syntax import ast
+
+if TYPE_CHECKING:
+    from almc.tasks import CompiledSystem
 
 MAX_GROUND_INSTANCES = 2_000_000
 
@@ -228,9 +232,8 @@ class Grounder:
             self.tuples[f.name] = [tuple(t) for t in product(*doms)]
             self.values[f.name] = pm.sort_values(f.result, f.span)
         self.actions: list[Value] = list(pm.members.get(ACTIONS, ()))
-        #: `reads` and `program_key`, computed on first use
+        #: `reads`, computed on first use
         self._reads: Optional[tuple] = None
-        self._key: Optional[tuple] = None
         #: rule templates by group, built by the first `build_program` call
         self._templates: Optional[tuple[tuple, ...]] = None
         self._state_program: Optional[Program] = None
@@ -641,15 +644,13 @@ class Grounder:
         pre-model checks (`reads`), the ground fluent instances
         and values, the actions and the object constants.  The rule
         templates are a function of this key, so grounders with equal keys
-        ground equal programs at every horizon.  Computed once per
-        grounder, without grounding a template or a program."""
-        if self._key is None:
-            self._key = (
-                self.reads(budget),
+        ground equal programs at every horizon.  Computed without grounding
+        a template or a program, once per grounder by a compiled system
+        (`CompiledSystem.groups`)."""
+        return (self.reads(budget),
                 tuple((f, tuple(ts)) for f, ts in self.tuples.items()),
                 tuple((f, tuple(vs)) for f, vs in self.values.items()),
                 tuple(self.actions), tuple(self.pm.consts.items()))
-        return self._key
 
     def define_neqs(self, prog: Program, keys) -> None:
         """Define each disequality atom ``('neq', f, args, v, step)`` by one
@@ -792,7 +793,6 @@ def compute_transitions(g: Grounder, states: list[State],
 
 @dataclass
 class Diagram:
-    grounder: Grounder
     states: list[State]
     transitions: list[Transition]
     well_founded: bool
@@ -858,16 +858,18 @@ def system_pre_models(theory: ActionTheory, structure: ast.Structure,
     return out
 
 
-def build_diagrams(grounders: list[Grounder], action_sets: str = "singleton",
+def build_diagrams(cs: CompiledSystem, action_sets: str = "singleton",
                    budget: Optional[Budget] = None,
                    with_transitions: bool = True) -> list[Diagram]:
-    """One diagram per pre-model with a non-empty set of states."""
-    diagrams = []
-    for g in grounders:
+    """One diagram per pre-model with a non-empty set of states, in
+    pre-model order.  The pre-models of a group (`cs.groups`) ground equal
+    programs, so the first one's diagram is every member's."""
+    shared: dict[Grounder, Diagram] = {}
+    for group in cs.groups:
+        g = group[0]
         space = enumerate_states(g, budget)
-        if not space.states:
-            continue
-        trans = compute_transitions(g, space.states, action_sets, budget) \
-            if with_transitions else []
-        diagrams.append(Diagram(g, space.states, trans, space.well_founded))
-    return diagrams
+        trans = (compute_transitions(g, space.states, action_sets, budget)
+                 if with_transitions and space.states else [])
+        shared.update(dict.fromkeys(
+            group, Diagram(space.states, trans, space.well_founded)))
+    return [d for d in map(shared.get, cs.grounders) if d.states]

@@ -133,10 +133,6 @@ class RangeSort:
 SortName = Union[str, RangeSort]
 
 
-def sort_key(s: SortName) -> str:
-    return s if isinstance(s, str) else s.name
-
-
 @dataclass(frozen=True)
 class AttrDecl:
     name: str

@@ -21,23 +21,23 @@ literal's atom is read off the trajectories.
 
 Systems can have several pre-models that differ only in how objects are
 placed into source sorts.  A `CompiledSystem` computes its pre-models once,
-on first use, and keeps one `Grounder` per pre-model (`grounders`); every
-task iterates that list.  The ground programs such pre-models induce are
-often literally identical because statics are evaluated away.  Both tasks
-get their programs from one generator (`_history_programs`).  It groups the
-pre-models before grounding anything, by `Grounder.program_key` (what
-grounding reads from the pre-model: the bindings that survive each
-statement's static literals, the ground fluent instances, values, actions
-and constants) and, for planning, by the ground goal, and grounds, extends
-and yields one program per group, so only the group's first grounder
-grounds rule templates.  As a final guard it skips a program equal to one it
-has already yielded: atoms, rules, choice atoms, consistency-restoring
-rules and cardinality groups are compared as they are
-(`program_fingerprint`).  Each distinct program is solved once and the
-trajectories/plans are merged across pre-models; a projection keeps the
-grounders of every pre-model with a trajectory, which ground its queries.
-A plan is validated by projecting the history with the plan's occurrences
-given to the solver as facts and reading its goal as a query.
+on first use, keeps one `Grounder` per pre-model (`grounders`) and groups
+them by `Grounder.program_key` (`groups`), which is what grounding reads
+from the pre-model: the bindings that survive each statement's static
+literals, the ground fluent instances, values, actions and constants.  The
+pre-models of a group ground equal programs, since statics are evaluated
+away, and every task reads the groups.  Both tasks here get their programs
+from one generator (`_history_programs`), which splits the groups, for
+planning, by the ground goal and grounds, extends and yields one program
+per group, so only the group's first grounder grounds rule templates.  As
+a final guard it skips a program equal to one it has already yielded:
+atoms, rules, choice atoms, consistency-restoring rules and cardinality
+groups are compared as they are (`program_fingerprint`).  Each distinct
+program is solved once and the trajectories/plans are merged across
+pre-models; a projection keeps the grounders of every pre-model with a
+trajectory, which ground its queries.  A plan is validated by projecting
+the history with the plan's occurrences given to the solver as facts and
+reading its goal as a query.
 """
 
 from __future__ import annotations
@@ -88,6 +88,16 @@ class CompiledSystem:
                 "statics have no consistent values in any placement of its "
                 "objects", self.structure.span)
         return [Grounder(self.theory, pm, self.sink) for pm in pms]
+
+    @cached_property
+    def groups(self) -> list[list[Grounder]]:
+        """The grounders grouped by equal `Grounder.program_key`, in
+        grounder order.  A group's grounders ground equal programs at every
+        horizon, so every task grounds and solves them with the first."""
+        groups: dict[tuple, list[Grounder]] = {}
+        for g in self.grounders:
+            groups.setdefault(g.program_key(self.budget), []).append(g)
+        return list(groups.values())
 
 
 def compile_system(node: ast.System, search_paths: list[str],
@@ -187,7 +197,8 @@ class ProjectionResult:
     #: the grounder of every pre-model with a trajectory, which ground
     #: queries (`entails_at`)
     grounders: list[Grounder] = field(default_factory=list)
-    #: the history's `initial_coverage`
+    #: how much of the initial situation the history states (`_coverage`);
+    #: unobserved instances default to "undefined at step 0"
     coverage: tuple[int, int] = (0, 0)
 
     @property
@@ -269,29 +280,27 @@ def _history_programs(
     equal to one already yielded.  `observed` holds the history's
     `_observation_lits`.
 
-    Pre-models are grouped by `Grounder.program_key`, which grounds no
-    template, and by `extend_key(g)`, which covers what `extend` reads
-    from the grounder; one program is ground, extended and yielded per
-    group, with the list of the grounders whose program it is.  The first
-    of them grounds it; the others join the list until the generator is
-    exhausted."""
-    groups: dict[tuple, list[Grounder]] = {}
-    yielded: dict[tuple, list[Grounder]] = {}
+    The groups are `cs.groups` split by `extend_key(g)`, which covers what
+    `extend` reads from the grounder, in the order of their first
+    grounders.  A group's first grounder grounds, extends and yields its
+    program with the group's grounders; a group whose program was already
+    yielded joins that program's list."""
+    group_of = {g: i for i, group in enumerate(cs.groups) for g in group}
+    split: dict[tuple, list[Grounder]] = {}
     for g in cs.grounders:
-        key = (g.program_key(budget), extend_key(g))
-        if key in groups:
-            groups[key].append(g)
-            continue
+        split.setdefault((group_of[g], extend_key(g)), []).append(g)
+    yielded: dict[tuple, list[Grounder]] = {}
+    for members in split.values():
+        g = members[0]
         prog = g.build_program(horizon, budget)
         _ground_history(g, hist, observed, prog, horizon)
         if extend is not None:
             extend(g, prog)
         fp = program_fingerprint(prog)
-        fresh = fp not in yielded
-        members = yielded.setdefault(fp, [])
-        members.append(g)
-        groups[key] = members
-        if fresh:
+        if fp in yielded:
+            yielded[fp].extend(members)
+        else:
+            yielded[fp] = members
             yield members, prog
 
 
@@ -384,19 +393,10 @@ def entails_all(result: ProjectionResult, lits: list, step: int) -> bool:
     return True
 
 
-def initial_coverage(cs: CompiledSystem, hist: History) -> tuple[int, int]:
-    """(observed-at-0 instances, all ground basic fluent instances).
-
-    Unobserved instances default to "undefined at step 0"; the count lets
-    callers report how much of the initial situation was stated explicitly.
-    A projection reports it too (`ProjectionResult.coverage`).
-    """
-    return _coverage(cs, hist, _observation_lits(cs, hist))
-
-
 def _coverage(cs: CompiledSystem, hist: History,
               observed: list) -> tuple[int, int]:
-    """`initial_coverage` from the history's `_observation_lits`."""
+    """(observed-at-0 instances, all ground basic fluent instances), from
+    the history's `_observation_lits`."""
     g = cs.grounders[0]
     basic = {f.name: len(g.tuples[f.name]) for f in g.basic_nondom_fluents()}
     seen = set()
@@ -600,12 +600,13 @@ def check_well_founded(cs: CompiledSystem,
 
     First a syntactic test: if no definition cycle passes through a negated
     defined function, the defined part is uniquely determined by the basic
-    part.  Otherwise the states of every pre-model are enumerated and each
-    fluent assignment is certified.
+    part.  Otherwise the states of each group of equal pre-models
+    (`CompiledSystem.groups`) are enumerated once and each fluent
+    assignment is certified.
     """
     if _stratified_definitions(cs.theory):
         return WellFoundedReport(True, "syntactic")
-    for g in cs.grounders:
+    for g, *_ in cs.groups:
         space = enumerate_states(g, budget)
         if space.ambiguous:
             return WellFoundedReport(False, "semantic",

@@ -24,22 +24,26 @@ def flat_of(name: str, search=()):
     return flat
 
 
+def sort_name(s: ast.SortName) -> str:
+    return s if isinstance(s, str) else s.name
+
+
 def sort_links(mod: ast.Module):
     links, attrs = set(), set()
     for sd in mod.sorts:
         for n in sd.names:
             for p in sd.parents:
-                links.add((n, ast.sort_key(p)))
+                links.add((n, sort_name(p)))
             for a in sd.attrs:
                 attrs.add((n, a.name,
-                           tuple(ast.sort_key(x) for x in a.args),
-                           ast.sort_key(a.result)))
+                           tuple(sort_name(x) for x in a.args),
+                           sort_name(a.result)))
     return links, attrs
 
 
 def func_decls(mod: ast.Module):
-    return {(f.name, tuple(ast.sort_key(a) for a in f.args),
-             ast.sort_key(f.result), f.total, f.cat, f.basic)
+    return {(f.name, tuple(sort_name(a) for a in f.args),
+             sort_name(f.result), f.total, f.cat, f.basic)
             for f in mod.functions}
 
 

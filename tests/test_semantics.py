@@ -13,6 +13,7 @@ from itertools import product
 
 import pytest
 
+from almc import tasks
 from almc.bat import CmpLit, Constraint, DynLaw, FunLit, OccLit
 from almc.errors import BudgetExceeded, DiagnosticSink
 from almc.lpcore import Budget, Program
@@ -24,8 +25,8 @@ from almc.semantics import (
 )
 from almc.syntax.parser import parse_file, parse_literal_text
 from almc.tasks import (
-    History, compile_system, entails_at, program_fingerprint,
-    temporal_project,
+    History, check_well_founded, compile_system, entails_at,
+    program_fingerprint, temporal_project,
 )
 
 from conftest import CORPUS, parse_path
@@ -140,7 +141,7 @@ def test_diagrams_ground_one_program_per_horizon(monkeypatch):
         return build(self, horizon, sink)
 
     monkeypatch.setattr(Grounder, "build_program", counting)
-    diagrams = build_diagrams(grounders)
+    diagrams = build_diagrams(cs)
     assert sum(len(d.states) for d in diagrams) > 2
     assert set(calls.values()) == {1}
     assert len(calls) <= 2 * len(grounders)
@@ -169,7 +170,7 @@ def test_travel_certifies_only_the_models_it_returns(monkeypatch):
     monkeypatch.setattr(Program, "answer_sets", counting_answer_sets)
     grounders = cs.grounders
     assert any(g.state_program().loop_atoms() for g in grounders)
-    diagrams = build_diagrams(grounders)
+    diagrams = build_diagrams(cs)
     assert sum(len(d.transitions) for d in diagrams) > 0
     assert calls["models"] > 0
     assert calls["certify"] == calls["models"]
@@ -680,6 +681,100 @@ def test_equal_program_keys_give_equal_templates():
         grouped += sizes[-1] > 1
         split += len(sizes) > 1
     assert grouped > 0 and split > 0
+
+
+def ungrouped(cs, run):
+    """`run()` with grouping switched off: `Grounder.program_key` gives
+    every grounder a key, and so a group, of its own.  `cs.groups` is
+    cached, so it is dropped before and after the run."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Grounder, "program_key", lambda self, budget=None: id(self))
+        cs.__dict__.pop("groups", None)
+        try:
+            result = run()
+            assert len(cs.groups) == len(cs.grounders)
+            return result
+        finally:
+            cs.__dict__.pop("groups", None)
+
+
+# objects e0 and e1 are each placed in kind_a or kind_b; only e1's
+# placement is read, so the 4 pre-models have the keys A, B, A, B
+INTERLEAVED = """
+system description interleaved
+  theory t
+    module m
+      sort declarations
+        elems :: universe
+        kind_a, kind_b :: elems
+        acts :: actions
+      function declarations
+        fluents
+          basic
+            p : elems -> booleans
+      axioms
+        occurs(A) causes p(X) if instance(A, acts), instance(X, elems).
+        false if instance(X, kind_a), p(X), X = e1.
+  structure s
+    instances
+      e0 in elems
+      e1 in elems
+      act0 in acts
+"""
+
+# n_w_f with x placed in c1 or c2, which no rule reads: not stratified,
+# not well-founded, and 2 pre-models with one key
+NWF_PLACED = """
+system description n_w_f_placed
+  theory n_w_f
+    module main
+      sort declarations
+        c :: universe
+        c1, c2 :: c
+      function declarations
+        fluents
+          defined
+            f : c -> booleans
+            g : c -> booleans
+      axioms
+        f(X) if -g(X).
+        g(X) if -f(X).
+  structure n_w_f
+    instances
+      x in c
+"""
+
+
+def diagram_results(cs):
+    """What `states`, `transitions` and `check --well-founded` compute."""
+    return ([build_diagrams(cs, sets) for sets in ("singleton", "powerset")],
+            build_diagrams(cs, with_transitions=False),
+            check_well_founded(cs))
+
+
+def test_equal_program_keys_give_equal_diagrams(monkeypatch):
+    """The key is sound for diagrams too: run with every pre-model a group
+    of its own, the states, the transitions of both kinds of action sets
+    and the semantic well-foundedness check are the grouped runs'.  A
+    system whose pre-models all have keys of their own is skipped, as both
+    runs are the same computation.  Monkey (8 pre-models of 10,416 states)
+    and cell_cycle2 take minutes per run, so only their templates are
+    checked (above)."""
+    monkeypatch.setattr(tasks, "_stratified_definitions", lambda th: False)
+    systems = [compile_system(parse_path(CORPUS / f"{name}.alm"),
+                              [str(CORPUS)], DiagnosticSink())
+               for name in ("t0", "travel", "professors", "n_w_f")]
+    systems += [compile_src(INTERLEAVED), compile_src(NWF_PLACED)]
+    checked = split = ambiguous = 0
+    for cs in [*systems, *placed_bat_systems()]:
+        if len(cs.groups) == len(cs.grounders):
+            continue
+        grouped = diagram_results(cs)
+        assert ungrouped(cs, lambda: diagram_results(cs)) == grouped
+        checked += 1
+        split += len(cs.groups) > 1
+        ambiguous += grouped[2].witness is not None
+    assert checked > 20 and split > 0 and ambiguous > 0
 
 
 STATIC_HEAD = """

@@ -1,23 +1,26 @@
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
-from almc import lpcore, tasks
+from almc import lpcore, semantics, tasks
 from almc.cli import compile_from_path, main
 from almc.errors import BudgetExceeded, DiagnosticSink, InputError
 from almc.lpcore import Program
-from almc.semantics import Grounder
+from almc.semantics import Grounder, State, StateSpace
 from almc.syntax.parser import parse_file, parse_literal_text
 from almc.tasks import (
-    check_well_founded, compile_system, entails_at, find_plans,
-    Plan, initial_coverage, normalize_goal, parse_goal, parse_history,
+    History, WellFoundedReport, check_well_founded, compile_system,
+    entails_at, find_plans, Plan, normalize_goal, parse_goal, parse_history,
     prefer_most_specific, temporal_project, validate_plan,
 )
 
 from conftest import CORPUS
-from test_semantics import make_source
+from test_semantics import (
+    INTERLEAVED, NWF_PLACED, compile_src, make_source, ungrouped,
+)
 
 
 TOGGLE = """
@@ -115,8 +118,8 @@ def test_projection_does_not_guess_occurrences(toggle):
 
 def test_initial_coverage(toggle):
     hist = parse_history("observed(up(s1), false, 0).")
-    assert initial_coverage(toggle, hist) == (1, 1)
-    assert initial_coverage(toggle, parse_history("")) == (0, 1)
+    assert temporal_project(toggle, hist).coverage == (1, 1)
+    assert temporal_project(toggle, parse_history("")).coverage == (0, 1)
 
 
 # ------------------------------------------------------------ one literal path
@@ -146,10 +149,10 @@ def test_observation_gives_a_fluent_a_value_within_its_sorts(t0, fact):
 
 
 def test_initial_coverage_counts_what_projection_grounds(t0):
+    # an observation past step 0 is not counted; one outside the fluent's
+    # sorts is rejected before coverage is counted (see above)
     hist = parse_history(T0_HIST + "observed(g(x), o, 1).")
-    assert initial_coverage(t0, hist) == (1, 2)
-    assert initial_coverage(t0, parse_history("observed(g(z), o, 0).")) \
-        == (0, 2)
+    assert temporal_project(t0, hist).coverage == (1, 2)
 
 
 @pytest.mark.parametrize("query,entailed", [
@@ -488,28 +491,29 @@ def test_grounders_are_freed_by_reference_counting():
         gc.enable()
 
 
-def keyed_history_programs(monkeypatch, cs, run, goal=()):
+def keyed_history_programs(cs, run, goal=()):
     """(group key, program fingerprint) of the history program of every
-    pre-model, from a task run with grouping switched off."""
-    found = []
-    program_key = Grounder.program_key
+    pre-model, from a task run with grouping switched off (`ungrouped`)."""
     goal_lits = normalize_goal(cs, list(goal))
-    cs.grounders  # the pre-models, whose derivation groups too, come first
+    keys = {g: (g.program_key(),
+                tuple(g.ground_lit(lit, {}) for lit in goal_lits))
+            for g in cs.grounders}
+    found = []
+    ground_history = tasks._ground_history
     fingerprint = tasks.program_fingerprint
 
-    def ungrouped(self, budget=None):
-        found.append([(program_key(self, budget),
-                       tuple(self.ground_lit(lit, {}) for lit in goal_lits))])
-        return len(found)  # a key of its own: every pre-model is ground
+    def noted(g, *args):
+        found.append([keys[g]])
+        return ground_history(g, *args)
 
     def recorded(prog):
         found[-1].append(fingerprint(prog))
         return found[-1][-1]
 
-    monkeypatch.setattr(Grounder, "program_key", ungrouped)
-    monkeypatch.setattr(tasks, "program_fingerprint", recorded)
-    run()
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tasks, "_ground_history", noted)
+        m.setattr(tasks, "program_fingerprint", recorded)
+        ungrouped(cs, run)
     return [tuple(pair) for pair in found]
 
 
@@ -520,7 +524,7 @@ def assert_equal_keys_give_equal_programs(pairs):
     return len(pairs) - len(programs)  # pre-models sharing a program
 
 
-def test_equal_group_keys_give_equal_history_programs(monkeypatch):
+def test_equal_group_keys_give_equal_history_programs():
     shared = 0
     cases = [
         ("monkey_and_banana.alm", "mb.hist", "mb.goal", 3),
@@ -535,12 +539,12 @@ def test_equal_group_keys_give_equal_history_programs(monkeypatch):
         h = parse_history((CORPUS / hist).read_text() if hist else "")
         if goal is None:
             pairs = keyed_history_programs(
-                monkeypatch, cs, lambda: temporal_project(cs, h, horizon))
+                cs, lambda: temporal_project(cs, h, horizon))
         else:
             g = parse_goal((CORPUS / goal).read_text()
                            if goal.endswith(".goal") else goal)
             pairs = keyed_history_programs(
-                monkeypatch, cs, lambda: find_plans(cs, h, g, horizon), g)
+                cs, lambda: find_plans(cs, h, g, horizon), g)
         assert len(pairs) == len(cs.grounders)
         shared += assert_equal_keys_give_equal_programs(pairs)
     assert shared >= 2 * 7  # monkey's 8 pre-models, twice
@@ -567,12 +571,89 @@ def test_equal_group_keys_give_equal_history_programs(monkeypatch):
         goal = parse_goal("d(e0).")
         for pairs in [
                 keyed_history_programs(
-                    monkeypatch, cs, lambda: temporal_project(cs, hist, 2)),
+                    cs, lambda: temporal_project(cs, hist, 2)),
                 keyed_history_programs(
-                    monkeypatch, cs, lambda: find_plans(cs, hist, goal, 2),
-                    goal)]:
+                    cs, lambda: find_plans(cs, hist, goal, 2), goal)]:
             assert len(pairs) == len(cs.grounders) > 1
             sharing = assert_equal_keys_give_equal_programs(pairs)
             shared += sharing
             distinct += len(pairs) - sharing > 1
     assert shared > 0 and distinct > 0
+
+
+# ------------------------------------------------------------ one grouping
+
+def count_enumerations(monkeypatch):
+    """Stub `enumerate_states` and `compute_transitions` with counters:
+    one empty state per call, well-founded, and no transitions."""
+    calls = Counter()
+
+    def states(g, budget=None):
+        calls["states"] += 1
+        return StateSpace([State.of({})], True, [])
+
+    def transitions(g, states, action_sets="singleton", budget=None):
+        calls["transitions"] += 1
+        return []
+
+    monkeypatch.setattr(semantics, "enumerate_states", states)
+    monkeypatch.setattr(tasks, "enumerate_states", states)
+    monkeypatch.setattr(semantics, "compute_transitions", transitions)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["states", "transitions"])
+def test_monkey_diagrams_enumerate_once_for_8_pre_models(
+        monkeypatch, capsys, command):
+    """Monkey's 8 pre-models share one key: one enumeration, 8 blocks."""
+    calls = count_enumerations(monkeypatch)
+    assert main([command, str(CORPUS / "monkey_and_banana.alm"),
+                 "--lib", str(CORPUS)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out
+            if line.startswith("model ")] == [f"model {m}" for m in range(8)]
+    assert calls["states"] == 1
+    assert calls["transitions"] == (command == "transitions")
+
+
+def test_well_founded_check_enumerates_once_per_group(monkeypatch):
+    cs = compile_src(NWF_PLACED)
+    assert len(cs.grounders) == 2 and len(cs.groups) == 1
+    assert not check_well_founded(cs).well_founded
+    calls = count_enumerations(monkeypatch)
+    assert check_well_founded(cs) == WellFoundedReport(True, "semantic")
+    assert calls["states"] == 1
+
+
+def yielded_members(monkeypatch, cs, run):
+    """The grounders of each program that `_history_programs` yields, as
+    indices into `cs.grounders`, taken when the program is yielded."""
+    seen = []
+    history_programs = tasks._history_programs
+
+    def spied(*args, **kwargs):
+        for members, prog in history_programs(*args, **kwargs):
+            seen.append([cs.grounders.index(g) for g in members])
+            yield members, prog
+
+    with monkeypatch.context() as m:
+        m.setattr(tasks, "_history_programs", spied)
+        run()
+    return seen
+
+
+def test_programs_are_yielded_in_first_member_order(monkeypatch):
+    # a goal on the hierarchy splits professors' one key group: alice is
+    # an associate in the second pre-model only
+    cs = compile_from_path(str(CORPUS / "professors.alm"), [])
+    goal = parse_goal("instance(alice, associate).")
+    assert yielded_members(monkeypatch, cs, lambda: find_plans(
+        cs, History(), goal, 1)) == [[0, 2], [1]]
+    # key groups [[0, 2], [1, 3]], split by e0's placement, which is kind_a
+    # in pre-models 0 and 1
+    cs = compile_src(INTERLEAVED)
+    assert [[cs.grounders.index(g) for g in group]
+            for group in cs.groups] == [[0, 2], [1, 3]]
+    goal = parse_goal("instance(e0, kind_a).")
+    assert yielded_members(monkeypatch, cs, lambda: find_plans(
+        cs, History(), goal, 1)) == [[0], [1], [2], [3]]

@@ -276,6 +276,12 @@ class PreModel:
     def static_value(self, func: str, args: tuple[Value, ...]) -> Optional[Value]:
         return self.statics.get((func, args))
 
+    def holds_is_a(self, obj: Value, sort: str) -> bool:
+        """`is_a(obj, sort)`: the object is placed in the sort or declared
+        in it."""
+        return sort in self.is_a.get(obj, frozenset()) \
+            or sort in self.declared.get(obj, ())
+
 
 # -------------------------------------------------- term / literal evaluation
 

@@ -51,7 +51,10 @@ Pre-models that differ only in what no rule reads, such as monkey's 8
 placements, get equal keys.  A compiled system groups its grounders by key
 (`CompiledSystem.groups`), and every task enumerates the states or grounds
 the programs of a group once, so only the group's first grounder runs the
-template stage.
+template stage.  The grounders of one system share their reads stage per
+statement (`ReadsMemo`): a statement is read for the first pre-model with
+every query of it recorded, and a later pre-model that answers those
+queries alike reuses the reading instead of reading the statement again.
 
 Only the facts of a state change from one solve to the next, so each
 program shape is ground once and solved many times with a state's facts
@@ -74,7 +77,7 @@ sets witness that the theory is not well-founded.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, product
+from itertools import chain, islice, product
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from almc.bat import (
@@ -85,6 +88,7 @@ from almc.errors import (
     BudgetExceeded, DiagnosticSink, SemanticError, Span,
 )
 from almc.lpcore import Budget, Program
+from almc.memo import ReadsMemo, TracedPreModel
 from almc.modular import (
     PreModel, UndefinedArithmetic, Value, compare, enumerate_placements,
     eval_ground_term, structure_static_rules,
@@ -103,14 +107,15 @@ MAX_GROUND_INSTANCES = 2_000_000
 # ------------------------------------------------------------ static truth
 
 def hier_true(pm: PreModel, name: str, args: tuple[Value, ...]) -> bool:
+    """Truth of a hierarchy literal.  Here and in `static_truth` the
+    pre-model is read only through its query methods, which the reads
+    stage records (`TracedPreModel`)."""
     sig = pm.sig
     if name == "instance":
         o, c = args
         return isinstance(c, str) and pm.is_instance(o, c)
     if name == "is_a":
-        o, c = args
-        return (c in pm.is_a.get(o, frozenset())
-                or c in pm.declared.get(o, ()))
+        return pm.holds_is_a(*args)
     if name == "link":
         c1, c2 = args
         return c1 in sig.sorts and c2 in sig.parents(c1)
@@ -334,7 +339,6 @@ class Grounder:
             stages[max((depth[v] for v in lit_vars(lit)), default=0)].append(i)
         env: dict[str, Value] = {}
         results: list = [True] * len(lits)
-        _check_time(budget)
         for i in stages[0]:
             results[i] = self.ground_lit(lits[i], env)
             if results[i] is False:
@@ -425,47 +429,66 @@ class Grounder:
         return isinstance(lit, CmpLit) or \
             isinstance(lit, FunLit) and not self._is_atom_lit(lit)
 
-    def _read_bindings(self, budget: Optional[Budget]) -> tuple:
-        """The reads stage, the only one that walks the pre-model: per
-        statement (state constraints, definitions, dynamic laws,
-        executability conditions, in this order) the pair ``(names,
-        bindings)`` of its variables and of the bindings, each the tuple
-        of its variables' values, that survive the statement's static and
-        comparison literals (`bindings`) and its pre-model checks, in
-        binding order.  A binding whose static head holds is dropped, as
-        the rule is discharged, and so is a law's binding whose action is
-        not an instance of its sort."""
+    def _read_bindings(self, budget: Optional[Budget],
+                       memo: Optional[ReadsMemo] = None) -> tuple:
+        """The reads stage, the only one that walks the pre-model: the
+        reads entry of each statement (`_read_statement`), in the order
+        state constraints, definitions, dynamic laws, executability
+        conditions.  With a `memo`, the pre-model is read through a
+        `TracedPreModel` and an entry is reused when it answers the entry's
+        recorded queries alike.  The budget's clock is read before each
+        statement, computed or reused."""
         th, pm = self.theory, self.pm
-        out = []
-        for stmt in chain(th.constraints, th.definitions, th.dynamic,
-                          th.executability):
-            head = getattr(stmt, "head", None)
-            static_head = head is not None and not self._is_atom_lit(head)
-            law = isinstance(stmt, (DynLaw, Exec))
-            static = [lit for lit in stmt.body if self._is_static_lit(lit)]
-            kept = []
-            env: dict[str, Value] = {}
-            for env, _ in self.bindings(stmt, static, budget):
-                try:
-                    if law:
-                        if not pm.is_instance(self.eval_term(stmt.act, env),
-                                              stmt.sort):
-                            continue
-                    elif static_head and static_truth(
-                            pm, head, tuple(self.eval_term(a, env)
-                                            for a in head.args),
-                            self.eval_term(head.value, env)):
-                        continue
-                except UndefinedArithmetic:
-                    continue
-                kept.append(tuple(env.values()))
-            out.append((tuple(env) if kept else (), tuple(kept)))
-        return tuple(out)
+        if memo is not None:
+            self.pm = TracedPreModel(pm)
+        try:
+            out = []
+            for i, stmt in enumerate(chain(th.constraints, th.definitions,
+                                           th.dynamic, th.executability)):
+                _check_time(budget)
+                out.append(self._read_statement(stmt, budget) if memo is None
+                           else memo.read(self, i, stmt, budget))
+            return tuple(out)
+        finally:
+            self.pm = pm
 
-    def reads(self, budget: Optional[Budget] = None) -> tuple:
-        """The reads stage (`_read_bindings`), run once per grounder."""
+    def _read_statement(self, stmt, budget: Optional[Budget]) -> tuple:
+        """One statement's reads entry: the pair ``(names, bindings)`` of
+        its variables and of the bindings, each the tuple of its variables'
+        values, that survive the statement's static and comparison literals
+        (`bindings`) and its pre-model checks, in binding order.  A binding
+        whose static head holds is dropped, as the rule is discharged, and
+        so is a law's binding whose action is not an instance of its
+        sort."""
+        pm = self.pm
+        head = getattr(stmt, "head", None)
+        static_head = head is not None and not self._is_atom_lit(head)
+        law = isinstance(stmt, (DynLaw, Exec))
+        static = [lit for lit in stmt.body if self._is_static_lit(lit)]
+        kept = []
+        env: dict[str, Value] = {}
+        for env, _ in self.bindings(stmt, static, budget):
+            try:
+                if law:
+                    if not pm.is_instance(self.eval_term(stmt.act, env),
+                                          stmt.sort):
+                        continue
+                elif static_head and static_truth(
+                        pm, head, tuple(self.eval_term(a, env)
+                                        for a in head.args),
+                        self.eval_term(head.value, env)):
+                    continue
+            except UndefinedArithmetic:
+                continue
+            kept.append(tuple(env.values()))
+        return (tuple(env) if kept else (), tuple(kept))
+
+    def reads(self, budget: Optional[Budget] = None,
+              memo: Optional[ReadsMemo] = None) -> tuple:
+        """The reads stage (`_read_bindings`), run on first use, through
+        `memo` if one is given, and kept."""
         if self._reads is None:
-            self._reads = self._read_bindings(budget)
+            self._reads = self._read_bindings(budget, memo)
         return self._reads
 
     def _completed(self, stmt, read: tuple, budget: Optional[Budget]
@@ -638,7 +661,8 @@ class Grounder:
             self._state_program = self.build_program(0, budget)
         return self._state_program
 
-    def program_key(self, budget: Optional[Budget] = None) -> tuple:
+    def program_key(self, budget: Optional[Budget] = None,
+                    memo: Optional[ReadsMemo] = None) -> tuple:
         """Everything a history program reads from the pre-model: the
         bindings that survive each statement's static literals and
         pre-model checks (`reads`), the ground fluent instances
@@ -646,8 +670,10 @@ class Grounder:
         templates are a function of this key, so grounders with equal keys
         ground equal programs at every horizon.  Computed without grounding
         a template or a program, once per grounder by a compiled system
-        (`CompiledSystem.groups`)."""
-        return (self.reads(budget),
+        (`CompiledSystem.groups`), whose grounders share one `memo`: each
+        statement is read once and then checked per pre-model by the
+        queries its reading made."""
+        return (self.reads(budget, memo),
                 tuple((f, tuple(ts)) for f, ts in self.tuples.items()),
                 tuple((f, tuple(vs)) for f, vs in self.values.items()),
                 tuple(self.actions), tuple(self.pm.consts.items()))
@@ -828,13 +854,17 @@ def system_pre_models(theory: ActionTheory, structure: ast.Structure,
     a state program, with the structure's values of them as facts.
     Stratified definitions give one answer set; conflicting statics give
     none.  Placements with equal program keys and facts share one program
-    and its answer sets.  The budget is read for every placement and while
-    a program is ground and solved."""
+    and its answer sets, and the grounders of several placements share one
+    `ReadsMemo`.  The budget is read for every placement and while a
+    program is ground and solved."""
     rules, derived = statics_theory(theory, structure, sink)
     sig = theory.sig
     solved: dict[tuple, list] = {}
     out = []
-    for pm in enumerate_placements(sig, structure, sink):
+    placements = enumerate_placements(sig, structure, sink)
+    ahead = list(islice(placements, 2))
+    memo = ReadsMemo() if len(ahead) > 1 else None
+    for pm in chain(ahead, placements):
         _check_time(budget)
         for f in sig.functions.values():  # a fluent sort's error first
             for key in (*f.args, f.result) if f.is_fluent else ():
@@ -842,7 +872,7 @@ def system_pre_models(theory: ActionTheory, structure: ast.Structure,
         g = Grounder(rules, pm, sink, derived)
         facts = tuple(("v", f, args, v, 0)
                       for (f, args), v in pm.statics.items() if f in derived)
-        group = (g.program_key(budget), facts)
+        group = (g.program_key(budget, memo), facts)
         if group not in solved:
             prog = g.build_program(0, budget)
             for fact in facts:

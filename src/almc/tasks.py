@@ -52,6 +52,7 @@ from almc.bat import (
 )
 from almc.errors import DiagnosticSink, InputError, SemanticError
 from almc.lpcore import Budget, Program
+from almc.memo import ReadsMemo
 from almc.modular import Value, flatten_system
 from almc.ontology import (
     ACTIONS, BASIC_FLUENT, FALSE, TRUE, Signature, build_signature,
@@ -93,10 +94,14 @@ class CompiledSystem:
     def groups(self) -> list[list[Grounder]]:
         """The grounders grouped by equal `Grounder.program_key`, in
         grounder order.  A group's grounders ground equal programs at every
-        horizon, so every task grounds and solves them with the first."""
+        horizon, so every task grounds and solves them with the first.  The
+        grounders of several pre-models share one `ReadsMemo`: each
+        statement is read for the first pre-model and then reused by every
+        later one that answers the queries of that reading alike."""
+        memo = ReadsMemo() if len(self.grounders) > 1 else None
         groups: dict[tuple, list[Grounder]] = {}
         for g in self.grounders:
-            groups.setdefault(g.program_key(self.budget), []).append(g)
+            groups.setdefault(g.program_key(self.budget, memo), []).append(g)
         return list(groups.values())
 
 

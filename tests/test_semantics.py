@@ -9,6 +9,7 @@ with evaluators written here from scratch.
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -17,6 +18,7 @@ from almc import tasks
 from almc.bat import CmpLit, Constraint, DynLaw, FunLit, OccLit
 from almc.errors import BudgetExceeded, DiagnosticSink
 from almc.lpcore import Budget, Program
+from almc.memo import ReadsMemo
 from almc.modular import UndefinedArithmetic, compare, enumerate_placements
 from almc.ontology import BASIC_FLUENT, DEFINED_FLUENT, FALSE, TRUE, dom_name
 from almc.semantics import (
@@ -688,7 +690,8 @@ def ungrouped(cs, run):
     every grounder a key, and so a group, of its own.  `cs.groups` is
     cached, so it is dropped before and after the run."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(Grounder, "program_key", lambda self, budget=None: id(self))
+        m.setattr(Grounder, "program_key",
+                  lambda self, budget=None, memo=None: id(self))
         cs.__dict__.pop("groups", None)
         try:
             result = run()
@@ -836,6 +839,97 @@ def test_program_keys_tell_apart_what_the_templates_read(src):
     assert a.build_program(1).rules != b.build_program(1).rules
 
 
+def test_memoised_program_keys_are_exact(monkeypatch):
+    """The reads memo (`ReadsMemo`) changes no key: every `program_key`
+    that a compiled system or `system_pre_models` takes through a memo
+    equals the key whose reads stage runs on that grounder alone, with no
+    memo, on the corpus, the random BATs and the placed BATs."""
+    program_key = Grounder.program_key
+    memoised = []
+
+    def exact(self, budget=None, memo=None):
+        key = program_key(self, budget, memo)
+        assert key == (self._read_bindings(None),) + key[1:]
+        memoised.append(memo is not None)
+        return key
+
+    monkeypatch.setattr(Grounder, "program_key", exact)
+    systems = [compile_system(parse_path(CORPUS / f"{name}.alm"),
+                              [str(CORPUS)], DiagnosticSink())
+               for name in GROUND_SYSTEMS]
+    rng = random.Random(413)
+    systems += [compile_src(make_source(rng)) for _ in range(100)]
+    for cs in [*systems, *placed_bat_systems()]:
+        assert len(cs.groups) <= len(cs.grounders)
+    assert sum(memoised) > 600 and not all(memoised)
+
+
+# e0 is placed in kind_a or kind_b, and the first axiom reads the placement
+# through one query; the second reads only the sort elems
+PLACED_READS = """
+system description placed
+  theory t
+    module m
+      sort declarations
+        elems :: universe
+        kind_a, kind_b :: elems
+      function declarations
+        statics
+          basic
+            d : booleans
+{}        fluents
+          basic
+            p : booleans
+            q : elems -> booleans
+      axioms
+        {}
+        false if q(X), -p.
+  structure s
+    instances
+      e0 in elems
+    values of statics
+      d if instance(e0, kind_a).
+"""
+OVER_KIND_A = "          defined\n            w : kind_a -> booleans\n"
+
+
+@pytest.mark.parametrize("decls,axiom", [
+    (OVER_KIND_A, "false if -w(X), p."),
+    ("", "false if is_a(e0, kind_a), p."),
+    ("", "false if d, p.")], ids=["domain", "is-a", "derived-static"])
+def test_memoised_keys_tell_apart_one_query(decls, axiom):
+    """Two placements that differ only in one query of a statement (the
+    members of kind_a, which only the domain of X reads, also in the
+    domain definition of w; an is_a literal; a static derived from the
+    placement) get different keys: the second pre-model computes that
+    statement anew and reuses the other statement's entry itself."""
+    cs = compile_src(PLACED_READS.format(decls, axiom))
+    assert len(cs.groups) == 2
+    a, b = cs.grounders
+    assert a.program_key()[1:] == b.program_key()[1:]
+    assert a.reads()[0] != b.reads()[0]
+    assert a.reads()[1] is b.reads()[1]
+
+
+def test_memoised_keys_ignore_a_sort_no_statement_reads():
+    """Placements that differ only in kind_a and kind_b, which no
+    statement reads, get equal keys, and the second pre-model reuses the
+    first one's reads entries themselves."""
+    cs = compile_src(PLACED_READS.format("", "false if q(X), p."))
+    a, b = cs.grounders
+    assert [a.pm.is_a["e0"], b.pm.is_a["e0"]] == [{"kind_a"}, {"kind_b"}]
+    assert cs.groups == [[a, b]]
+    assert a.program_key() == b.program_key()
+    assert all(x is y for x, y in zip(a.reads(), b.reads()))
+    # the object constants are compared whole: a pre-model with one more
+    # constant, which no statement reads, reads every statement anew
+    memo = ReadsMemo()
+    c, d = (Grounder(cs.theory, pm)
+            for pm in (a.pm, replace(a.pm, consts={"n": 1})))
+    assert c.reads(None, memo) == d.reads(None, memo)
+    assert not any(x is y for x, y in zip(c.reads(), d.reads()))
+
+
 # ------------------------------------------------------------ static values
 
 def statics_system(decls, axioms, structure="      a in c\n      b in c\n",
@@ -980,7 +1074,7 @@ def test_grouped_statics_programs_give_the_ungrouped_pre_models(
     grouped = [system_pre_models(cs.theory, cs.structure, cs.sink)
                for cs in systems]
     monkeypatch.setattr(Grounder, "program_key",
-                        lambda self, budget=None: next(alone))
+                        lambda self, budget=None, memo=None: next(alone))
     assert grouped == [system_pre_models(cs.theory, cs.structure, cs.sink)
                        for cs in systems]
     assert next(alone) >= sum(map(len, grouped))  # one key per placement

@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 import weakref
 from collections import Counter
 
@@ -9,6 +10,7 @@ from almc import lpcore, semantics, tasks
 from almc.cli import compile_from_path, main
 from almc.errors import BudgetExceeded, DiagnosticSink, InputError
 from almc.lpcore import Program
+from almc.memo import ReadsMemo
 from almc.semantics import Grounder, State, StateSpace
 from almc.syntax.parser import parse_file, parse_literal_text
 from almc.tasks import (
@@ -407,20 +409,41 @@ def test_monkey_grounds_one_history_program_per_task(monkey, monkey_task,
 def record_stages(monkeypatch):
     """Record each run of the reads stage and of the template stage as
     ``(stage, grounder, exception or None)``, the runs of the statics
-    programs that derive the pre-models (`system_pre_models`) included."""
+    programs that derive the pre-models (`system_pre_models`) included,
+    and each statement whose reads entry is computed rather than reused
+    (`ReadsMemo`) as ``("statement", grounder, None)``."""
     runs = []
     for stage, name in (("reads", "_read_bindings"),
                         ("templates", "_ground_templates")):
-        def recorded(self, budget, stage=stage, real=getattr(Grounder, name)):
+        def recorded(self, budget, *memo, stage=stage,
+                     real=getattr(Grounder, name)):
             try:
-                out = real(self, budget)
+                out = real(self, budget, *memo)
             except Exception as exc:
                 runs.append((stage, self, exc))
                 raise
             runs.append((stage, self, None))
             return out
         monkeypatch.setattr(Grounder, name, recorded)
+    read_statement = Grounder._read_statement
+
+    def computed(self, stmt, budget):
+        runs.append(("statement", self, None))
+        return read_statement(self, stmt, budget)
+
+    monkeypatch.setattr(Grounder, "_read_statement", computed)
     return runs
+
+
+def statements_read(runs, grounders):
+    """Per grounder, in order, the statements its reads stage computed
+    and those it reused."""
+    total = [len(g.theory.constraints + g.theory.definitions
+                 + g.theory.dynamic + g.theory.executability)
+             for g in grounders]
+    computed = [sum(stage == "statement" and h is g for stage, h, _ in runs)
+                for g in grounders]
+    return computed, [t - c for t, c in zip(total, computed)]
 
 
 MB = [str(CORPUS / "monkey_and_banana.alm"), "--lib", str(CORPUS),
@@ -432,22 +455,32 @@ def test_monkey_plan_and_validation_ground_templates_once(monkeypatch,
     """`plan --validate` reads each of monkey's 8 pre-models once to key
     it, and grounds rule templates once, for the first of the group: the
     keys are cached, so validation finds the templates already ground.
-    The same holds for the statics programs that derive the pre-models,
-    whose theory has no causal law: each placement is read once, and the
-    templates of their one group are ground once."""
+    The reads are memoised per statement (`ReadsMemo`): the first
+    pre-model computes all 43 statements, and each later one computes only
+    the 5 that read the sorts `carry` or `climb`, where its placement of
+    the `move` actions differs, and reuses the other 38.  The same holds
+    for the statics programs that derive the pre-models, whose theory has
+    no causal law: each placement is read once, its first computes all 6
+    statements and each later one 1, and the templates of their one group
+    are ground once."""
     runs = record_stages(monkeypatch)
     code = main(["plan", *MB, "--goal", str(CORPUS / "mb.goal"),
                  "--horizon", "6", "--validate"])
     out = capsys.readouterr().out
     assert code == 0 and out.count("re-execution: reaches the goal") == 2
-    statics = [(stage, g) for stage, g, _ in runs if not g.theory.dynamic]
+    stages = [(stage, g) for stage, g, _ in runs if stage != "statement"]
+    statics = [(stage, g) for stage, g in stages if not g.theory.dynamic]
     assert [stage for stage, _ in statics] == \
         ["reads", "templates"] + ["reads"] * 7
     assert len({id(g) for _, g in statics}) == 8
-    runs = [(stage, g) for stage, g, _ in runs if g.theory.dynamic]
-    reads = [g for stage, g in runs if stage == "reads"]
+    assert statements_read(runs, [g for stage, g in statics
+                                  if stage == "reads"]) == \
+        ([6] + [1] * 7, [0] + [5] * 7)
+    stages = [(stage, g) for stage, g in stages if g.theory.dynamic]
+    reads = [g for stage, g in stages if stage == "reads"]
     assert len(reads) == len({id(g) for g in reads}) == 8
-    assert [(stage, g) for stage, g in runs if stage == "templates"] \
+    assert statements_read(runs, reads) == ([43] + [5] * 7, [0] + [38] * 7)
+    assert [(stage, g) for stage, g in stages if stage == "templates"] \
         == [("templates", reads[0])]
 
 
@@ -471,6 +504,40 @@ def test_zero_budget_stops_pre_model_derivation(monkeypatch, capsys):
     assert "budget exhausted" in capsys.readouterr().err
     assert len(stopped) == 1 and stopped[0].deadline is not None
     assert runs == []
+
+
+def test_deadline_after_the_first_reads_stops_a_member(monkeypatch, capsys):
+    """The reads stage reads the clock before each statement, computed or
+    reused: a deadline that passes once the first of monkey's pre-models
+    has been read stops the second, all but 5 of whose statements the memo
+    would reuse, before its first statement, with exit 4."""
+    read_bindings = Grounder._read_bindings
+    read = ReadsMemo.read
+    runs, statements = [], []
+
+    def expiring(self, budget, memo=None):
+        try:
+            out = read_bindings(self, budget, memo)
+        except BudgetExceeded:
+            runs.append(("stopped", self))
+            raise
+        runs.append(("read", self))
+        if self.theory.dynamic:
+            budget.deadline = time.monotonic() - 1
+        return out
+
+    def noted(memo, g, *args):
+        statements.append(g)
+        return read(memo, g, *args)
+
+    monkeypatch.setattr(Grounder, "_read_bindings", expiring)
+    monkeypatch.setattr(ReadsMemo, "read", noted)
+    assert main(["project", *MB, "--budget-seconds", "100"]) == 4
+    assert "budget exhausted" in capsys.readouterr().err
+    runs = [(what, g) for what, g in runs if g.theory.dynamic]
+    assert [what for what, _ in runs] == ["read", "stopped"]
+    assert statements.count(runs[0][1]) == 43
+    assert runs[1][1] not in statements
 
 
 def test_grounders_are_freed_by_reference_counting():

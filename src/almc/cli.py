@@ -238,7 +238,8 @@ def cmd_transitions(args, sink: DiagnosticSink) -> int:
     for m, d in enumerate(diagrams):
         if not args.json_lines:
             print(f"model {m}: {len(d.states)} state(s), "
-                  f"{len(d.transitions)} transition(s)")
+                  f"{len(d.transitions)} transition(s)"
+                  + ("" if d.well_founded else " [not well-founded]"))
             for i, s in enumerate(d.states):
                 print(f"  state {i}: {state_text(s)}")
         for i, acts, j in sorted(d.transitions,

@@ -68,15 +68,23 @@ search, so each of these solves only switches the facts of its state.
 States are enumerated by adding free choices over the values of basic
 fluents (with the companion domain atoms closed as "false unless a value
 exists", a generation aid only) to a copy of the horizon-0 program.  Every
-candidate is then certified: the program with the candidate's non-defined
-atoms as facts must have exactly one answer set, equal to the candidate.
-Candidates sharing a fluent assignment whose certification finds two answer
-sets witness that the theory is not well-founded.
+candidate is then certified (`certify_state`): the program with the
+candidate's non-defined atoms as facts must have exactly one answer set,
+equal to the candidate, and every domain must be settled.  A candidate
+read off an answer set of a program that contains the state rules is
+always one answer set of that program, so the check needs no search when
+the theory is `stratified`, which makes the program stratified and so its
+answer set unique: the test runs once per grounder, and only the domains
+are read per candidate.  Otherwise the program is solved for up to two
+answer sets, and a candidate with two witnesses that the theory is not
+well-founded; its diagram is kept even when no state is left, so that
+`states` and `transitions` can mark it ``[not well-founded]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain, islice, product
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -693,6 +701,12 @@ class Grounder:
 
     # ---------------------------------------------------- state machinery
 
+    @cached_property
+    def stratified(self) -> bool:
+        """`stratified` of the theory, computed on the first
+        certification and not once per state."""
+        return stratified(self.theory)
+
     def basic_nondom_fluents(self) -> list[FuncInfo]:
         return [f for f in self.sig.functions.values()
                 if f.kind == "basic fluent" and f.dom_of is None]
@@ -766,10 +780,90 @@ def enumerate_states(g: Grounder, budget: Optional[Budget] = None
     return StateSpace(states, well_founded=not ambiguous, ambiguous=ambiguous)
 
 
-def certify_state(g: Grounder, cand: State,
-                  budget: Optional[Budget] = None) -> str:
+def stratified(theory: ActionTheory) -> bool:
+    """Does no cycle of the theory's fluent dependencies pass through a
+    negated defined function?
+
+    The edges go from the head of each definition, and of each state
+    constraint whose head is a fluent, to every function its body reads.
+    An edge is negative when it reads a defined function other than as
+    ``= true`` or ``!= false``: a false defined atom holds by the closed
+    world assumption, and so does ``d != true``, while a false basic atom
+    is an atom like any other.  Basic-headed state constraints count, as
+    a negated defined fluent can reach its own definition through a basic
+    fluent that no state fixes (`certify_state` has an example)."""
+    fns = theory.sig.functions
+    edges: dict[str, set[tuple[str, bool]]] = {}
+    for clause in chain(theory.definitions, theory.constraints):
+        head = clause.head
+        if head is None or not (fns[head.func].is_defined
+                                or fns[head.func].is_fluent):
+            continue
+        for lit in clause.body:
+            if not isinstance(lit, FunLit) or lit.func not in fns:
+                continue
+            positive = not fns[lit.func].is_defined or (
+                isinstance(lit.value, ast.Sym)
+                and (lit.op == "=") == (lit.value.name == TRUE))
+            edges.setdefault(head.func, set()).add((lit.func, not positive))
+    # look for a cycle containing a negative edge
+    for start in edges:
+        stack = [(start, False)]
+        seen: set[tuple[str, bool]] = set()
+        while stack:
+            node, has_neg = stack.pop()
+            for nxt, negated in edges.get(node, ()):
+                flag = has_neg or negated
+                if nxt == start and flag:
+                    return False
+                if (nxt, flag) not in seen:
+                    seen.add((nxt, flag))
+                    stack.append((nxt, flag))
+    return True
+
+
+def certify_state(g: Grounder, cand: State, budget: Optional[Budget] = None,
+                  derived: bool = True) -> str:
     """Definitional check: 'state', 'ambiguous' (several answer sets), or
-    'rejected'."""
+    'rejected'.  The full check solves the horizon-0 program Π with the
+    candidate's non-defined atoms F as facts: the candidate is a state if
+    Π ∪ F has exactly one answer set, equal to the candidate, and every
+    basic fluent's domain is settled.
+
+    Precondition: the candidate is the value atoms at a step t of an
+    answer set M of a program that contains Π's rules at step t and whose
+    other rules derive no defined atom of step t, and no disequality atom
+    of step t except by `define_neqs`.  The generation program of
+    `enumerate_states` meets it, and so does a history program of
+    `temporal_project`, except at step 0 when the history observes a
+    defined fluent there: that observation is a fact, and the caller
+    passes ``derived=False`` to get the full check.
+
+    Under the precondition, when the theory is `stratified`, the verdict
+    needs no search: 'rejected' if a domain is unsettled, else 'state'.
+
+    Proof.  Let N be the atoms of Π (at step t) true in M.  Π's rules
+    mention step t only, so N satisfies the reduct Π^N, as M satisfies its
+    own.  Each atom of N is in F, or is a defined atom, which only Π's
+    rules derive in M, or a disequality atom, which holds iff a sibling
+    value does, as in Π; by induction on its derivation in M it is in the
+    least model of Π^N ∪ F.  So N is an answer set of Π ∪ F, and its value
+    atoms are the candidate.  It is the only one: give each fluent f a
+    level L(f) no lower than its body's and higher than its negated body's
+    (`stratified` says one exists), and put f's atoms at 2·L(f), except a
+    defined d's false atoms and ``d != true`` at 2·L(d)+1.  The only
+    negation in Π is the closed world assumption, d = false if not
+    d = true, so Π ∪ F is stratified and has at most one answer set (Apt,
+    Blair, Walker, *Towards a theory of declarative knowledge*, 1988);
+    constraints can only remove it.  So the full check finds one answer
+    set, the candidate, and only the domain test is left.
+
+    Stratified definitions alone are not enough: with ``d1 if b.``,
+    ``d2 if -d1.`` and the state constraint ``b if -d2.``, where `b` is a
+    basic fluent with no value in the candidate, Π ∪ F has a second answer
+    set, which derives `b` from ``-d2``."""
+    if derived and g.stratified:
+        return "rejected" if g.unsettled_domains(cand) else "state"
     answers = list(g.state_program(budget).answer_sets(
         max_models=2, budget=budget, facts=g.state_facts(cand, 0)))
     if len(answers) != 1:
@@ -891,9 +985,10 @@ def system_pre_models(theory: ActionTheory, structure: ast.Structure,
 def build_diagrams(cs: CompiledSystem, action_sets: str = "singleton",
                    budget: Optional[Budget] = None,
                    with_transitions: bool = True) -> list[Diagram]:
-    """One diagram per pre-model with a non-empty set of states, in
-    pre-model order.  The pre-models of a group (`cs.groups`) ground equal
-    programs, so the first one's diagram is every member's."""
+    """One diagram per pre-model with a non-empty set of states, or with
+    a candidate that is not well-founded, in pre-model order.  The
+    pre-models of a group (`cs.groups`) ground equal programs, so the
+    first one's diagram is every member's."""
     shared: dict[Grounder, Diagram] = {}
     for group in cs.groups:
         g = group[0]
@@ -902,4 +997,5 @@ def build_diagrams(cs: CompiledSystem, action_sets: str = "singleton",
                  if with_transitions and space.states else [])
         shared.update(dict.fromkeys(
             group, Diagram(space.states, trans, space.well_founded)))
-    return [d for d in map(shared.get, cs.grounders) if d.states]
+    return [d for d in map(shared.get, cs.grounders)
+            if d.states or not d.well_founded]

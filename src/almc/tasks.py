@@ -58,7 +58,8 @@ from almc.ontology import (
     ACTIONS, BASIC_FLUENT, FALSE, TRUE, Signature, build_signature,
 )
 from almc.semantics import (
-    Grounder, State, certify_state, enumerate_states, system_pre_models,
+    Grounder, State, certify_state, enumerate_states, stratified,
+    system_pre_models,
 )
 from almc.syntax import ast, tokenize
 from almc.syntax.parser import _Parser
@@ -180,6 +181,9 @@ def parse_goal(text: str, filename: str = "") -> list[ast.Lit]:
             raise InputError("a goal cannot mention occurs", lit.span)
         parser.expect(".")
         out.append(lit)
+    if not out:
+        raise InputError("a goal needs one or more literals",
+                         parser.peek().span)
     return out
 
 
@@ -309,17 +313,6 @@ def _history_programs(
             yield members, prog
 
 
-def _close_domains(g: Grounder, state: State) -> State:
-    """Make the minimal reading explicit: a basic fluent with no derived
-    value has a false domain atom in the state."""
-    unsettled = g.unsettled_domains(state)
-    if not unsettled:
-        return state
-    vals = state.as_dict()
-    vals.update(dict.fromkeys(unsettled, FALSE))
-    return State.of(vals)
-
-
 def temporal_project(cs: CompiledSystem, hist: History,
                      horizon: Optional[int] = None,
                      budget: Optional[Budget] = None,
@@ -329,6 +322,12 @@ def temporal_project(cs: CompiledSystem, hist: History,
     passed to the solver so that the history program stays the same."""
     n = hist.max_step if horizon is None else horizon
     observed = _observation_lits(cs, hist)
+    # an observed defined value is a fact at step 0, which the state rules
+    # need not derive (`certify_state`'s precondition)
+    fns = cs.sig.functions
+    given_at_0 = any(step == 0 and isinstance(lit, FunLit)
+                     and lit.func in fns and fns[lit.func].is_defined
+                     for lit, (_, _, step) in zip(observed, hist.observed))
     found: dict[Trajectory, None] = {}
     with_models: list[list[Grounder]] = []
     for members, prog in _history_programs(cs, hist, observed, n, budget):
@@ -336,13 +335,13 @@ def temporal_project(cs: CompiledSystem, hist: History,
         state_cache: dict[State, str] = {}
         with_model = False
         for model in prog.answer_sets(budget=budget, facts=facts):
-            states = tuple(_close_domains(g, g.state_from_model(model, i))
-                           for i in range(n + 1))
+            states = tuple(g.state_from_model(model, i) for i in range(n + 1))
             ok = True
-            for s in states:
+            for i, s in enumerate(states):
                 verdict = state_cache.get(s)
                 if verdict is None:
-                    verdict = certify_state(g, s, budget)
+                    verdict = certify_state(g, s, budget,
+                                            derived=i > 0 or not given_at_0)
                     state_cache[s] = verdict
                 if verdict != "state":
                     ok = False
@@ -603,13 +602,15 @@ def check_well_founded(cs: CompiledSystem,
                        budget: Optional[Budget] = None) -> WellFoundedReport:
     """Is every candidate state's definitional check deterministic?
 
-    First a syntactic test: if no definition cycle passes through a negated
-    defined function, the defined part is uniquely determined by the basic
-    part.  Otherwise the states of each group of equal pre-models
+    First a syntactic test (`stratified`): if no cycle of the definitions
+    and of the fluent-headed state constraints passes through a negated
+    defined function, the state program with a candidate's non-defined
+    atoms as facts is stratified, so it has at most one answer set.
+    Otherwise the states of each group of equal pre-models
     (`CompiledSystem.groups`) are enumerated once and each fluent
     assignment is certified.
     """
-    if _stratified_definitions(cs.theory):
+    if stratified(cs.theory):
         return WellFoundedReport(True, "syntactic")
     for g, *_ in cs.groups:
         space = enumerate_states(g, budget)
@@ -617,30 +618,3 @@ def check_well_founded(cs: CompiledSystem,
             return WellFoundedReport(False, "semantic",
                                      witness=space.ambiguous[0])
     return WellFoundedReport(True, "semantic")
-
-
-def _stratified_definitions(theory: ActionTheory) -> bool:
-    defined = {f.name for f in theory.sig.functions.values() if f.is_defined}
-    edges: dict[str, set[tuple[str, bool]]] = {d: set() for d in defined}
-    for clause in theory.definitions:
-        d = clause.head.func
-        for lit in clause.body:
-            if not isinstance(lit, FunLit) or lit.func not in defined:
-                continue
-            positive = (lit.op == "=") == (
-                isinstance(lit.value, ast.Sym) and lit.value.name == TRUE)
-            edges[d].add((lit.func, not positive))
-    # look for a cycle containing a negative edge
-    for start in defined:
-        stack = [(start, False)]
-        seen: set[tuple[str, bool]] = set()
-        while stack:
-            node, has_neg = stack.pop()
-            for nxt, negated in edges.get(node, ()):
-                flag = has_neg or negated
-                if nxt == start and flag:
-                    return False
-                if (nxt, flag) not in seen:
-                    seen.add((nxt, flag))
-                    stack.append((nxt, flag))
-    return True

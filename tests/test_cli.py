@@ -42,6 +42,20 @@ def test_check_well_founded_monkey(capsys):
     assert "well-founded (syntactic check)" in out
 
 
+@pytest.mark.parametrize("cmd, header", [
+    ("states", "model 0: 0 state(s) [not well-founded]\n"),
+    ("transitions", "model 0: 0 state(s), 0 transition(s) "
+                    "[not well-founded]\n")], ids=["states", "transitions"])
+def test_diagram_without_states_is_marked_not_well_founded(capsys, cmd,
+                                                           header):
+    # every candidate of n_w_f is ambiguous, so its one diagram has no
+    # states; it is printed with its marker, and only `check
+    # --well-founded` exits 3
+    code, out, _ = run(capsys, cmd, str(CORPUS / "n_w_f.alm"))
+    assert code == 0
+    assert out == header
+
+
 def test_check_well_founded_needs_a_structure(capsys):
     # a bare theory has no states to check: a usage error, not a silent ok
     path = CORPUS / "commonsense_lib.alm"
@@ -309,6 +323,21 @@ def test_missing_history_or_goal_is_input_error(capsys, flag, tmp_path):
     code, err = run_to_exit(capsys, *argv)
     assert code == 2
     assert "cannot read" in err and "missing.txt" in err
+
+
+@pytest.mark.parametrize("text, where", [("", "1:1"),
+                                         ("% no literal\n\n", "3:1")],
+                         ids=["empty", "comment"])
+def test_goal_without_a_literal_is_input_error(capsys, tmp_path, text,
+                                               where):
+    goal = tmp_path / "empty.goal"
+    goal.write_text(text)
+    code, err = run_to_exit(
+        capsys, "plan", str(CORPUS / "t0.alm"),
+        "--history", str(CORPUS / "t0.hist"), "--goal", str(goal),
+        "--horizon", "1")
+    assert code == 2
+    assert f"{goal}:{where}: a goal needs one or more literals" in err
 
 
 def test_missing_system_file_is_input_error():

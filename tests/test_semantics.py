@@ -10,11 +10,11 @@ import random
 import time
 from collections import Counter
 from dataclasses import replace
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
-from almc import tasks
+from almc import semantics, tasks
 from almc.bat import CmpLit, Constraint, DynLaw, FunLit, OccLit
 from almc.errors import BudgetExceeded, DiagnosticSink
 from almc.lpcore import Budget, Program
@@ -23,15 +23,15 @@ from almc.modular import UndefinedArithmetic, compare, enumerate_placements
 from almc.ontology import BASIC_FLUENT, DEFINED_FLUENT, FALSE, TRUE, dom_name
 from almc.semantics import (
     Grounder, _body_keys, _rule, build_diagrams, enumerate_states,
-    compute_transitions, static_truth, system_pre_models,
+    compute_transitions, static_truth, stratified, system_pre_models,
 )
 from almc.syntax.parser import parse_file, parse_literal_text
 from almc.tasks import (
-    History, check_well_founded, compile_system, entails_at,
+    History, check_well_founded, compile_system, entails_at, parse_history,
     program_fingerprint, temporal_project,
 )
 
-from conftest import CORPUS, parse_path
+from conftest import CORPUS, parse_path, read
 
 
 def compile_src(src: str, search=()):
@@ -203,7 +203,12 @@ def neg(rng):
     return "-" if rng.random() < 0.5 else ""
 
 
-def make_source(rng):
+def make_source(rng, reads_d=False):
+    """A random action theory over the fluents p, q, r and the defined d.
+    With `reads_d`, it also has a nullary basic fluent u, unset in some
+    states, and a defined e that reads d, and state constraints with a
+    basic head read d or e, negated or not; d may read u.  Those draws
+    come after every other, so the stream without `reads_d` is kept."""
     n_obj = rng.randrange(1, 3)
     objects = [f"e{i}" for i in range(n_obj)]
     n_act = rng.randrange(1, 3)
@@ -255,9 +260,21 @@ def make_source(rng):
         axioms[d_at] = \
             f"{axioms[d_at][:-1]}, {neg(rng)}{rng.choice(statics)}(X)."
 
+    defined = ""
+    if reads_d:
+        defined = "\n            e : elems -> booleans"
+        axioms.append(f"e(X) if {neg(rng)}d(X), instance(X, elems).")
+        for _ in range(rng.randrange(1, 3)):
+            head = rng.choice(["u", "-u", lit()])
+            axioms.append(f"{head} if {neg(rng)}{rng.choice('de')}(X), "
+                          "instance(X, elems).")
+        if rng.random() < 0.5:
+            axioms[d_at] = f"{axioms[d_at][:-1]}, {neg(rng)}u."
+        fluents.append("u")
+
     decls = "\n".join(
         f"              {'total ' if f in total else ''}{f} : "
-        "elems -> booleans" for f in fluents)
+        f"{'' if f == 'u' else 'elems -> '}booleans" for f in fluents)
     static_decls = "\n".join(f"            {st} : elems -> booleans"
                              for st in statics)
     ax = "\n".join(f"        {a}" for a in axioms)
@@ -278,7 +295,7 @@ system description rnd
           basic
 {decls}
           defined
-            d : elems -> booleans
+            d : elems -> booleans{defined}
       axioms
 {ax}
   structure b
@@ -758,12 +775,15 @@ def diagram_results(cs):
 def test_equal_program_keys_give_equal_diagrams(monkeypatch):
     """The key is sound for diagrams too: run with every pre-model a group
     of its own, the states, the transitions of both kinds of action sets
-    and the semantic well-foundedness check are the grouped runs'.  A
-    system whose pre-models all have keys of their own is skipped, as both
-    runs are the same computation.  Monkey (8 pre-models of 10,416 states)
+    and the semantic well-foundedness check are the grouped runs'.  With
+    `stratified` off, the well-foundedness check is semantic and each
+    state takes the full definitional check by search.  A system whose
+    pre-models all have keys of their own is skipped, as both runs are
+    the same computation.  Monkey (8 pre-models of 10,416 states)
     and cell_cycle2 take minutes per run, so only their templates are
     checked (above)."""
-    monkeypatch.setattr(tasks, "_stratified_definitions", lambda th: False)
+    for module in (semantics, tasks):
+        monkeypatch.setattr(module, "stratified", lambda th: False)
     systems = [compile_system(parse_path(CORPUS / f"{name}.alm"),
                               [str(CORPUS)], DiagnosticSink())
                for name in ("t0", "travel", "professors", "n_w_f")]
@@ -778,6 +798,212 @@ def test_equal_program_keys_give_equal_diagrams(monkeypatch):
         split += len(cs.groups) > 1
         ambiguous += grouped[2].witness is not None
     assert checked > 20 and split > 0 and ambiguous > 0
+
+
+# ------------------------------------------------------------ verdicts
+
+def full_verdict(g, cand):
+    """The definitional check by search, written here from its definition:
+    the horizon-0 program with the candidate's non-defined atoms as facts
+    has one answer set, the candidate, and the domain of every basic
+    fluent instance with arguments has a value."""
+    answers = list(g.state_program().answer_sets(
+        max_models=2, facts=g.state_facts(cand, 0)))
+    if len(answers) == 2:
+        return "ambiguous"
+    if not answers or g.state_from_model(answers[0], 0) != cand:
+        return "rejected"
+    values = cand.as_dict()
+    settled = all((dom_name(f.name), args) in values
+                  for f in g.basic_nondom_fluents() if f.args
+                  for args in g.tuples[f.name])
+    return "state" if settled else "rejected"
+
+
+def verdict_oracle(monkeypatch):
+    """Check every `certify_state` call of `enumerate_states` and
+    `temporal_project` against `full_verdict`.  Returns a counter of
+    (theory `stratified`, verdict, whether the call solved a program)."""
+    seen = Counter()
+    solves = [0]
+    certify, answer_sets = semantics.certify_state, Program.answer_sets
+
+    def counting(prog, *args, **kwargs):
+        solves[0] += 1
+        return answer_sets(prog, *args, **kwargs)
+
+    def checked(g, cand, budget=None, derived=True):
+        before = solves[0]
+        verdict = certify(g, cand, budget, derived)
+        seen[stratified(g.theory), verdict, solves[0] > before] += 1
+        assert verdict == full_verdict(g, cand), (cand, derived)
+        return verdict
+
+    monkeypatch.setattr(Program, "answer_sets", counting)
+    for module in (semantics, tasks):
+        monkeypatch.setattr(module, "certify_state", checked)
+    return seen
+
+
+def fixture_source(fluents, axioms):
+    return f"""
+system description fixture
+  theory t
+    module m
+      sort declarations
+        elems :: universe
+        acts :: actions
+      function declarations
+        fluents
+{fluents}
+      axioms
+{axioms}
+  structure s
+    instances
+      x in elems
+      act0 in acts
+"""
+
+
+# ROADMAP item 7's fixture: -d makes p true, and -p makes d true
+P_D = fixture_source("""\
+          basic
+            p : booleans
+          defined
+            d : booleans""", """\
+        p if -d.
+        d if -p.
+        occurs(A) causes -p if instance(A, acts).""")
+
+# stratified definitions, yet a negated defined fluent reaches its own
+# definition through the basic b: with b unset, the state program has two
+# answer sets, one without b and one that derives it from -d2
+CROSS_STRATA = fixture_source("""\
+          basic
+            b : booleans
+          defined
+            d1 : booleans
+            d2 : booleans""", """\
+        d1 if b.
+        d2 if -d1.
+        b if -d2.""")
+
+# d follows p, so an observation of d at step 0, which is a fact of the
+# history program, needs the full check
+OBSERVED_D = fixture_source("""\
+          basic
+            p : elems -> booleans
+          defined
+            d : elems -> booleans""", """\
+        d(X) if p(X).""")
+
+
+def test_corpus_verdicts_without_search_are_the_full_checks(monkeypatch):
+    """Each state of the t0, travel and professors diagrams, and each
+    trajectory state of the golden projections and of monkey's validated
+    plans, gets the full check's verdict, and these stratified theories
+    solve nothing to get it.  The theories that are not stratified (n_w_f,
+    NWF_PLACED, and the P_D and CROSS_STRATA fixtures) still solve."""
+    from test_golden import CASES, run_case
+    seen = verdict_oracle(monkeypatch)
+    for name in ("t0", "travel", "professors"):
+        build_diagrams(compile_system(parse_path(CORPUS / f"{name}.alm"),
+                                      [], DiagnosticSink()),
+                       with_transitions=False)
+    for name, argv in CASES.items():
+        if name.startswith("project-") or name == "plan-mb-h6":
+            run_case(argv)
+    assert set(seen) == {(True, "state", False)}
+    assert seen[True, "state", False] > 200
+    one_action = parse_history("happened(act0, 0).")
+    ambiguous = 0
+    for src, hist in ((read(CORPUS / "n_w_f.alm"), History()),
+                      (NWF_PLACED, History()), (P_D, one_action),
+                      (CROSS_STRATA, one_action)):
+        seen.clear()
+        cs = compile_src(src)
+        build_diagrams(cs)
+        temporal_project(cs, hist)
+        assert seen and all(not strat and searched
+                            for strat, _, searched in seen), src
+        ambiguous += seen[False, "ambiguous", True]
+    assert ambiguous > 0
+
+
+def test_random_bat_verdicts_without_search_are_the_full_checks(
+        monkeypatch):
+    """The 100 random BATs of the inertia suite, and 100 whose basic-headed
+    state constraints read a defined fluent (`make_source(reads_d=True)`):
+    each candidate state and each state of a one-action projection gets
+    the full check's verdict.  Some of the latter are not stratified, and
+    one has a candidate that is ambiguous."""
+    seen = verdict_oracle(monkeypatch)
+    rng, variant = random.Random(413), random.Random(417)
+    hist = parse_history("happened(act0, 0).")
+    for src in chain((make_source(rng) for _ in range(100)),
+                     (make_source(variant, reads_d=True)
+                      for _ in range(100))):
+        cs = compile_src(src)
+        build_diagrams(cs, with_transitions=False)
+        temporal_project(cs, hist)
+    assert seen[True, "state", False] > 1000
+    assert seen[False, "state", True] > 1000
+    assert seen[False, "ambiguous", True] > 0
+    assert not any(searched for strat, _, searched in seen if strat)
+
+
+def test_unsettled_domain_is_rejected_without_search():
+    """Candidates read off the state program with free basic values and no
+    domain closure meet `certify_state`'s precondition, and some leave a
+    domain unsettled: those are rejected, as by the full check."""
+    rng = random.Random(413)
+    verdicts = Counter()
+    for src in [read(CORPUS / "t0.alm")] + \
+            [make_source(rng) for _ in range(30)]:
+        cs = compile_src(src)
+        assert stratified(cs.theory)
+        g = cs.groups[0][0]
+        gen = g.state_program().copy()
+        for f in g.basic_nondom_fluents():
+            for args in g.tuples[f.name]:
+                for v in g.values[f.name]:
+                    gen.add_choice(("v", f.name, args, v, 0))
+        for model in gen.answer_sets():
+            cand = g.state_from_model(model, 0)
+            verdict = semantics.certify_state(g, cand)
+            assert verdict == full_verdict(g, cand), cand
+            verdicts[verdict] += 1
+    assert verdicts["rejected"] > 0 and verdicts["state"] > 0
+
+
+def test_negation_through_a_basic_fluent_is_not_stratified():
+    """Reading only the definitions, CROSS_STRATA and P_D would count as
+    stratified; through their basic-headed state constraints they are not.
+    CROSS_STRATA is not well-founded, and its diagram says so."""
+    cross, p_d = compile_src(CROSS_STRATA), compile_src(P_D)
+    assert not stratified(cross.theory) and not stratified(p_d.theory)
+    report = check_well_founded(cross)
+    assert (report.well_founded, report.method) == (False, "semantic")
+    assert report.witness.as_dict() == {("d1", ()): FALSE, ("d2", ()): TRUE}
+    (diagram,) = build_diagrams(cross, with_transitions=False)
+    assert not diagram.well_founded and len(diagram.states) == 2
+    report = check_well_founded(p_d)
+    assert (report.well_founded, report.method) == (True, "semantic")
+
+
+def test_observed_defined_value_at_step_0_gets_the_full_check(monkeypatch):
+    """An observed value of d at step 0 is a fact, which the state rules
+    need not derive: the history that observes d(x) but not p(x) is
+    inconsistent, and the one that observes both has one trajectory."""
+    cs = compile_src(OBSERVED_D)
+    assert stratified(cs.theory)
+    seen = verdict_oracle(monkeypatch)
+    alone = temporal_project(cs, parse_history("observed(d(x), true, 0)."))
+    assert not alone.consistent
+    assert seen == {(True, "rejected", True): 1}
+    both = temporal_project(cs, parse_history(
+        "observed(d(x), true, 0).\nobserved(p(x), true, 0)."))
+    assert len(both.trajectories) == 1
 
 
 STATIC_HEAD = """

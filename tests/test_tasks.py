@@ -376,6 +376,17 @@ def test_monkey_is_well_founded(monkey):
     assert report.well_founded and report.method == "syntactic"
 
 
+@pytest.mark.parametrize("system, history", [
+    ("monkey_and_banana", "gamma1"), ("cell_cycle2", "cc_phases")])
+def test_projection_grounds_no_state_program(system, history):
+    """A stratified theory's trajectory states are certified without a
+    search, so projecting never grounds the horizon-0 state program."""
+    cs = compile_from_path(str(CORPUS / f"{system}.alm"), [str(CORPUS)])
+    hist = parse_history((CORPUS / f"{history}.hist").read_text())
+    assert temporal_project(cs, hist).trajectories
+    assert all(g._state_program is None for g in cs.grounders)
+
+
 def test_not_well_founded_detected():
     cs = compile_from_path(str(CORPUS / "n_w_f.alm"), [])
     report = check_well_founded(cs)

@@ -24,7 +24,7 @@ from almc.modular import (
     read_input,
 )
 from almc.ontology import build_signature
-from almc.semantics import State, build_diagrams
+from almc.semantics import Diagram, State, build_diagrams
 from almc.syntax import ast, parse_file, parse_literal_text, pretty
 from almc.errors import DiagnosticSink
 from almc.tasks import (
@@ -213,12 +213,21 @@ def cmd_bat(args, sink: DiagnosticSink) -> int:
     return EXIT_OK
 
 
+def emit_diagram(m: int, d: Diagram) -> None:
+    """The record that diagram `m` is not well-founded, before its other
+    records; a well-founded diagram gets none."""
+    if not d.well_founded:
+        emit_json({"type": "diagram", "model": m, "well_founded": False})
+
+
 def cmd_states(args, sink: DiagnosticSink) -> int:
     budget = make_budget(args)
     cs = compile_from_path(args.file, search_paths_of(args), sink, budget)
     diagrams = build_diagrams(cs, budget=budget, with_transitions=False)
     for m, d in enumerate(diagrams):
-        if not args.json_lines:
+        if args.json_lines:
+            emit_diagram(m, d)
+        else:
             print(f"model {m}: {len(d.states)} state(s)"
                   + ("" if d.well_founded else " [not well-founded]"))
         for i, s in enumerate(d.states):
@@ -236,7 +245,9 @@ def cmd_transitions(args, sink: DiagnosticSink) -> int:
     cs = compile_from_path(args.file, search_paths_of(args), sink, budget)
     diagrams = build_diagrams(cs, args.action_sets, budget)
     for m, d in enumerate(diagrams):
-        if not args.json_lines:
+        if args.json_lines:
+            emit_diagram(m, d)
+        else:
             print(f"model {m}: {len(d.states)} state(s), "
                   f"{len(d.transitions)} transition(s)"
                   + ("" if d.well_founded else " [not well-founded]"))

@@ -37,8 +37,10 @@ models come in the order of a search without learning, and the nogoods
 live for one search.  Every total assignment that survives is an answer
 set; it is still certified by an independent reduct + least-model check
 (`is_answer_set`) before it is reported.  The certifier keeps its own index
-of the rules, built once per program shape; it shares no table with the
-search it checks.
+of the rules, built once per program shape: each rule's head and
+positive-body size, and for each atom the tuple of rules whose positive
+body holds it and the tuple of those whose negative body holds it.  It
+shares no table with the search it checks.
 
 Solving is multi-shot, after clingo's `#external` atoms (Gebser, Kaminski,
 Kaufmann, Schaub, *Multi-shot ASP solving with clingo*, TPLP 2019).  A
@@ -56,9 +58,8 @@ Atoms are interned from arbitrary hashable keys; callers deal only in keys.
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from typing import Hashable, Iterator, Optional, Sequence
 
 from almc.errors import BudgetExceeded
@@ -331,17 +332,25 @@ class Program:
     def _certifier(self) -> tuple:
         """The certifier's index of the regular rules, built once per
         program shape: the rules' heads and positive-body sizes, the rules
-        without a positive body, and the rules whose positive (negative)
-        body holds each atom (`_by_atom`)."""
+        without a positive body, and for each atom a tuple of the rules
+        whose positive body holds it and a tuple of those whose negative
+        body holds it."""
         stamp = self._stamp()
         if self._index is not None and self._index[0] == stamp:
             return self._index[1]
-        rules, n = self.rules, len(self.keys)
-        index = (array("i", [h for h, _, _ in rules]),
-                 array("i", [len(pos) for _, pos, _ in rules]),
-                 [r for r, (_, pos, _) in enumerate(rules) if not pos],
-                 _by_atom(n, [pos for _, pos, _ in rules]),
-                 _by_atom(n, [neg for _, _, neg in rules]))
+        n = len(self.keys)
+        pos_of: list[list[int]] = [[] for _ in range(n)]
+        neg_of: list[list[int]] = [[] for _ in range(n)]
+        for r, (_, pos, neg) in enumerate(self.rules):
+            for b in pos:
+                pos_of[b].append(r)
+            for b in neg:
+                neg_of[b].append(r)
+        index = ([h for h, _, _ in self.rules],
+                 [len(pos) for _, pos, _ in self.rules],
+                 [r for r, (_, pos, _) in enumerate(self.rules) if not pos],
+                 [tuple(w) for w in pos_of],
+                 [tuple(w) for w in neg_of])
         self._index = (stamp, index)
         return index
 
@@ -353,46 +362,28 @@ class Program:
         reduct.  The least model of the rest, grown from the candidate's
         choice atoms and the facts, must be the candidate: a fired
         constraint or a derived atom outside the candidate ends the check."""
-        heads, need, bodyless, (pos_rules, pos_at), (neg_rules, neg_at) = \
-            self._certifier()
+        heads, need, bodyless, pos_rules, neg_rules = self._certifier()
         need = need[:]
         for a in model:
-            for r in neg_rules[neg_at[a]:neg_at[a + 1]]:
+            for r in neg_rules[a]:
                 need[r] = -1  # dropped by the reduct
         choice = self.choice
         stack = [a for a in model if a in choice]
         stack += facts
         stack += [heads[r] for r in bodyless if need[r] == 0]
-        derived = bytearray(len(self.keys))
+        derived: set[int] = set()
         while stack:
             h = stack.pop()
             if h == _NO_HEAD or h not in model:
                 return False
-            if derived[h]:
+            if h in derived:
                 continue
-            derived[h] = 1
-            for r in pos_rules[pos_at[h]:pos_at[h + 1]]:
+            derived.add(h)
+            for r in pos_rules[h]:
                 need[r] -= 1
                 if need[r] == 0:
                     stack.append(heads[r])
-        return derived.count(1) == len(model)
-
-
-def _by_atom(n: int, bodies: list[tuple[int, ...]]) -> tuple[array, array]:
-    """For atoms 0..n-1, the indices of the bodies that hold each, in one
-    flat array: atom a's are `flat[start[a]:start[a + 1]]`."""
-    start = [0] * (n + 1)
-    for body in bodies:
-        for b in body:
-            start[b + 1] += 1
-    start = list(accumulate(start))
-    flat = array("i", bytes(4 * start[-1]))
-    fill = start[:-1]
-    for r, body in enumerate(bodies):
-        for b in body:
-            flat[fill[b]] = r
-            fill[b] += 1
-    return flat, array("i", start)
+        return len(derived) == len(model)
 
 
 class _Search:
@@ -413,6 +404,8 @@ class _Search:
     nogood), a list for a learned nogood, and None for decisions and
     switches.  Their literals are read off the program only when a conflict
     is analysed (`_antecedents`), so propagation allocates nothing.
+    `_assign` also keeps each atom's trail position in `position[a]`, from
+    which conflict analysis tells the level of a literal and orders them.
 
     `_learn` resolves a conflict to its first unique implication point
     (Gebser, Kaufmann, Schaub, *Conflict-driven answer set solving*, AIJ
@@ -479,6 +472,7 @@ class _Search:
 
         self.status = [UNDEF] * self.n
         self.reason: list = [None] * self.n
+        self.position = [0] * self.n  # trail position, while assigned
         self.need = [len(p) + len(ng)
                      for p, ng in zip(self.rpos, self.rneg)]
         self.bad = [0] * len(self.rhead)
@@ -526,6 +520,7 @@ class _Search:
             self.posw.append((r,))
             self.status.append(UNDEF)
             self.reason.append(None)
+            self.position.append(0)
             self.support.append(0)
             self.rhead.append(a)
             self.rpos.append((x,))
@@ -557,6 +552,7 @@ class _Search:
             return s == val
         self.status[a] = val
         self.reason[a] = why
+        self.position[a] = len(self.trail)
         self.trail.append(a)
         self.queue.append(a)
         if val == TRUE:
@@ -732,21 +728,19 @@ class _Search:
                 self._assign(open_lit >> 1, 2 - (open_lit & 1), ng)
         return True
 
-    def _antecedents(self, p: int, why, limit: int,
-                     pos: dict[int, int]) -> list[int]:
+    def _antecedents(self, p: int, why, limit: int) -> list[int]:
         """The atoms of the nogood named by reason `why`, other than `p`,
-        all assigned before trail position `limit`; `pos` maps atoms above
-        level 0 to their positions.  A dead rule stands for one of its
-        false literals."""
-        status, rhead, rpos, rneg = self.status, self.rhead, self.rpos, \
-            self.rneg
+        all assigned before trail position `limit`.  A dead rule stands for
+        one of its false literals."""
+        status, position, rhead, rpos, rneg = self.status, self.position, \
+            self.rhead, self.rpos, self.rneg
 
         def dead(r: int) -> int:
             return next(chain(
                 (b for b in rpos[r]
-                 if status[b] == FALSE and pos.get(b, -1) < limit),
+                 if status[b] == FALSE and position[b] < limit),
                 (b for b in rneg[r]
-                 if status[b] == TRUE and pos.get(b, -1) < limit)))
+                 if status[b] == TRUE and position[b] < limit)))
 
         if type(why) is int:
             if why < 0:  # p is a body literal of the one support ~why
@@ -759,10 +753,10 @@ class _Search:
             return [dead(r) for r in self.headw[p]]
         if type(why) is tuple:  # p exceeds the bound, or p = -1 does
             g = why[0]
-            true = sorted((pos.get(m, -1), m) for m in self.gmembers[g]
-                          if m != p and status[m] == TRUE
-                          and pos.get(m, -1) < limit)
-            return [m for _, m in true[:self.gbound[g] + (p < 0)]]
+            true = sorted((m for m in self.gmembers[g]
+                           if m != p and status[m] == TRUE
+                           and position[m] < limit), key=position.__getitem__)
+            return true[:self.gbound[g] + (p < 0)]
         if type(why) is list:
             return [lit >> 1 for lit in why if lit >> 1 != p]
         # the unfounded set `why`: every rule from outside it is dead
@@ -779,8 +773,8 @@ class _Search:
         p, why = self.conflict
         if why is None:
             return None
-        trail, status, reason = self.trail, self.status, self.reason
-        pos = {a: i for i, a in enumerate(trail[lo:], lo)}
+        trail, status, reason, position = self.trail, self.status, \
+            self.reason, self.position
         seen: set[int] = set()
         lower: list[int] = []  # atoms below the current level
         count = 0  # atoms of the resolvent at the current level
@@ -790,13 +784,13 @@ class _Search:
             for b in atoms:
                 if b not in seen:
                     seen.add(b)
-                    i = pos.get(b, -1)
+                    i = position[b]
                     if i >= cur:
                         count += 1
                     elif i >= lo:
                         lower.append(b)
 
-        add(self._antecedents(p, why, len(trail), pos) + [p] * (p >= 0))
+        add(self._antecedents(p, why, len(trail)) + [p] * (p >= 0))
         if not count:
             return None
         # Resolve the current level's atoms, latest first, until one is
@@ -814,8 +808,8 @@ class _Search:
                 kept.append(q)  # the first unique implication point
             else:
                 count -= 1
-                add(self._antecedents(q, reason[q], i, pos))
-        lower.sort(key=pos.__getitem__, reverse=True)
+                add(self._antecedents(q, reason[q], i))
+        lower.sort(key=position.__getitem__, reverse=True)
         nogood = [a + a + status[a] - 1 for a in kept + lower]
         if len(nogood) > 1:
             for lit in nogood[:2]:

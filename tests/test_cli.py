@@ -56,6 +56,20 @@ def test_diagram_without_states_is_marked_not_well_founded(capsys, cmd,
     assert out == header
 
 
+@pytest.mark.parametrize("cmd", ["states", "transitions"])
+def test_json_lines_mark_a_diagram_that_is_not_well_founded(capsys, cmd):
+    # n_w_f's one diagram has no states, so its one record says that it is
+    # not well-founded; t0's diagram is well-founded and gets no such record
+    code, out, _ = run(capsys, cmd, str(CORPUS / "n_w_f.alm"), "--json-lines")
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"type": "diagram", "model": 0, "well_founded": False}]
+    code, out, _ = run(capsys, cmd, str(CORPUS / "t0.alm"), "--json-lines")
+    assert code == 0
+    assert out and all(json.loads(line)["type"] != "diagram"
+                       for line in out.splitlines())
+
+
 def test_check_well_founded_needs_a_structure(capsys):
     # a bare theory has no states to check: a usage error, not a silent ok
     path = CORPUS / "commonsense_lib.alm"

@@ -264,6 +264,36 @@ def test_200_random_loop_programs_match_exhaustive_oracle():
     assert loops > 150  # the suite exercises the unfounded-set check
 
 
+def test_certifier_matches_exhaustive_oracle_on_every_subset():
+    # `is_answer_set` against `stable` on every subset of the atoms, most
+    # of which are no answer set; the facts go to the oracle as bodyless
+    # rules.  Each program is certified, then gets a rule with `add_rule`
+    # and is certified again, so the certifier's cached index is rebuilt
+    rng = random.Random(8128)
+    verdicts = Counter()
+    for trial in range(200):
+        n = rng.randrange(2, 10)
+        make = random_loop_program if trial % 2 else random_program
+        rules, choice, _ = make(rng, n)
+        prog = build(n, rules, choice)
+        for _ in range(2):
+            facts = rng.sample(range(n), k=rng.randrange(0, 3))
+            with_facts = rules + [(f, (), ()) for f in facts]
+            for bits in range(1 << n):
+                M = {a for a in range(n) if bits >> a & 1}
+                got = prog.is_answer_set(M, facts)
+                assert got == stable(n, with_facts, choice, M), \
+                    (trial, rules, choice, facts, M)
+                verdicts[got] += 1
+            head = None if rng.random() < 0.2 else rng.randrange(n)
+            body = rng.sample(range(n), k=rng.randrange(0, 3))
+            cut = rng.randrange(len(body) + 1)
+            rule = (head, tuple(body[:cut]), tuple(body[cut:]))
+            prog.add_rule(*rule)
+            rules = rules + [rule]
+    assert verdicts[True] > 200 and verdicts[False] > 20000, verdicts
+
+
 @never_rejected
 def test_300_random_programs_solved_with_facts():
     # facts given to one call act like add_fact on a copy, including keys

@@ -271,19 +271,20 @@ class Program:
         positive body.  Only these atoms can be unfounded while support
         counting still sees an alive rule for them.
 
-        Choice atoms are founded whenever they are true, so they and their
-        edges are left out.  The list is empty for a tight program.  It is
-        cached until the program changes.
+        Choice atoms are founded whenever they are true, so they lose their
+        out-edges and lie on no cycle.  The list is empty for a tight
+        program.  It is cached until the program changes.
         """
         stamp = self._stamp()
         if self._loops is not None and self._loops[0] == stamp:
             return self._loops[1]
         n = len(self.keys)
-        choice = self.choice
-        succ: list[list[int]] = [[] for _ in range(n)]
+        # the spare last list takes the constraints' edges
+        succ: list[list[int]] = [[] for _ in range(n + 1)]
         for head, pos, _ in self.rules:
-            if head != _NO_HEAD and head not in choice:
-                succ[head].extend(b for b in pos if b not in choice)
+            succ[head].extend(pos)
+        for a in self.choice:
+            succ[a].clear()
         # iterative Tarjan
         cyclic: list[int] = []
         index = [-1] * n
@@ -437,25 +438,22 @@ class _Search:
 
         # watch lists are built as lists and kept as tuples, which share
         # one empty tuple: most atoms are in no group and no loop
-        self.rhead: list[int] = []
-        self.rpos: list[tuple[int, ...]] = []
-        self.rneg: list[tuple[int, ...]] = []
+        rules = program.rules
+        self.rhead: list[int] = [head for head, _, _ in rules]
+        self.rpos: list[tuple[int, ...]] = [pos for _, pos, _ in rules]
+        self.rneg: list[tuple[int, ...]] = [neg for _, _, neg in rules]
         posw: list[list[int]] = [[] for _ in range(self.n)]
         negw: list[list[int]] = [[] for _ in range(self.n)]
-        headw: list[list[int]] = [[] for _ in range(self.n)]
-        self.support = [0] * self.n
-        for head, pos, neg in program.rules:
-            r = len(self.rhead)
-            self.rhead.append(head)
-            self.rpos.append(pos)
-            self.rneg.append(neg)
+        # the spare last list takes the constraints
+        headw: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for r, (head, pos, neg) in enumerate(rules):
             for b in pos:
                 posw[b].append(r)
             for b in neg:
                 negw[b].append(r)
-            if head != _NO_HEAD:
-                headw[head].append(r)
-                self.support[head] += 1
+            headw[head].append(r)
+        headw.pop()
+        self.support = [len(w) for w in headw]
         self.posw = [tuple(w) for w in posw]
         self.negw = [tuple(w) for w in negw]
         self.headw = [tuple(w) for w in headw]

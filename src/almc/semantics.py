@@ -28,8 +28,9 @@ instance of the law's sort.  The *template* stage grounds the fluent and
 occurrence literals of those bindings and drops a binding at a statically
 false one.  A binding's ground literals never depend on the step, so each
 surviving binding becomes a step-free *rule template*, computed once per
-grounder by its first `build_program` call; every call then only adds the
-steps to the templates, in statement, binding, step order.  A ground
+grounder by its first `build_program` call, which numbers their keys;
+every call then adds the steps to the templates, in statement, binding,
+step order, through per-step rows of atom ids interned on first use.  A ground
 instance whose arithmetic has no value (`X mod 0`) is dropped, as gringo
 drops it, and the budget's deadline is read in both stages and while steps
 are added.
@@ -95,7 +96,7 @@ from almc.bat import (
 from almc.errors import (
     BudgetExceeded, DiagnosticSink, SemanticError, Span,
 )
-from almc.lpcore import Budget, Program
+from almc.lpcore import _NO_HEAD, Budget, Program
 from almc.memo import ReadsMemo, TracedPreModel
 from almc.modular import (
     PreModel, UndefinedArithmetic, Value, compare, enumerate_placements,
@@ -206,6 +207,37 @@ def _body_keys(results) -> tuple[list, list]:
     pos = [(r[0], 0) for r in results if r is not True and r[1]]
     neg = [(r[0], 0) for r in results if r is not True and not r[1]]
     return pos, neg
+
+
+class _KeyIds(dict):
+    """Maps each (key, offset) pair of rule templates to ``2 * i + offset``
+    and each key, which starts with a string, to i, its index in `found`."""
+
+    found: list
+
+    def __missing__(self, lit: tuple) -> int:
+        key, o = lit
+        if key not in self:
+            self[key] = len(self.found)
+            self.found.append(key)
+        c = self[lit] = 2 * self[key] + o
+        return c
+
+
+def _template_ids(groups: tuple[tuple, ...]) -> tuple[list, tuple]:
+    """The keys of the template groups (`_ground_templates`), and the groups
+    with each rule as ``(lits, j, neqs)``: its head (-1 for none), positive
+    and negative body, then its positive body's end j and its disequality
+    pairs, the pairs numbered by `_KeyIds`."""
+    ids = _KeyIds({None: -1})
+    ids.found = []
+    get = ids.__getitem__
+    return ids.found, tuple(
+        tuple(tuple((tuple(map(get, (head, *pos, *neg))), 1 + len(pos),
+                     tuple(map(get, nq)) if nq else ())
+                    for head, pos, neg, nq in template)
+              for template in templates)
+        for templates in groups)
 
 
 def _check_time(budget: Optional[Budget]) -> None:
@@ -635,31 +667,45 @@ class Grounder:
                       budget: Optional[Budget] = None) -> Program:
         """The ground program for steps 0..horizon.
 
-        The first call grounds the rule templates; every call adds each
-        template at each step of its group's range, template by template,
-        so the rules come in statement, binding, step order.  The budget's
-        deadline is checked while templates are ground and added."""
+        The first call grounds the rule templates (`_template_ids`); every
+        call adds each template at each step of its group's range, template
+        by template, so the rules come in statement, binding, step order,
+        and interns each atom when first met, head before body.  The
+        budget's deadline is checked while templates are ground and added."""
         if self._templates is None:
-            self._templates = self._ground_templates(budget)
+            self._templates = _template_ids(self._ground_templates(budget))
+        keys, groups = self._templates
         h = horizon
         ranges = (range(h + 1), range(h), range(max(h, 1)), range(h + 1),
                   range(h + 1), range(h))
         prog = Program()
-        atom, add = prog.atom, prog.add_rule
-        neqs: set = set()
-        for templates, steps in zip(self._templates, ranges):
+        atom, add = prog.atom, prog.rules.append
+        # rows[s][2 * i + o] is the atom of key i at step s + o, None until
+        # first met; the spare last slot is the head of every constraint
+        rows = [[None] * (2 * len(keys)) + [_NO_HEAD] for _ in range(h + 1)]
+        neqs: set[int] = set()
+        for templates, steps in zip(groups, ranges):
             for n, template in enumerate(templates):
                 if not n & 255:
                     _check_time(budget)
                 for step in steps:
-                    at = ((step,), (step + 1,))
-                    for head, pos, neg, nq in template:
-                        add(None if head is None
-                            else atom(head[0] + at[head[1]]),
-                            [atom(k + at[o]) for k, o in pos],
-                            [atom(k + at[o]) for k, o in neg])
-                        neqs.update(k + at[o] for k, o in nq)
-        self.define_neqs(prog, neqs)
+                    get = rows[step].__getitem__
+                    for lits, j, nq in template:
+                        ids = tuple(map(get, lits))
+                        if None in ids:
+                            # intern the atoms first met here, head first
+                            for c in lits:
+                                if get(c) is None:
+                                    t = step + (c & 1)
+                                    rows[t][c & -2] = a = \
+                                        atom(keys[c >> 1] + (t,))
+                                    if t:
+                                        rows[t - 1][c | 1] = a
+                            ids = tuple(map(get, lits))
+                        add((ids[0], ids[1:j], ids[j:]))
+                        if nq:
+                            neqs.update(map(get, nq))
+        self.define_neqs(prog, map(prog.keys.__getitem__, neqs))
         return prog
 
     def state_program(self, budget: Optional[Budget] = None) -> Program:
@@ -688,13 +734,24 @@ class Grounder:
 
     def define_neqs(self, prog: Program, keys) -> None:
         """Define each disequality atom ``('neq', f, args, v, step)`` by one
-        rule per sibling value of f."""
-        for key in sorted(keys, key=repr):
+        rule per sibling value of f, in `repr` order of the keys (step 10
+        before step 2), built from one `repr` per key less its step."""
+        stems: dict[tuple, str] = {}
+
+        def order(key: tuple) -> str:
+            stem = key[:4]
+            s = stems.get(stem)
+            if s is None:
+                s = stems[stem] = repr(stem)[:-1] + ", "
+            return s + repr(key[4]) + ")"
+
+        atom, add = prog.atom, prog.rules.append
+        for key in sorted(keys, key=order):
             _, fname, args, v, step = key
+            a = atom(key)
             for w in self.values[fname]:
                 if w != v:
-                    prog.add_rule(prog.atom(key),
-                                  (prog.atom(("v", fname, args, w, step)),))
+                    add((a, (atom(("v", fname, args, w, step)),), ()))
 
     def _is_atom_lit(self, lit: FunLit) -> bool:
         return lit.func in self.tuples

@@ -264,6 +264,60 @@ def test_200_random_loop_programs_match_exhaustive_oracle():
     assert loops > 150  # the suite exercises the unfounded-set check
 
 
+def cyclic_atoms(n, rules, choice):
+    """The non-choice atoms that reach themselves over the edges from a
+    non-choice head to each non-choice atom of its positive body, by a
+    search from every atom."""
+    succ = [set() for _ in range(n)]
+    for head, pos, _ in rules:
+        if head is not None and head not in choice:
+            succ[head].update(b for b in pos if b not in choice)
+    cyclic = set()
+    for a in range(n):
+        seen, stack = set(), list(succ[a])
+        while stack:
+            b = stack.pop()
+            if b not in seen:
+                seen.add(b)
+                stack.extend(succ[b])
+        if a in seen:
+            cyclic.add(a)
+    return cyclic
+
+
+def test_solver_set_up_matches_its_definitions():
+    """`loop_atoms` lists each atom on a positive cycle once, and the rule
+    columns, watch lists and counters of `_Search` are their definitions,
+    read off the rules one by one, constraints included."""
+    rng = random.Random(6174)
+    looped = constraints = 0
+    for trial in range(3000):
+        n = rng.randrange(2, 14)
+        make = random_loop_program if trial % 2 else random_program
+        rules, choice, atmost = make(rng, n)
+        prog = build(n, rules, choice, atmost)
+        loops = prog.loop_atoms()
+        assert len(loops) == len(set(loops)), (trial, rules, choice)
+        assert set(loops) == cyclic_atoms(n, rules, set(choice)), \
+            (trial, rules, choice)
+        looped += bool(loops)
+        s = _Search(prog)
+        heads = [-1 if h is None else h for h, _, _ in rules]
+        assert list(zip(s.rhead, s.rpos, s.rneg)) == \
+            [(h, pos, neg) for h, (_, pos, neg) in zip(heads, rules)]
+        for a in range(n):
+            assert s.posw[a] == tuple(r for r, (_, pos, _) in enumerate(rules)
+                                      for b in pos if b == a)
+            assert s.negw[a] == tuple(r for r, (_, _, neg) in enumerate(rules)
+                                      for b in neg if b == a)
+            assert s.headw[a] == tuple(r for r, h in enumerate(heads)
+                                       if h == a)
+            assert s.support[a] == heads.count(a)
+        assert s.need == [len(pos) + len(neg) for _, pos, neg in rules]
+        constraints += heads.count(-1)
+    assert looped > 1000 and constraints > 1000
+
+
 def test_certifier_matches_exhaustive_oracle_on_every_subset():
     # `is_answer_set` against `stable` on every subset of the atoms, most
     # of which are no answer set; the facts go to the oracle as bodyless

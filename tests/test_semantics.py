@@ -10,7 +10,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import replace
-from itertools import chain, product
+from itertools import chain, islice, product
 
 import pytest
 
@@ -559,7 +559,13 @@ def reference_program(g, horizon):
                     add(("v", f.name, args, v, step + 1),
                         guard + [("v", f.name, args, v, step)],
                         [("neq", f.name, args, v, step + 1)])
-    g.define_neqs(prog, neqs)
+    # each disequality atom by one rule per sibling value, in `repr` order
+    # of the keys
+    for key in sorted(neqs, key=repr):
+        _, f, args, v, step = key
+        for w in g.values[f]:
+            if w != v:
+                add(key, [("v", f, args, w, step)])
     return prog
 
 
@@ -590,6 +596,22 @@ def test_templates_ground_the_reference_programs():
                 program_fingerprint(reference_program(g, horizon)), horizon
             checked += 1
     assert checked == 4 * (16 + 100)
+
+
+def test_templates_ground_the_reference_programs_past_step_9():
+    """At horizon 11 the rules that define the disequality atoms of step 10
+    come before those of step 2, as `repr` orders their keys."""
+    t0 = compile_system(parse_path(CORPUS / "t0.alm"), [], DiagnosticSink())
+    grounders = [*t0.grounders, *islice(random_bat_grounders(), 20)]
+    late = 0
+    for g in grounders:
+        prog = g.build_program(11)
+        assert program_fingerprint(prog) == \
+            program_fingerprint(reference_program(g, 11))
+        steps = [prog.keys[h][4] for h, _, _ in prog.rules
+                 if h >= 0 and prog.keys[h][0] == "neq"]
+        late += bool(steps) and steps.index(10) < steps.index(2)
+    assert late == len(grounders) == 21
 
 
 # ------------------------------------------------------------ group keys

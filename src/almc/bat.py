@@ -25,7 +25,7 @@ constraint ``false if dom_f(X..) = false``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from almc.records import field, record
 from typing import Optional, Union
 
 from almc.errors import DiagnosticSink, Span
@@ -42,7 +42,7 @@ HIERARCHY_ARITY = {"link": 2, "is_a": 2, "instance": 2, "subsort": 2,
 _FLIP = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FunLit:
     """``func(args) op value`` where func is a user or hierarchy function."""
 
@@ -57,7 +57,7 @@ class FunLit:
         return self.op == "="
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CmpLit:
     """Comparison between two pre-interpreted terms."""
 
@@ -67,7 +67,7 @@ class CmpLit:
     span: Span = field(compare=False, default=Span())
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OccLit:
     neg: bool
     action: ast.Term
@@ -77,7 +77,7 @@ class OccLit:
 BodyLit = Union[FunLit, CmpLit, OccLit]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DynLaw:
     act: ast.Term
     sort: str
@@ -86,21 +86,21 @@ class DynLaw:
     span: Span = field(compare=False, default=Span())
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Constraint:
     head: Optional[FunLit]  # None encodes the `false` head
     body: tuple[BodyLit, ...]
     span: Span = field(compare=False, default=Span())
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DefClause:
     head: FunLit  # positive boolean atom of a defined function
     body: tuple[BodyLit, ...]
     span: Span = field(compare=False, default=Span())
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Exec:
     act: ast.Term
     sort: str
@@ -108,7 +108,7 @@ class Exec:
     span: Span = field(compare=False, default=Span())
 
 
-@dataclass
+@record
 class ActionTheory:
     sig: Signature
     dynamic: list[DynLaw]

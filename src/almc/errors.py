@@ -8,10 +8,10 @@ a language rule) and budget exhaustion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from almc.records import field, record
 
 
-@dataclass(frozen=True)
+@record(frozen=True, slots=True)
 class Span:
     """Half-open source region (1-based lines and columns)."""
 
@@ -21,11 +21,23 @@ class Span:
     end_col: int = 0
     filename: str = ""
 
+    def __init__(self, line=0, col=0, end_line=0, end_col=0, filename=""):
+        # one per token: see the slot setters below
+        _line(self, line)
+        _col(self, col)
+        _end_line(self, end_line)
+        _end_col(self, end_col)
+        _filename(self, filename)
+
     def __str__(self) -> str:
         where = f"{self.line}:{self.col}"
         return f"{self.filename}:{where}" if self.filename else where
 
 
+# the `__set__` of each slot fills a frozen record faster than
+# `object.__setattr__` does
+_line, _col, _end_line, _end_col, _filename = (
+    Span.__dict__[name].__set__ for name in Span.__slots__)
 NO_SPAN = Span()
 
 
@@ -50,7 +62,7 @@ class BudgetExceeded(AlmError):
     """A node or wall-clock budget was exhausted before completion."""
 
 
-@dataclass
+@record
 class Diagnostic:
     severity: str  # "error" | "warning"
     message: str
@@ -61,7 +73,7 @@ class Diagnostic:
         return f"{loc}{self.severity}: {self.message}"
 
 
-@dataclass
+@record
 class DiagnosticSink:
     """Collects diagnostics; errors may be turned into exceptions by callers."""
 

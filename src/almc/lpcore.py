@@ -58,7 +58,7 @@ Atoms are interned from arbitrary hashable keys; callers deal only in keys.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from almc.records import record
 from itertools import chain, islice
 from typing import Hashable, Iterator, Optional, Sequence
 
@@ -71,7 +71,7 @@ _LOST = "lost"  # the reason of an atom whose rules are all dead
 _APPLIED = object()  # (_APPLIED, i) switches consistency-restoring rule i
 
 
-@dataclass
+@record
 class Budget:
     max_decisions: Optional[int] = None
     deadline: Optional[float] = None  # time.monotonic() value

@@ -20,7 +20,7 @@ Three jobs live here:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from almc.records import field, record
 from itertools import product
 from typing import Iterator, Optional, Union
 
@@ -50,7 +50,7 @@ def read_input(path: str) -> str:
         raise InputError(f"cannot read {path}: not UTF-8 text")
 
 
-@dataclass
+@record
 class Library:
     """Parsed library file: its theory, and the theory's modules with
     imports expanded once it is resolved."""
@@ -218,7 +218,7 @@ def range_values(sig: Signature, consts: dict[str, Value], key: str) -> range:
     return range(bound(r.lo), bound(r.hi) + 1)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ObjectTerm:
     """A ground object: bare name or parameterised instance."""
 
@@ -232,7 +232,7 @@ class ObjectTerm:
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
 
 
-@dataclass
+@record
 class PreModel:
     sig: Signature
     consts: dict[str, Value]
@@ -339,7 +339,7 @@ def compare(op: str, lv: Value, rv: Value, span: Span = Span()) -> bool:
 
 # -------------------------------------------------- universe construction
 
-@dataclass
+@record
 class _Universe:
     objects: list[ObjectTerm] = field(default_factory=list)
     #: object key -> declared sorts

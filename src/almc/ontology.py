@@ -15,7 +15,7 @@ otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from almc.records import field, record
 from typing import Optional
 
 from almc.errors import DiagnosticSink, Span
@@ -56,7 +56,7 @@ def dom_name(fname: str) -> str:
     return DOM_PREFIX + fname
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FuncInfo:
     name: str
     args: tuple[str, ...]  # sort keys
@@ -83,7 +83,7 @@ class FuncInfo:
         return self.result == BOOLEANS
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ObjectInfo:
     """A module-level object constant, possibly parameterised.
 
@@ -96,7 +96,7 @@ class ObjectInfo:
     span: Span = field(compare=False, default=Span())
 
 
-@dataclass
+@record
 class Signature:
     #: sort node -> tuple of parent nodes (hierarchy links, child -> parent)
     sorts: dict[str, tuple[str, ...]]

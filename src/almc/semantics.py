@@ -84,7 +84,7 @@ well-founded; its diagram is kept even when no state is left, so that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from almc.records import record, replace
 from functools import cached_property
 from itertools import chain, islice, product
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -169,7 +169,7 @@ def static_truth(pm: PreModel, lit: FunLit,
 
 # ------------------------------------------------------------ grounder
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class State:
     """A state: fluent part of an interpretation, as (f, args) -> value."""
 
@@ -807,7 +807,7 @@ class Grounder:
         return out
 
 
-@dataclass
+@record
 class StateSpace:
     states: list[State]
     well_founded: bool
@@ -968,7 +968,7 @@ def compute_transitions(g: Grounder, states: list[State],
     return out
 
 
-@dataclass
+@record
 class Diagram:
     states: list[State]
     transitions: list[Transition]

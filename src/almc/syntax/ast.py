@@ -1,13 +1,14 @@
 """AST node definitions.
 
-Nodes are frozen dataclasses; every node keeps its source span, and spans are
-excluded from equality so that a parse/print round trip compares equal
+Nodes are frozen records (`almc.records`): hashable, compared field by field
+in the same class.  Every node keeps its source span, and spans are excluded
+from equality and hashing so that a parse/print round trip compares equal
 structurally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from almc.records import field, record
 from typing import Optional, Union
 
 from almc.errors import Span
@@ -21,13 +22,13 @@ def _span_field():
 
 # ---------------------------------------------------------------- terms
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var:
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Sym:
     """Identifier constant: object constant, sort name, or true/false."""
 
@@ -35,13 +36,13 @@ class Sym:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Num:
     value: int
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class App:
     """Function application f(t1, ..., tn); also parameterised constants."""
 
@@ -50,7 +51,7 @@ class App:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Arith:
     op: str  # + - * mod
     left: "Term"
@@ -63,7 +64,7 @@ Term = Union[Var, Sym, Num, App, Arith]
 
 # ---------------------------------------------------------------- literals
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Lit:
     """`[-] lhs [op rhs]`; op None is the boolean shorthand form."""
 
@@ -74,7 +75,7 @@ class Lit:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OccursLit:
     neg: bool
     action: Term
@@ -86,7 +87,7 @@ BodyItem = Union[Lit, OccursLit]
 
 # ---------------------------------------------------------------- axioms
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DynamicLaw:
     act: Term
     head: Lit
@@ -95,7 +96,7 @@ class DynamicLaw:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Executability:
     act: Term
     sort: str
@@ -103,7 +104,7 @@ class Executability:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Rule:
     """State constraint, definition clause, or fact; head None means `false`."""
 
@@ -117,7 +118,7 @@ Statement = Union[DynamicLaw, Executability, Rule]
 
 # ---------------------------------------------------------------- declarations
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RangeSort:
     """Integer range sort [lo..hi]; bounds are ints or identifier references."""
 
@@ -133,7 +134,7 @@ class RangeSort:
 SortName = Union[str, RangeSort]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AttrDecl:
     name: str
     args: tuple[SortName, ...]  # extra args; the owning sort is implicit
@@ -141,7 +142,7 @@ class AttrDecl:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SortDecl:
     names: tuple[str, ...]
     parents: tuple[SortName, ...]
@@ -149,7 +150,7 @@ class SortDecl:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConstDecl:
     """Object constant declaration: name(param sorts)* : sort, ..., sort."""
 
@@ -158,7 +159,7 @@ class ConstDecl:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FuncDecl:
     name: str
     args: tuple[SortName, ...]
@@ -169,7 +170,7 @@ class FuncDecl:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Module:
     name: str
     depends_on: tuple[str, ...]
@@ -180,7 +181,7 @@ class Module:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ImportDirective:
     """`import [theory] t from lib`, `import [module] m from lib`, `import t.m from lib`."""
 
@@ -191,7 +192,7 @@ class ImportDirective:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Theory:
     name: str
     items: tuple[Union[Module, ImportDirective], ...]
@@ -200,14 +201,14 @@ class Theory:
 
 # ---------------------------------------------------------------- structure
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConstAssign:
     name: str
     value: Term
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AttrAssign:
     name: str
     args: tuple[Term, ...]
@@ -215,7 +216,7 @@ class AttrAssign:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InstanceDef:
     objects: tuple[Term, ...]
     sorts: tuple[str, ...]
@@ -224,14 +225,14 @@ class InstanceDef:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StaticAssign:
     lit: Lit
     body: tuple[Lit, ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Structure:
     name: str
     constants: tuple[ConstAssign, ...]
@@ -240,7 +241,7 @@ class Structure:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class System:
     name: str
     theory: Union[Theory, ImportDirective]

@@ -9,9 +9,9 @@ later by the ontology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from almc.records import field, record
 
-from almc.errors import InputError, Span
+from almc.errors import NO_SPAN, InputError, Span
 
 KEYWORDS = frozenset(
     """
@@ -28,14 +28,23 @@ SYMBOLS = ["::", "..", "->", "!=", "<=", ">=", ":", ",", ".", "(", ")",
            "[", "]", "=", "<", ">", "+", "-", "*"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True, slots=True)
 class Token:
     kind: str  # "ident" | "var" | "int" | "kw" | a symbol string | "eof"
     text: str
-    span: Span = field(compare=False, default=Span())
+    span: Span = field(compare=False, default=NO_SPAN)
+
+    def __init__(self, kind, text, span=NO_SPAN):
+        _kind(self, kind)
+        _text(self, text)
+        _span(self, span)
 
     def __repr__(self) -> str:
         return f"Token({self.kind!r}, {self.text!r})"
+
+
+_kind, _text, _span = (Token.__dict__[name].__set__
+                       for name in Token.__slots__)  # as for `Span`
 
 
 def tokenize(text: str, filename: str = "") -> list[Token]:

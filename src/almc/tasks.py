@@ -42,7 +42,7 @@ reading its goal as a query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from almc.records import field, record
 from functools import cached_property
 from itertools import chain
 from typing import Callable, Hashable, Iterator, Optional, Sequence
@@ -67,7 +67,7 @@ from almc.syntax.parser import _Parser
 
 # ================================================================ compilation
 
-@dataclass
+@record
 class CompiledSystem:
     module: ast.Module  # flattened
     sig: Signature
@@ -118,7 +118,7 @@ def compile_system(node: ast.System, search_paths: list[str],
 
 # ================================================================ histories
 
-@dataclass
+@record
 class History:
     #: (function term, value term, step)
     observed: list[tuple[ast.Term, ast.Term, int]] = field(default_factory=list)
@@ -189,7 +189,7 @@ def parse_goal(text: str, filename: str = "") -> list[ast.Lit]:
 
 # ================================================================ trajectories
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Trajectory:
     states: tuple[State, ...]
     occurrences: tuple[frozenset, ...]  # one action set per step
@@ -199,7 +199,7 @@ class Trajectory:
         return len(self.states) - 1
 
 
-@dataclass
+@record
 class ProjectionResult:
     trajectories: list[Trajectory]
     horizon: int
@@ -413,7 +413,7 @@ def _coverage(cs: CompiledSystem, hist: History,
 
 # ================================================================ planning
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Plan:
     steps: tuple[tuple[Value, ...], ...]  # sorted action set per step
 
@@ -426,7 +426,7 @@ class Plan:
         return sum(len(acts) for acts in self.steps)
 
 
-@dataclass
+@record
 class PlanningResult:
     plans: list[Plan]
     horizon: int
@@ -591,7 +591,7 @@ def validate_plan(cs: CompiledSystem, hist: History, goal: list[ast.Lit],
 
 # ================================================================ well-founded
 
-@dataclass
+@record
 class WellFoundedReport:
     well_founded: Optional[bool]  # None when undetermined
     method: str  # "syntactic" | "semantic"

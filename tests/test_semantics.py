@@ -9,7 +9,6 @@ with evaluators written here from scratch.
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 from itertools import chain, islice, product
 
 import pytest
@@ -21,6 +20,7 @@ from almc.lpcore import Budget, Program
 from almc.memo import ReadsMemo
 from almc.modular import UndefinedArithmetic, compare, enumerate_placements
 from almc.ontology import BASIC_FLUENT, DEFINED_FLUENT, FALSE, TRUE, dom_name
+from almc.records import replace
 from almc.semantics import (
     Grounder, _body_keys, _rule, build_diagrams, enumerate_states,
     compute_transitions, static_truth, stratified, system_pre_models,

@@ -26,11 +26,15 @@ dead-rule support counting, last-literal refutation for rules with a false
 head, and backchaining on a unique remaining support.  Support counting
 cannot see an atom that only supports itself through a positive loop
 (`p :- q. q :- p.`), so the search also falsifies unfounded sets, as
-smodels and clasp do: before it branches on a non-choice atom, and at every
-total assignment, every atom of a cyclic component of the positive
-dependency graph that no alive rule can derive from outside the unfounded
-set is made false.  Tight programs, whose graph has no cycle, skip this
-check (Fages 1994).  Each propagated atom records the reason for its
+clasp does: at every propagation fixpoint, that is before every decision
+and at every total assignment, every atom of a cyclic component of the
+positive dependency graph that no alive rule can derive from outside the
+unfounded set is made false.  Each such atom keeps a source pointer, the
+alive rule that last founded it (smodels: Simons, Niemelä, Soininen,
+*Extending and implementing the stable model semantics*, AIJ 2002), so a
+check revisits only the atoms whose source died or that were undone
+without one.  Tight programs, whose graph has no cycle, skip this check
+(Fages 1994).  Each propagated atom records the reason for its
 value, and each conflict is resolved over those reasons into a learned
 nogood (first-UIP, as in clasp); backtracking stays chronological, so the
 models come in the order of a search without learning, and the nogoods
@@ -408,6 +412,17 @@ class _Search:
     `_assign` also keeps each atom's trail position in `position[a]`, from
     which conflict analysis tells the level of a literal and orders them.
 
+    Each loop atom a (`Program.loop_atoms`) keeps in `src[a]` its source,
+    the rule through which an unfounded-set check last founded it, or -1
+    when it has none; `src` holds -2 for every other atom, which needs
+    none.  After a check, every loop atom that is not false and has a
+    source is founded through it: the source is alive, and the sources of
+    its positive body's loop atoms were set before it.  Between checks,
+    `_assign` lists in `lost` each atom whose source dies, and `pending`
+    holds every loop atom without a source that is not false: `_undo_to`
+    lists again each atom that it unassigns without one.  `_unfounded`
+    reads only those lists.
+
     `_learn` resolves a conflict to its first unique implication point
     (Gebser, Kaufmann, Schaub, *Conflict-driven answer set solving*, AIJ
     2012), and `_nogoods` propagates the learned nogoods with two watched
@@ -488,19 +503,21 @@ class _Search:
         self.order = sorted(self.choice) + \
             [a for a in range(self.n) if a not in self.choice]
 
-        # Unfounded-set bookkeeping over the loop atoms.  For a rule whose
-        # head is a loop atom, lcount counts the distinct loop atoms of its
-        # positive body, and lwatch maps each of those back to the rule.
+        # Unfounded-set bookkeeping over the loop atoms, none of which has a
+        # source yet.  lwatch lists each rule whose head is a loop atom once
+        # for each occurrence of a loop atom in its positive body.
         self.loop_atoms = program.loop_atoms()
-        self.lcount = [0] * len(self.rhead)
+        self.src = src = [-2] * self.n
+        for a in self.loop_atoms:
+            src[a] = -1
+        self.pending = list(self.loop_atoms)
+        self.lost: list[int] = []
         lwatch: list[list[int]] = [[] for _ in range(self.n)]
-        in_loop = set(self.loop_atoms)
         for a in self.loop_atoms:
             for r in self.headw[a]:
-                body = {b for b in self.rpos[r] if b in in_loop}
-                self.lcount[r] = len(body)
-                for b in body:
-                    lwatch[b].append(r)
+                for b in self.rpos[r]:
+                    if src[b] == -1:
+                        lwatch[b].append(r)
         self.lwatch = [tuple(w) for w in lwatch]
 
     def declare(self, atoms) -> None:
@@ -520,10 +537,10 @@ class _Search:
             self.reason.append(None)
             self.position.append(0)
             self.support.append(0)
+            self.src.append(-2)
             self.rhead.append(a)
             self.rpos.append((x,))
             self.rneg.append(())
-            self.lcount.append(0)
             self.need.append(1)
             self.bad.append(0)
             self.headw[a] += (r,)
@@ -559,21 +576,26 @@ class _Search:
                 self.gcount[g] += 1
         else:
             kill, fill = self.posw[a], self.negw[a]
-        need, bad, support, rhead = self.need, self.bad, self.support, \
-            self.rhead
+        need, bad, support, rhead, src = self.need, self.bad, self.support, \
+            self.rhead, self.src
         for r in fill:
             need[r] -= 1
         for r in kill:
             bad[r] += 1
             if bad[r] == 1 and rhead[r] != _NO_HEAD:
-                support[rhead[r]] -= 1
+                h = rhead[r]
+                support[h] -= 1
+                if src[h] == r:
+                    self.lost.append(h)
         return True
 
     def _undo_to(self, mark: int) -> None:
-        """Pop atoms off the trail and revert their counts; empty the queue."""
+        """Pop atoms off the trail and revert their counts; empty the queue.
+        A loop atom left without a source is pending again."""
         self.queue.clear()
-        trail, status, need, bad, support, rhead = self.trail, self.status, \
-            self.need, self.bad, self.support, self.rhead
+        trail, status, need, bad, support, rhead, src = self.trail, \
+            self.status, self.need, self.bad, self.support, self.rhead, \
+            self.src
         while len(trail) > mark:
             a = trail.pop()
             if status[a] == TRUE:
@@ -583,6 +605,8 @@ class _Search:
             else:
                 kill, fill = self.posw[a], self.negw[a]
             status[a] = UNDEF
+            if src[a] == -1:
+                self.pending.append(a)
             for r in fill:
                 need[r] += 1
             for r in kill:
@@ -834,33 +858,74 @@ class _Search:
         rest cannot be true in any answer set that extends the assignment.
         Atoms outside loops count as founded, because support counting
         already falsifies them when they lose their last rule.
+
+        The check is incremental, with source pointers (smodels; clasp:
+        Gebser, Kaufmann, Schaub, *Conflict-driven answer set solving: From
+        theory to practice*, AIJ 2012).  It first unsources each `lost` atom
+        whose source is still dead, and every atom founded through one of
+        them; each atom still sourced is then founded, by induction over the
+        order in which the sources were set.  The candidates are the
+        unsourced atoms that are not false: each is pending or was just
+        unsourced.  Each alive rule of a candidate counts the loop atoms of
+        its positive body without a source, all before any candidate gets
+        one: a count taken later would miss an atom already sourced, which
+        still takes one from it.  A rule that counts none becomes the
+        source of its head, and each atom that gets a source takes one from
+        the count of every rule that `lwatch` lists for it, which makes a
+        source of each rule whose count reaches 0.  That is the fixpoint of
+        the definition above, started from the atoms still sourced: every
+        candidate it founds gets a source, in the order of the fixpoint,
+        and only those do, so the candidates left without one are the
+        greatest unfounded set.  They stay pending.
         """
-        status, bad, lcount = self.status, self.bad, self.lcount
-        candidates = [a for a in self.loop_atoms if status[a] != FALSE]
-        founded: set[int] = set()
-        stack: list[int] = []
-        waiting: dict[int, int] = {}  # rule -> body loop atoms not yet founded
+        src, bad, rhead, lwatch = self.src, self.bad, self.rhead, self.lwatch
+        pending, stack = self.pending, []
+        for a in self.lost:
+            r = src[a]
+            if r >= 0 and bad[r]:
+                src[a] = -1
+                stack.append(a)
+        self.lost.clear()
+        while stack:
+            b = stack.pop()
+            pending.append(b)
+            for r in lwatch[b]:
+                h = rhead[r]
+                if src[h] == r:
+                    src[h] = -1
+                    stack.append(h)
+        if not pending:
+            return pending
+        status, headw, rpos = self.status, self.headw, self.rpos
+        candidates = {a for a in pending
+                      if src[a] == -1 and status[a] != FALSE}
+        waiting: dict[int, int] = {}  # rule -> body loop atoms not sourced
+        founded = []  # (atom, its new source), set once every count is taken
         for a in candidates:
-            for r in self.headw[a]:
+            for r in headw[a]:
                 if bad[r]:
                     continue
-                if not lcount[r]:
-                    founded.add(a)
-                    stack.append(a)
+                k = [src[b] for b in rpos[r]].count(-1)
+                if not k:
+                    founded.append((a, r))
                     break
-                waiting[r] = lcount[r]
+                waiting[r] = k
+        for a, r in founded:
+            src[a] = r
+            stack.append(a)
         while stack:
-            for r in self.lwatch[stack.pop()]:
+            for r in lwatch[stack.pop()]:
                 k = waiting.get(r)
                 if k is None:
                     continue
                 waiting[r] = k - 1
                 if k == 1:
-                    h = self.rhead[r]
-                    if h not in founded:
-                        founded.add(h)
+                    h = rhead[r]
+                    if src[h] == -1:
+                        src[h] = r
                         stack.append(h)
-        return [a for a in candidates if a not in founded]
+        self.pending = [a for a in candidates if src[a] == -1]
+        return self.pending
 
     def lower_bound(self, k: int) -> None:
         """Lower the bound of the last at-most group within the running
@@ -907,15 +972,14 @@ class _Search:
             stack: list[list[int]] = []
             while True:
                 if not conflict:
+                    unfounded = self.loop_atoms and self._unfounded()
+                    if unfounded:
+                        why = frozenset(unfounded)
+                        conflict = not (all(self._assign(b, FALSE, why)
+                                            for b in why)
+                                        and self._propagate())
+                        continue
                     a = self._pick()
-                    if self.loop_atoms and (a < 0 or a not in self.choice):
-                        unfounded = self._unfounded()
-                        if unfounded:
-                            why = frozenset(unfounded)
-                            conflict = not (all(self._assign(b, FALSE, why)
-                                                for b in unfounded)
-                                            and self._propagate())
-                            continue
                     if a < 0:
                         model = {i for i in range(self.n_model)
                                  if self.status[i] == TRUE}

@@ -221,16 +221,26 @@ def random_program(rng, n):
     return rules, choice, atmost
 
 
+def in_branch_order(n, choice, models):
+    """`models` sorted as the search branches: over the sorted choice atoms,
+    then the other atoms, each false before true."""
+    order = sorted(choice) + [a for a in range(n) if a not in choice]
+    return sorted(models, key=lambda m: [a in m for a in order])
+
+
 @never_rejected
 def test_500_random_programs_match_exhaustive_oracle():
+    # the models, and their order: backtracking is chronological over a
+    # fixed branch order, and propagation only cuts subtrees without models
     rng = random.Random(20240817)
     for trial in range(500):
         n = rng.randrange(2, 13)
         rules, choice, atmost = random_program(rng, n)
         prog = build(n, rules, choice, atmost)
-        got = solve(prog)
+        got = list(prog.answer_sets())
         want = oracle(n, rules, choice, atmost)
-        assert got == want, (trial, n, rules, choice, atmost)
+        assert got == in_branch_order(n, choice, want), \
+            (trial, n, rules, choice, atmost)
 
 
 def random_loop_program(rng, n):
@@ -258,9 +268,10 @@ def test_200_random_loop_programs_match_exhaustive_oracle():
         rules, choice, atmost = random_loop_program(rng, n)
         prog = build(n, rules, choice, atmost)
         loops += bool(prog.loop_atoms())
-        got = solve(prog)
+        got = list(prog.answer_sets())
         want = oracle(n, rules, choice, atmost)
-        assert got == want, (trial, n, rules, choice, atmost)
+        assert got == in_branch_order(n, choice, want), \
+            (trial, n, rules, choice, atmost)
     assert loops > 150  # the suite exercises the unfounded-set check
 
 
@@ -288,12 +299,15 @@ def cyclic_atoms(n, rules, choice):
 def test_solver_set_up_matches_its_definitions():
     """`loop_atoms` lists each atom on a positive cycle once, and the rule
     columns, watch lists and counters of `_Search` are their definitions,
-    read off the rules one by one, constraints included."""
+    read off the rules one by one, constraints included.  A third of the
+    programs repeat atoms in positive bodies, which `lwatch` lists a rule
+    for once per occurrence."""
     rng = random.Random(6174)
     looped = constraints = 0
     for trial in range(3000):
         n = rng.randrange(2, 14)
-        make = random_loop_program if trial % 2 else random_program
+        make = (random_program, random_loop_program,
+                random_repeating_program)[trial % 3]
         rules, choice, atmost = make(rng, n)
         prog = build(n, rules, choice, atmost)
         loops = prog.loop_atoms()
@@ -313,9 +327,92 @@ def test_solver_set_up_matches_its_definitions():
             assert s.headw[a] == tuple(r for r, h in enumerate(heads)
                                        if h == a)
             assert s.support[a] == heads.count(a)
+            assert sorted(s.lwatch[a]) == [
+                r for r, (h, pos, _) in enumerate(rules) if h in loops
+                for b in pos if b == a and a in loops]
+            assert s.src[a] == (-1 if a in loops else -2)
         assert s.need == [len(pos) + len(neg) for _, pos, neg in rules]
         constraints += heads.count(-1)
     assert looped > 1000 and constraints > 1000
+
+
+def random_repeating_program(rng, n):
+    """Loop programs whose positive bodies may repeat an atom (drawn with
+    replacement), with a few self-loops `a :- a, ...` besides."""
+    rules = []
+    for _ in range(rng.randrange(n, 3 * n)):
+        head = None if rng.random() < 0.1 else rng.randrange(n)
+        pos = tuple(rng.choices(range(n), k=rng.randrange(0, 4)))
+        neg = (rng.randrange(n),) if rng.random() < 0.2 else ()
+        rules.append((head, pos, neg))
+    for a in rng.sample(range(n), k=rng.randrange(0, 3)):
+        more = rng.choices(range(n), k=rng.randrange(2))
+        rules.append((a, (a, *more), ()))
+    choice = rng.sample(range(n), k=rng.randrange(0, n // 3 + 1))
+    atmost = []
+    if rng.random() < 0.3:
+        members = tuple(rng.sample(range(n), k=rng.randrange(2, n + 1)))
+        atmost.append((members, rng.randrange(0, len(members))))
+    return rules, choice, atmost
+
+
+def greatest_unfounded_set(status, rules, cyclic):
+    """The greatest set U of cyclic atoms that are not false such that every
+    rule with its head in U has a false body literal or a positive body
+    atom in U: from all of them, drop an atom with a rule that has neither
+    until none is left to drop."""
+    unfounded = {a for a in cyclic if status[a] != FALSE}
+    dropped = True
+    while dropped:
+        dropped = False
+        for head, pos, neg in rules:
+            if head in unfounded \
+                    and all(status[b] != FALSE for b in pos) \
+                    and all(status[b] != TRUE for b in neg) \
+                    and not unfounded.intersection(pos):
+                unfounded.discard(head)
+                dropped = True
+    return unfounded
+
+
+def test_every_unfounded_set_is_the_greatest_by_its_definition(monkeypatch):
+    # a spy recomputes the greatest unfounded set at every check from the
+    # assignment and the rules (each external's `a :- x_a` included), on
+    # loop programs that repeat atoms in a body and have self-loops, solved
+    # several times with facts that declare new externals between runs
+    rng = random.Random(1729)
+    current = {}
+    checks = Counter()
+    unfounded = _Search._unfounded
+
+    def spying(search):
+        rules = current["rules"] + [(a, (x,), ())
+                                    for a, x in search.externals.items()]
+        want = greatest_unfounded_set(search.status, rules, current["cyclic"])
+        got = unfounded(search)
+        assert len(got) == len(set(got)) and set(got) == want, \
+            (current, search.status, got, want)
+        checks["found" if got else "empty"] += 1
+        return got
+
+    monkeypatch.setattr(_Search, "_unfounded", spying)
+    for trial in range(300):
+        n = rng.randrange(2, 10)
+        rules, choice, atmost = random_repeating_program(rng, n)
+        prog = build(n, rules, choice, atmost)
+        current.update(rules=rules, cyclic=cyclic_atoms(n, rules, set(choice)),
+                       trial=trial)
+        declared: set[int] = set()
+        for run in range(4):
+            facts = rng.sample(range(n), k=rng.randrange(0, 3))
+            checks["new externals"] += bool(run and set(facts) - declared)
+            declared.update(facts)
+            got = list(prog.answer_sets(facts=facts))
+            want = oracle(n, rules + [(f, (), ()) for f in facts], choice,
+                          atmost)
+            assert got == in_branch_order(n, choice, want), (trial, facts)
+    assert checks["found"] > 300 and checks["empty"] > 800, checks
+    assert checks["new externals"] > 300, checks
 
 
 def test_certifier_matches_exhaustive_oracle_on_every_subset():

@@ -16,7 +16,7 @@ import pytest
 from almc import semantics, tasks
 from almc.bat import CmpLit, Constraint, DynLaw, FunLit, OccLit
 from almc.errors import BudgetExceeded, DiagnosticSink
-from almc.lpcore import Budget, Program
+from almc.lpcore import Budget, Program, _Search
 from almc.memo import ReadsMemo
 from almc.modular import UndefinedArithmetic, compare, enumerate_placements
 from almc.ontology import BASIC_FLUENT, DEFINED_FLUENT, FALSE, TRUE, dom_name
@@ -176,6 +176,33 @@ def test_travel_certifies_only_the_models_it_returns(monkeypatch):
     assert sum(len(d.transitions) for d in diagrams) > 0
     assert calls["models"] > 0
     assert calls["certify"] == calls["models"]
+
+
+def test_travel_finds_one_unfounded_set_per_source_state(monkeypatch):
+    # each source state's switches leave step-1 connectivity atoms without
+    # a founding rule; source pointers find that set once, at the run's
+    # root, and no model of the run finds it again
+    cs = compile_system(parse_path(CORPUS / "travel.alm"), [],
+                        DiagnosticSink())
+    g = grounder_of(cs)
+    states = enumerate_states(g).states
+    found: list[int] = []  # per run, the unfounded sets found
+    answer_sets, unfounded = Program.answer_sets, _Search._unfounded
+
+    def counting_answer_sets(self, *args, **kwargs):
+        found.append(0)
+        yield from answer_sets(self, *args, **kwargs)
+
+    def counting_unfounded(self):
+        got = unfounded(self)
+        found[-1] += bool(got)
+        return got
+
+    monkeypatch.setattr(Program, "answer_sets", counting_answer_sets)
+    monkeypatch.setattr(_Search, "_unfounded", counting_unfounded)
+    assert compute_transitions(g, states)
+    assert len(states) == 189
+    assert found == [1] * 189
 
 
 def test_not_well_founded_fixture_has_no_states():

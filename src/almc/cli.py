@@ -8,6 +8,7 @@ error, 4 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -395,11 +396,84 @@ def seconds(text: str) -> float:
     return value
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="almc", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
+def _arg(*names, **options):
+    return names, options
 
-    def common(p, budgeted=True):
+
+# Every subcommand: its help, its handler, whether it takes the budget flags
+# and `--json-lines` (only the commands that print records), and its own
+# arguments, which follow those.
+COMMANDS = {
+    "check": (
+        "parse and validate", cmd_check, True, False,
+        [_arg("--well-founded", action="store_true",
+              help="also run the well-foundedness check (a system "
+              "description only)")]),
+    "flatten": ("print the flattened module", cmd_flatten, False, False, []),
+    "hierarchy": (
+        "print the sort hierarchy links", cmd_hierarchy, False, True, []),
+    "bat": (
+        "summarize the normalized action theory", cmd_bat, False, False, []),
+    "states": (
+        "enumerate the states of each model", cmd_states, True, True, []),
+    "transitions": (
+        "compute the transition diagram", cmd_transitions, True, True,
+        [_arg("--action-sets", choices=["singleton", "powerset"],
+              default="singleton",
+              help="action sets labelling transitions")]),
+    "project": (
+        "temporal projection over a history", cmd_project, True, True,
+        [_arg("--history", required=True, help="history fact file"),
+         _arg("--horizon", type=natural, default=None),
+         _arg("--query", action="append", default=[],
+              help="literal to test for entailment (repeatable)"),
+         _arg("--at", type=natural, default=None,
+              help="step for --query (default: final step)")]),
+    "plan": (
+        "find minimal plans for a goal", cmd_plan, True, True,
+        [_arg("--history", required=True, help="initial facts file"),
+         _arg("--goal", required=True, help="goal literal file"),
+         _arg("--horizon", type=natural, required=True),
+         _arg("--cr-min", choices=["card", "set"], default="card"),
+         _arg("--max-plans", type=positive, default=None),
+         _arg("--concurrent", action="store_true",
+              help="allow several actions per step"),
+         _arg("--most-specific", action="store_true",
+              help="drop plans using a shadowed, less specific action"),
+         _arg("--validate", action="store_true",
+              help="re-execute each plan and report the outcome")]),
+    "emit-asp": (
+        "export the ground program as text", cmd_emit_asp, False, False,
+        [_arg("--horizon", type=natural, default=0),
+         _arg("--output", "-o", default=None)]),
+}
+
+
+class _Reparse(Exception):
+    """A one-command parser met what only the full parser prints."""
+
+
+class _OneCommandParser(_Parser):
+    """Prints nothing: help and usage errors go to the full parser, whose
+    usage lists every command."""
+
+    def error(self, message: str):
+        raise _Reparse
+
+    def print_help(self, file=None):
+        raise _Reparse
+
+
+def build_arg_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone, which raises
+    `_Reparse` where the full parser would print."""
+    top = (_Parser if command is None else _OneCommandParser)(
+        prog="almc", description=__doc__)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (text, fn, budgeted, records, own) in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=text)
         p.add_argument("file", help="input .alm file")
         p.add_argument("--lib", action="append", default=[],
                        help="library search directory (repeatable; "
@@ -410,78 +484,24 @@ def build_arg_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget-seconds", type=seconds, default=None,
                            help="wall-clock limit for grounding and "
                                 "solving")
-
-    def json_lines(p):  # only on the commands that print records
-        p.add_argument("--json-lines", action="store_true",
-                       help="machine-readable line-delimited output")
-
-    p = sub.add_parser("check", help="parse and validate")
-    common(p)
-    p.add_argument("--well-founded", action="store_true",
-                   help="also run the well-foundedness check (a system "
-                   "description only)")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("flatten", help="print the flattened module")
-    common(p, budgeted=False)
-    p.set_defaults(fn=cmd_flatten)
-
-    p = sub.add_parser("hierarchy", help="print the sort hierarchy links")
-    common(p, budgeted=False)
-    json_lines(p)
-    p.set_defaults(fn=cmd_hierarchy)
-
-    p = sub.add_parser("bat", help="summarize the normalized action theory")
-    common(p, budgeted=False)
-    p.set_defaults(fn=cmd_bat)
-
-    p = sub.add_parser("states", help="enumerate the states of each model")
-    common(p)
-    json_lines(p)
-    p.set_defaults(fn=cmd_states)
-
-    p = sub.add_parser("transitions", help="compute the transition diagram")
-    common(p)
-    json_lines(p)
-    p.add_argument("--action-sets", choices=["singleton", "powerset"],
-                   default="singleton",
-                   help="action sets labelling transitions")
-    p.set_defaults(fn=cmd_transitions)
-
-    p = sub.add_parser("project", help="temporal projection over a history")
-    common(p)
-    json_lines(p)
-    p.add_argument("--history", required=True, help="history fact file")
-    p.add_argument("--horizon", type=natural, default=None)
-    p.add_argument("--query", action="append", default=[],
-                   help="literal to test for entailment (repeatable)")
-    p.add_argument("--at", type=natural, default=None,
-                   help="step for --query (default: final step)")
-    p.set_defaults(fn=cmd_project)
-
-    p = sub.add_parser("plan", help="find minimal plans for a goal")
-    common(p)
-    json_lines(p)
-    p.add_argument("--history", required=True, help="initial facts file")
-    p.add_argument("--goal", required=True, help="goal literal file")
-    p.add_argument("--horizon", type=natural, required=True)
-    p.add_argument("--cr-min", choices=["card", "set"], default="card")
-    p.add_argument("--max-plans", type=positive, default=None)
-    p.add_argument("--concurrent", action="store_true",
-                   help="allow several actions per step")
-    p.add_argument("--most-specific", action="store_true",
-                   help="drop plans using a shadowed, less specific action")
-    p.add_argument("--validate", action="store_true",
-                   help="re-execute each plan and report the outcome")
-    p.set_defaults(fn=cmd_plan)
-
-    p = sub.add_parser("emit-asp", help="export the ground program as text")
-    common(p, budgeted=False)
-    p.add_argument("--horizon", type=natural, default=0)
-    p.add_argument("--output", "-o", default=None)
-    p.set_defaults(fn=cmd_emit_asp)
-
+        if records:
+            p.add_argument("--json-lines", action="store_true",
+                           help="machine-readable line-delimited output")
+        for names, options in own:
+            p.add_argument(*names, **options)
+        p.set_defaults(fn=fn)
     return top
+
+
+def parse_command_line(argv: list[str]) -> argparse.Namespace:
+    """`argv` parsed by its command's parser alone, or by the full parser
+    for help, a usage error or no known command."""
+    if argv and argv[0] in COMMANDS:
+        try:
+            return build_arg_parser(argv[0]).parse_args(argv)
+        except _Reparse:
+            pass
+    return build_arg_parser().parse_args(argv)
 
 
 def _print_warnings(sink: DiagnosticSink) -> None:
@@ -492,8 +512,18 @@ def _print_warnings(sink: DiagnosticSink) -> None:
         print(text, file=sys.stderr)
 
 
+_heap_frozen = False
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    global _heap_frozen
+    if not _heap_frozen:
+        # what exists now, mostly what the imports made, lives as long as
+        # the process: the collector need not scan it again in every full
+        # collection of every command
+        gc.freeze()
+        _heap_frozen = True
+    args = parse_command_line(sys.argv[1:] if argv is None else argv)
     sink = DiagnosticSink()
     try:
         return args.fn(args, sink)

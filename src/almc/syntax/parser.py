@@ -4,7 +4,8 @@ The language has no statement separators outside of axiom-terminating dots,
 so section boundaries are driven entirely by the reserved keywords; the few
 genuinely ambiguous list boundaries (object-constant sort lists, structure
 attribute assignments vs. the next instance definition) are resolved with
-bounded lookahead.
+bounded lookahead.  Nodes get their span by position, as their last field:
+a keyword argument takes the slower path of the records' `__init__`.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class _Parser:
         while self.at("+") or self.at("-"):
             op = self.next()
             rhs = self._parse_mul()
-            t = ast.Arith(op.text, t, rhs, span=op.span)
+            t = ast.Arith(op.text, t, rhs, op.span)
         return t
 
     def _parse_mul(self) -> ast.Term:
@@ -86,17 +87,17 @@ class _Parser:
         while self.at("*") or self.at_kw("mod"):
             op = self.next()
             rhs = self._parse_primary()
-            t = ast.Arith(op.text, t, rhs, span=op.span)
+            t = ast.Arith(op.text, t, rhs, op.span)
         return t
 
     def _parse_primary(self) -> ast.Term:
         t = self.peek()
         if t.kind == "int":
             self.next()
-            return ast.Num(int(t.text), span=t.span)
+            return ast.Num(int(t.text), t.span)
         if t.kind == "var":
             self.next()
-            return ast.Var(t.text, span=t.span)
+            return ast.Var(t.text, t.span)
         if t.kind == "ident":
             self.next()
             if self.eat("("):
@@ -104,8 +105,8 @@ class _Parser:
                 while self.eat(","):
                     args.append(self.parse_term())
                 self.expect(")")
-                return ast.App(t.text, tuple(args), span=t.span)
-            return ast.Sym(t.text, span=t.span)
+                return ast.App(t.text, tuple(args), t.span)
+            return ast.Sym(t.text, t.span)
         if self.eat("("):
             inner = self.parse_term()
             self.expect(")")
@@ -122,7 +123,7 @@ class _Parser:
             self.expect("(")
             act = self.parse_term()
             self.expect(")")
-            return ast.OccursLit(neg, act, span=start)
+            return ast.OccursLit(neg, act, start)
         if self.at_kw("instance"):
             self.next()
             self.expect("(")
@@ -130,14 +131,15 @@ class _Parser:
             self.expect(",")
             sort = self.parse_term()
             self.expect(")")
-            return ast.Lit(neg, ast.App("instance", (obj, sort), span=start), span=start)
+            return ast.Lit(neg, ast.App("instance", (obj, sort), start),
+                           None, None, start)
         lhs = self.parse_term()
         for op in ("!=", "<=", ">=", "=", "<", ">"):
             if self.at(op):
                 self.next()
                 rhs = self.parse_term()
-                return ast.Lit(neg, lhs, op, rhs, span=start)
-        return ast.Lit(neg, lhs, span=start)
+                return ast.Lit(neg, lhs, op, rhs, start)
+        return ast.Lit(neg, lhs, None, None, start)
 
     def parse_plain_literal(self) -> ast.Lit:
         lit = self.parse_literal()
@@ -184,7 +186,7 @@ class _Parser:
         gact, sort, body = self._parse_guard()
         if gact != act:
             raise InputError("guard instance(...) must mention the occurring action", start)
-        return ast.DynamicLaw(act, head, sort, body, span=start)
+        return ast.DynamicLaw(act, head, sort, body, start)
 
     def _parse_executability(self) -> ast.Executability:
         start = self.expect_kw("impossible").span
@@ -195,7 +197,7 @@ class _Parser:
         gact, sort, body = self._parse_guard()
         if gact != act:
             raise InputError("guard instance(...) must mention the occurring action", start)
-        return ast.Executability(act, sort, body, span=start)
+        return ast.Executability(act, sort, body, start)
 
     def _parse_rule(self) -> ast.Rule:
         start = self.peek().span
@@ -210,7 +212,7 @@ class _Parser:
             self.next()
             body = tuple(self._parse_body(allow_occurs=False))  # type: ignore[arg-type]
         self.expect(".")
-        return ast.Rule(head, body, span=start)
+        return ast.Rule(head, body, start)
 
     # ---------------------------------------------------------- sort names
 
@@ -221,7 +223,7 @@ class _Parser:
             self.expect("..")
             hi = self._parse_bound()
             self.expect("]")
-            return ast.RangeSort(lo, hi, span=start)
+            return ast.RangeSort(lo, hi, start)
         return self.expect("ident").text
 
     def _parse_bound(self) -> Union[int, str]:
@@ -253,7 +255,7 @@ class _Parser:
                 self.next()
                 while self.at("ident") and self.at(":", off=1):
                     attrs.append(self._parse_attr_decl())
-            decls.append(ast.SortDecl(tuple(names), tuple(parents), tuple(attrs), span=start))
+            decls.append(ast.SortDecl(tuple(names), tuple(parents), tuple(attrs), start))
         return tuple(decls)
 
     def _starts_sort_decl(self) -> bool:
@@ -273,10 +275,10 @@ class _Parser:
             parts.append(self.parse_sortname())
         if self.eat("->"):
             result = self.parse_sortname()
-            return ast.AttrDecl(name.text, tuple(parts), result, span=name.span)
+            return ast.AttrDecl(name.text, tuple(parts), result, name.span)
         if len(parts) != 1:
             raise InputError("attribute declaration without '->' takes no arguments", name.span)
-        return ast.AttrDecl(name.text, (), parts[0], span=name.span)
+        return ast.AttrDecl(name.text, (), parts[0], name.span)
 
     def _parse_const_decls(self) -> tuple[ast.ConstDecl, ...]:
         decls = []
@@ -293,7 +295,7 @@ class _Parser:
                     and not self.at("(", off=2):
                 self.next()
                 sorts.append(self.parse_sortname())
-            decls.append(ast.ConstDecl(tuple(consts), tuple(sorts), span=start))
+            decls.append(ast.ConstDecl(tuple(consts), tuple(sorts), start))
         return tuple(decls)
 
     def _parse_const_name(self) -> tuple[str, tuple[ast.SortName, ...]]:
@@ -327,7 +329,7 @@ class _Parser:
                         if len(parts) != 1:
                             raise InputError("missing '->' in function declaration", start)
                         args, result = (), parts[0]
-                    decls.append(ast.FuncDecl(name, args, result, total, cat, basic, span=start))
+                    decls.append(ast.FuncDecl(name, args, result, total, cat, basic, start))
         return tuple(decls)
 
     # ---------------------------------------------------------- modules
@@ -365,7 +367,7 @@ class _Parser:
             else:
                 break
         return ast.Module(name, tuple(depends), sorts, constants, functions,
-                          tuple(axioms), span=start)
+                          tuple(axioms), start)
 
     def parse_import(self) -> ast.ImportDirective:
         start = self.expect_kw("import").span
@@ -386,7 +388,7 @@ class _Parser:
                 kind, theory = "theory", first
         self.expect_kw("from")
         library = self.expect("ident").text
-        return ast.ImportDirective(kind, theory, module, library, span=start)
+        return ast.ImportDirective(kind, theory, module, library, start)
 
     def parse_theory(self) -> ast.Theory:
         start = self.expect_kw("theory").span
@@ -399,7 +401,7 @@ class _Parser:
                 items.append(self.parse_import())
             else:
                 break
-        return ast.Theory(name, tuple(items), span=start)
+        return ast.Theory(name, tuple(items), start)
 
     # ---------------------------------------------------------- structure
 
@@ -416,7 +418,7 @@ class _Parser:
                     cname = self.next()
                     self.next()
                     constants.append(ast.ConstAssign(cname.text, self.parse_term(),
-                                                     span=cname.span))
+                                                     cname.span))
             elif self.at_kw("instances"):
                 self.next()
                 while self.at("ident") or self.at("var"):
@@ -430,11 +432,11 @@ class _Parser:
                         self.next()
                         body = tuple(self._parse_body(allow_occurs=False))  # type: ignore[arg-type]
                     self.expect(".")
-                    statics.append(ast.StaticAssign(lit, body, span=lit.span))
+                    statics.append(ast.StaticAssign(lit, body, lit.span))
             else:
                 break
         return ast.Structure(name, tuple(constants), tuple(instances), tuple(statics),
-                             span=start)
+                             start)
 
     def _parse_instance_def(self) -> ast.InstanceDef:
         start = self.peek().span
@@ -461,8 +463,8 @@ class _Parser:
                 self.expect(")")
             self.expect("=")
             attrs.append(ast.AttrAssign(aname.text, tuple(args), self.parse_term(),
-                                        span=aname.span))
-        return ast.InstanceDef(tuple(objects), tuple(sorts), where, tuple(attrs), span=start)
+                                        aname.span))
+        return ast.InstanceDef(tuple(objects), tuple(sorts), where, tuple(attrs), start)
 
     def _comma_starts_instance(self, off: int) -> bool:
         # after ", ident": another sort iff not followed by something instance-like
@@ -503,7 +505,7 @@ class _Parser:
             theory = self.parse_theory()
         structure = self.parse_structure()
         self.expect("eof")
-        return ast.System(name, theory, structure, span=start)
+        return ast.System(name, theory, structure, start)
 
     def parse_top(self) -> Union[ast.System, ast.Theory]:
         if self.at_kw("system"):

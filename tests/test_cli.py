@@ -1,11 +1,15 @@
+import gc
 import io
 import json
 import sys
+import weakref
 from itertools import product
 
 import pytest
 
-from almc.cli import compile_from_path, main
+from almc.cli import (
+    build_arg_parser, compile_from_path, main, parse_command_line,
+)
 from almc.errors import InputError
 
 from conftest import ALM_FILES, CORPUS
@@ -763,3 +767,99 @@ def test_unbounded_rule_variable_is_located_at_its_axiom(capsys, tmp_path):
     assert err.strip() == (
         f"almc: {system}:13:9: the numeric sort 'natural_numbers' is "
         "unbounded and cannot be grounded; use a range sort instead")
+
+
+# ------------------------------------------------------------ usage output
+
+T0, T0_HIST = str(CORPUS / "t0.alm"), str(CORPUS / "t0.hist")
+COMMAND_NAMES = ["check", "flatten", "hierarchy", "bat", "states",
+                 "transitions", "project", "plan", "emit-asp"]
+T0_PLAN = ["plan", T0, "--history", T0_HIST, "--goal", T0_HIST]
+
+USAGE_CASES = {
+    "help": ["-h"],
+    "no-arguments": [],
+    "unknown-command": ["bogus", T0],
+    **{f"help-{name}": [name, "-h"] for name in COMMAND_NAMES},
+    "unrecognized-option": ["project", T0, "--history", T0_HIST, "--bogus"],
+    "missing-required": T0_PLAN,
+    "bad-natural": ["emit-asp", T0, "--horizon", "one"],
+    "bad-positive": T0_PLAN + ["--horizon", "1", "--max-plans", "0"],
+    "bad-seconds": ["states", T0, "--budget-seconds", "soon"],
+    "bad-choice": ["transitions", T0, "--action-sets", "all"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES.values(), ids=USAGE_CASES)
+def test_usage_output_is_the_full_parsers(capsys, monkeypatch, argv):
+    # argparse wraps its messages to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as got:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    with pytest.raises(SystemExit) as want:
+        build_arg_parser().parse_args(list(argv))
+    assert (got.value.code, out, err) == (want.value.code,
+                                          *capsys.readouterr())
+    assert got.value.code == (0 if "-h" in argv else 1)
+    if "bogus" in argv or "--bogus" in argv or not argv:
+        # the top-level usage names every command
+        assert "{" + ",".join(COMMAND_NAMES) + "}" in err
+
+
+VALID_ARGV = [
+    ["check", T0, "--well-founded", "--budget-nodes", "3"],
+    ["flatten", T0, "--lib", "a", "--lib", "b"],
+    ["hierarchy", T0, "--json-lines"],
+    ["transitions", T0, "--action-sets", "powerset", "--budget-seconds", "2"],
+    ["project", T0, "--history", T0_HIST, "--query", "f(x) = o", "--at",
+     "1"],
+    T0_PLAN + ["--horizon", "1", "--cr-min", "set", "--max-plans", "2",
+               "--concurrent", "--validate"],
+    ["emit-asp", T0, "-o", "out.lp", "--horizon", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=lambda a: a[0])
+def test_one_commands_parser_reads_what_the_full_parser_reads(argv):
+    assert vars(parse_command_line(argv)) == \
+        vars(build_arg_parser().parse_args(argv))
+
+
+def test_main_freezes_the_import_heap_once(capsys):
+    threshold = gc.get_threshold()
+    assert run(capsys, "check", T0)[0] == 0
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+
+    class Node:
+        pass
+
+    cycle = Node()
+    cycle.self = cycle
+    ref = weakref.ref(cycle)
+    del cycle
+    assert run(capsys, "check", T0)[0] == 0
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled() and gc.get_threshold() == threshold
+    # what is made after the first command is collected as before
+    gc.collect()
+    assert ref() is None
+
+
+def test_non_decimal_digit_in_a_system_is_a_located_input_error(capsys,
+                                                                 tmp_path):
+    # `²` passes `str.isdigit` but not `int`
+    path = tmp_path / "t.alm"
+    path.write_text((CORPUS / "t0.alm").read_text().replace(
+        "g : c2 -> c3", "g : c2 -> [0..²]"), encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err == f"almc: {path}:17:27: unexpected character '²'\n"
+
+
+def test_non_decimal_digit_in_a_query_is_a_located_input_error(capsys):
+    code, out, err = run(capsys, "project", T0, "--history", T0_HIST,
+                         "--query", "f(x) = ²")
+    assert code == 2 and out == ""
+    assert err == "almc: 1:8: unexpected character '²'\n"

@@ -13,7 +13,9 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from collections import Counter
+from functools import cache
+from typing import Callable, Iterable, Iterator, Optional
 
 from almc.bat import build_action_theory
 from almc.errors import (
@@ -63,9 +65,35 @@ def atom_text(key) -> str:
     return f"{name}({', '.join(map(str, rest))})" if rest else str(name)
 
 
-def state_text(state: State) -> str:
-    return ", ".join(f"{fun_text(f, args)}={v}"
-                     for f, args, v in state.atoms())
+def state_text(state: State, name: Callable[[str, tuple], str]) -> str:
+    """The state's line, each fluent instance named by `name`, which a
+    command makes once (`cache(fun_text)`) to name each instance once."""
+    return ", ".join([f"{name(f, args)}={v}"
+                      for (f, args), v in state.values])
+
+
+def state_atoms(state: State, name: Callable[[str, tuple], str]) -> dict:
+    """The state as the `atoms` of a JSON record."""
+    return {name(f, args): str(v) for (f, args), v in state.values}
+
+
+def rendered_once(diagrams: list[Diagram],
+                  render: Callable[[Diagram], Iterable]
+                  ) -> Callable[[Diagram], Iterable]:
+    """`render` of each diagram once: `build_diagrams` gives the models of
+    a group one diagram, whose parts are kept for its later models, and
+    the parts of a diagram that one model has are printed as rendered."""
+    uses = Counter(map(id, diagrams))
+    kept: dict[int, list] = {}
+
+    def parts(d: Diagram) -> Iterable:
+        if uses[id(d)] == 1:
+            return render(d)
+        if id(d) not in kept:
+            kept[id(d)] = list(render(d))
+        return kept[id(d)]
+
+    return parts
 
 
 def program_text(prog: Program) -> str:
@@ -214,53 +242,45 @@ def cmd_bat(args, sink: DiagnosticSink) -> int:
     return EXIT_OK
 
 
-def emit_diagram(m: int, d: Diagram) -> None:
-    """The record that diagram `m` is not well-founded, before its other
-    records; a well-founded diagram gets none."""
-    if not d.well_founded:
-        emit_json({"type": "diagram", "model": m, "well_founded": False})
-
-
-def cmd_states(args, sink: DiagnosticSink) -> int:
+def cmd_diagrams(args, sink: DiagnosticSink) -> int:
+    """`states`, and `transitions` with the transitions too, of each
+    model's diagram.  Each diagram is rendered once (`rendered_once`):
+    into its lines, or into its records, each less its model number."""
     budget = make_budget(args)
     cs = compile_from_path(args.file, search_paths_of(args), sink, budget)
-    diagrams = build_diagrams(cs, budget=budget, with_transitions=False)
+    arcs = args.command == "transitions"
+    diagrams = build_diagrams(cs, getattr(args, "action_sets", "singleton"),
+                              budget, with_transitions=arcs)
+    name = cache(fun_text)
+
+    def render(d: Diagram) -> Iterator:
+        for i, s in enumerate(d.states):
+            if not args.json_lines:
+                yield f"  state {i}: {state_text(s, name)}"
+            elif not arcs:
+                atoms = json.dumps(state_atoms(s, name), sort_keys=True)
+                yield (f'{{"atoms": {atoms}, "index": {i}, "model": ',
+                       ', "type": "state"}')
+        for i, acts, j in sorted((i, sorted(map(str, acts)), j)
+                                 for i, acts, j in d.transitions):
+            yield (f'{{"actions": {json.dumps(acts)}, "from": {i}, '
+                   '"model": ', f', "to": {j}, "type": "transition"}}') \
+                if args.json_lines else f"  {i} --{{{', '.join(acts)}}}--> {j}"
+
+    parts = rendered_once(diagrams, render)
     for m, d in enumerate(diagrams):
         if args.json_lines:
-            emit_diagram(m, d)
+            if not d.well_founded:
+                emit_json({"type": "diagram", "model": m,
+                           "well_founded": False})
         else:
             print(f"model {m}: {len(d.states)} state(s)"
+                  + (f", {len(d.transitions)} transition(s)" if arcs else "")
                   + ("" if d.well_founded else " [not well-founded]"))
-        for i, s in enumerate(d.states):
-            if args.json_lines:
-                emit_json({"type": "state", "model": m, "index": i,
-                           "atoms": {fun_text(f, a): str(v)
-                                     for f, a, v in s.atoms()}})
-            else:
-                print(f"  state {i}: {state_text(s)}")
-    return EXIT_OK
-
-
-def cmd_transitions(args, sink: DiagnosticSink) -> int:
-    budget = make_budget(args)
-    cs = compile_from_path(args.file, search_paths_of(args), sink, budget)
-    diagrams = build_diagrams(cs, args.action_sets, budget)
-    for m, d in enumerate(diagrams):
-        if args.json_lines:
-            emit_diagram(m, d)
-        else:
-            print(f"model {m}: {len(d.states)} state(s), "
-                  f"{len(d.transitions)} transition(s)"
-                  + ("" if d.well_founded else " [not well-founded]"))
-            for i, s in enumerate(d.states):
-                print(f"  state {i}: {state_text(s)}")
-        for i, acts, j in sorted(d.transitions,
-                                 key=lambda t: (t[0], sorted(map(str, t[1])), t[2])):
-            if args.json_lines:
-                emit_json({"type": "transition", "model": m, "from": i,
-                           "actions": sorted(map(str, acts)), "to": j})
-            else:
-                print(f"  {i} --{{{', '.join(sorted(map(str, acts)))}}}--> {j}")
+        for part in parts(d):
+            # a record is printed as `emit_json` prints it, its model
+            # number put between its two parts
+            print(part if isinstance(part, str) else f"{part[0]}{m}{part[1]}")
     return EXIT_OK
 
 
@@ -287,18 +307,17 @@ def cmd_project(args, sink: DiagnosticSink) -> int:
     if not result.consistent:
         print("inconsistent history: no models", file=sys.stderr)
         return EXIT_SEMANTIC
+    name = cache(fun_text)
     for k, t in enumerate(result.trajectories):
         if args.json_lines:
             emit_json({"type": "trajectory", "index": k,
-                       "steps": [{fun_text(f, a): str(v)
-                                  for f, a, v in s.atoms()}
-                                 for s in t.states],
+                       "steps": [state_atoms(s, name) for s in t.states],
                        "occurrences": [sorted(map(str, o))
                                        for o in t.occurrences]})
             continue
         print(f"trajectory {k}:")
         for i, s in enumerate(t.states):
-            print(f"  step {i}: {state_text(s)}")
+            print(f"  step {i}: {state_text(s, name)}")
             if i < len(t.occurrences) and t.occurrences[i]:
                 print(f"  occurs: {', '.join(sorted(map(str, t.occurrences[i])))}")
     for q, verdict in verdicts:
@@ -415,9 +434,9 @@ COMMANDS = {
     "bat": (
         "summarize the normalized action theory", cmd_bat, False, False, []),
     "states": (
-        "enumerate the states of each model", cmd_states, True, True, []),
+        "enumerate the states of each model", cmd_diagrams, True, True, []),
     "transitions": (
-        "compute the transition diagram", cmd_transitions, True, True,
+        "compute the transition diagram", cmd_diagrams, True, True,
         [_arg("--action-sets", choices=["singleton", "powerset"],
               default="singleton",
               help="action sets labelling transitions")]),

@@ -961,7 +961,8 @@ class _Search:
         atoms in `facts` switched on and the other switches off.  However
         the run ends (exhausted, closed early, or by `BudgetExceeded`), the
         assignment is undone to the base mark and the learned nogoods are
-        dropped."""
+        dropped.  The budget's clock is read at decisions and at each total
+        assignment, before it is certified."""
         self.busy = True
         try:
             if self.base < 0:
@@ -981,6 +982,8 @@ class _Search:
                         continue
                     a = self._pick()
                     if a < 0:
+                        if budget is not None:
+                            budget.check_time()
                         model = {i for i in range(self.n_model)
                                  if self.status[i] == TRUE}
                         if certify(model):

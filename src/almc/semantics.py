@@ -32,8 +32,8 @@ grounder by its first `build_program` call, which numbers their keys;
 every call then adds the steps to the templates, in statement, binding,
 step order, through per-step rows of atom ids interned on first use.  A ground
 instance whose arithmetic has no value (`X mod 0`) is dropped, as gringo
-drops it, and the budget's deadline is read in both stages and while steps
-are added.
+drops it, and the budget's deadline is read in both stages and once per
+template while steps are added.
 
 Pre-models come from `system_pre_models`, which grounds and solves one more
 program per placement of the structure's objects: a grounder whose atoms
@@ -79,7 +79,8 @@ answer set unique: the test runs once per grounder, and only the domains
 are read per candidate.  Otherwise the program is solved for up to two
 answer sets, and a candidate with two witnesses that the theory is not
 well-founded; its diagram is kept even when no state is left, so that
-`states` and `transitions` can mark it ``[not well-founded]``.
+`states` and `transitions` can mark it ``[not well-founded]``.  Each
+answer set is read back in one pass (`ModelReader`).
 """
 
 from __future__ import annotations
@@ -175,15 +176,11 @@ class State:
 
     values: tuple[tuple[tuple, Value], ...]  # sorted ((f, args), value)
 
-    @staticmethod
-    def of(mapping: dict) -> "State":
-        return State(tuple(sorted(mapping.items())))
-
     def as_dict(self) -> dict:
         return dict(self.values)
 
     def value(self, f: str, args: tuple = ()) -> Optional[Value]:
-        return dict(self.values).get((f, args))
+        return next((v for key, v in self.values if key == (f, args)), None)
 
     def atoms(self) -> list[tuple[str, tuple, Value]]:
         return [(f, args, v) for (f, args), v in self.values]
@@ -671,7 +668,8 @@ class Grounder:
         call adds each template at each step of its group's range, template
         by template, so the rules come in statement, binding, step order,
         and interns each atom when first met, head before body.  The
-        budget's deadline is checked while templates are ground and added."""
+        budget's deadline is checked while templates are ground, and once
+        per template while they are added."""
         if self._templates is None:
             self._templates = _template_ids(self._ground_templates(budget))
         keys, groups = self._templates
@@ -685,9 +683,8 @@ class Grounder:
         rows = [[None] * (2 * len(keys)) + [_NO_HEAD] for _ in range(h + 1)]
         neqs: set[int] = set()
         for templates, steps in zip(groups, ranges):
-            for n, template in enumerate(templates):
-                if not n & 255:
-                    _check_time(budget)
+            for template in templates:
+                _check_time(budget)
                 for step in steps:
                     get = rows[step].__getitem__
                     for lits, j, nq in template:
@@ -786,12 +783,11 @@ class Grounder:
         return [("v", f, args, v, step) for f, args, v in state.atoms()
                 if not self.sig.functions[f].is_defined]
 
-    def state_from_model(self, model: frozenset, step: int) -> State:
-        vals = {}
-        for key in model:
-            if key[0] == "v" and key[4] == step:
-                vals[(key[1], key[2])] = key[3]
-        return State.of(vals)
+    @cached_property
+    def state_reader(self) -> "ModelReader":
+        """The reader of the state program and of the generation programs
+        made from it."""
+        return ModelReader(self, 0)
 
     def unsettled_domains(self, state: State) -> list[tuple[str, tuple]]:
         """The ``(dom_f, args)`` instances of basic fluents f whose domain
@@ -807,6 +803,48 @@ class Grounder:
         return out
 
 
+class ModelReader(dict):
+    """Reads an answer set of a grounder's programs in one pass: into the
+    values of steps `first`..`horizon`, each as the `values` of a `State`,
+    and the action sets of steps 0..horizon-1.  It maps each atom key, on
+    its first use, to ``(step - first, position, ((f, args), value))`` for
+    a value atom of a step that is read, ``(step, -1, action)`` for an
+    occurrence before `horizon`, and None for any other atom.  A step's
+    values are put at their instances' positions in sorted order, so they
+    come out in `State` order without a sort."""
+
+    def __init__(self, g: Grounder, horizon: int, first: int = 0):
+        self.positions = {inst: i for i, inst in enumerate(sorted(
+            (f, args) for f, ts in g.tuples.items() for args in ts))}
+        self.horizon, self.first = horizon, first
+
+    def __missing__(self, key: tuple):
+        entry = None
+        if key[0] == "v" and key[4] >= self.first:
+            inst = key[1], key[2]
+            entry = (key[4] - self.first, self.positions[inst],
+                     (inst, key[3]))
+        elif key[0] == "occ" and key[2] < self.horizon:
+            entry = (key[2], -1, key[1])
+        self[key] = entry
+        return entry
+
+    def __call__(self, model: frozenset
+                 ) -> tuple[list[tuple], list[frozenset]]:
+        width = len(self.positions)
+        rows = [[None] * width for _ in range(self.first, self.horizon + 1)]
+        acts: list[list] = [[] for _ in range(self.horizon)]
+        for entry in map(self.__getitem__, model):
+            if entry is not None:
+                step, i, item = entry
+                if i < 0:
+                    acts[step].append(item)
+                else:
+                    rows[step][i] = item
+        return ([tuple(filter(None, row)) for row in rows],
+                list(map(frozenset, acts)))
+
+
 @record
 class StateSpace:
     states: list[State]
@@ -817,17 +855,22 @@ class StateSpace:
 
 def enumerate_states(g: Grounder, budget: Optional[Budget] = None
                      ) -> StateSpace:
-    """States of the diagram defined by `g.pm`, each certified."""
+    """States of the diagram defined by `g.pm`, each certified.  Distinct
+    answer sets of the generation program give distinct candidates, so
+    none is certified twice.  Proof: the program's atoms are value and
+    disequality atoms of step 0 and occurrence atoms of executability
+    conditions.  No rule derives an occurrence and none is a choice, so no
+    answer set holds one, and only `define_neqs` derives a disequality
+    atom, which so holds exactly when a sibling value does.  An answer set
+    is thus fixed by its values, of which each fluent instance has at most
+    one (the uniqueness constraints), and they are its candidate."""
     gen = g.state_program(budget).copy()
     g.add_generation(gen, 0)
-    seen: set[State] = set()
+    read = g.state_reader
     states: list[State] = []
     ambiguous: list[State] = []
     for model in gen.answer_sets(budget=budget):
-        cand = g.state_from_model(model, 0)
-        if cand in seen:
-            continue
-        seen.add(cand)
+        cand = State(read(model)[0][0])
         verdict = certify_state(g, cand, budget)
         if verdict == "state":
             states.append(cand)
@@ -925,8 +968,7 @@ def certify_state(g: Grounder, cand: State, budget: Optional[Budget] = None,
         max_models=2, budget=budget, facts=g.state_facts(cand, 0)))
     if len(answers) != 1:
         return "ambiguous" if len(answers) == 2 else "rejected"
-    got = g.state_from_model(answers[0], 0)
-    if got != cand:
+    if g.state_reader(answers[0])[0][0] != cand.values:
         return "rejected"
     # the domain of every basic fluent must be settled one way or the other
     return "rejected" if g.unsettled_domains(cand) else "state"
@@ -941,11 +983,11 @@ def compute_transitions(g: Grounder, states: list[State],
     """Transitions between the given states, as (from, actions, to) triples.
 
     `action_sets` is "singleton" (the empty set and singletons) or
-    "powerset"; any other value raises `ValueError`.
-    """
+    "powerset"; any other value raises `ValueError`.  A model's target is
+    the state whose `values` are its step-1 values (`ModelReader`)."""
     if action_sets not in ("singleton", "powerset"):
         raise ValueError(f"unknown action_sets {action_sets!r}")
-    index = {s: i for i, s in enumerate(states)}
+    index = {s.values: i for i, s in enumerate(states)}
     out: list[Transition] = []
     prog = g.build_program(1, budget)
     occ_keys = [("occ", a, 0) for a in g.actions]
@@ -953,13 +995,13 @@ def compute_transitions(g: Grounder, states: list[State],
         prog.add_choice(k)
     if action_sets == "singleton":
         prog.add_atmost(occ_keys, 1)
+    read = ModelReader(g, 1, first=1)
     for i, s0 in enumerate(states):
         seen: set[tuple[frozenset, int]] = set()
         for model in prog.answer_sets(budget=budget,
                                       facts=g.state_facts(s0, 0)):
-            acts = frozenset(k[1] for k in model if k[0] == "occ")
-            s1 = g.state_from_model(model, 1)
-            j = index.get(s1)
+            (values,), (acts,) = read(model)
+            j = index.get(values)
             if j is None:
                 continue  # not a certified state; cannot label a transition
             if (acts, j) not in seen:

@@ -58,8 +58,8 @@ from almc.ontology import (
     ACTIONS, BASIC_FLUENT, FALSE, TRUE, Signature, build_signature,
 )
 from almc.semantics import (
-    Grounder, State, certify_state, enumerate_states, stratified,
-    system_pre_models,
+    Grounder, ModelReader, State, certify_state, enumerate_states,
+    stratified, system_pre_models,
 )
 from almc.syntax import ast, tokenize
 from almc.syntax.parser import _Parser
@@ -332,11 +332,12 @@ def temporal_project(cs: CompiledSystem, hist: History,
     with_models: list[list[Grounder]] = []
     for members, prog in _history_programs(cs, hist, observed, n, budget):
         g = members[0]
+        read = ModelReader(g, n)
         state_cache: dict[State, str] = {}
         with_model = False
         for model in prog.answer_sets(budget=budget, facts=facts):
-            states = tuple(g.state_from_model(model, i) for i in range(n + 1))
-            ok = True
+            values, occs = read(model)
+            states = tuple(map(State, values))
             for i, s in enumerate(states):
                 verdict = state_cache.get(s)
                 if verdict is None:
@@ -344,15 +345,10 @@ def temporal_project(cs: CompiledSystem, hist: History,
                                             derived=i > 0 or not given_at_0)
                     state_cache[s] = verdict
                 if verdict != "state":
-                    ok = False
                     break
-            if not ok:
-                continue
-            occs = tuple(
-                frozenset(k[1] for k in model if k[0] == "occ" and k[2] == i)
-                for i in range(n))
-            found.setdefault(Trajectory(states, occs))
-            with_model = True
+            else:
+                found.setdefault(Trajectory(states, tuple(occs)))
+                with_model = True
         if with_model:
             with_models.append(members)
     return ProjectionResult(list(found), n,

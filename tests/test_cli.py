@@ -3,20 +3,23 @@ import io
 import json
 import sys
 import weakref
+from collections import Counter
 from itertools import product
 
 import pytest
 
+from almc import cli
 from almc.cli import (
     build_arg_parser, compile_from_path, main, parse_command_line,
 )
 from almc.errors import InputError
 
-from conftest import ALM_FILES, CORPUS
+from conftest import ALM_FILES, CORPUS, ROOT
 from test_modular import LIBRARIES
 
 
 LIB = ["--lib", str(CORPUS)]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run(capsys, *argv):
@@ -72,6 +75,81 @@ def test_json_lines_mark_a_diagram_that_is_not_well_founded(capsys, cmd):
     assert code == 0
     assert out and all(json.loads(line)["type"] != "diagram"
                        for line in out.splitlines())
+
+
+@pytest.mark.parametrize("cmd", ["states", "transitions"])
+@pytest.mark.parametrize("name", ["t0", "professors", "travel", "n_w_f"])
+def test_diagram_records_are_printed_as_emit_json_prints_them(capsys, cmd,
+                                                              name):
+    # the records of a diagram are rendered once, less their model number,
+    # and printed with it: each line is its record dumped with sorted keys
+    code, out, _ = run(capsys, cmd, str(CORPUS / f"{name}.alm"),
+                       "--json-lines")
+    assert code == 0 and out
+    for line in out.splitlines():
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+
+
+@pytest.mark.parametrize("json_lines", [[], ["--json-lines"]],
+                         ids=["text", "json"])
+@pytest.mark.parametrize("cmd", ["states", "transitions"])
+def test_shared_diagram_is_rendered_once(monkeypatch, capsys, cmd,
+                                         json_lines):
+    """Professors' 3 pre-models form one group, so `build_diagrams` gives
+    them one diagram: it is rendered once, and printed for each model as
+    the golden output has it."""
+    rendered = Counter()
+    once = cli.rendered_once
+
+    def spying(diagrams, render):
+        assert len(diagrams) == 3 and len(set(map(id, diagrams))) == 1
+
+        def counting(d):
+            rendered[id(d)] += 1
+            return render(d)
+        return once(diagrams, counting)
+
+    monkeypatch.setattr(cli, "rendered_once", spying)
+    code, out, _ = run(capsys, cmd, str(CORPUS / "professors.alm"),
+                       *json_lines)
+    golden = f"{cmd}-professors{'-json' if json_lines else ''}.out"
+    assert code == 0 and out == (GOLDEN / golden).read_text()
+    assert list(rendered.values()) == [1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["states", "t0.alm"],
+    ["states", "travel.alm", "--json-lines"],
+    ["transitions", "travel.alm"],
+    ["project", "t0.alm", "--history", str(CORPUS / "t0.hist"),
+     "--horizon", "30"]], ids=["t0", "travel-json", "travel", "project"])
+def test_each_fluent_instance_is_named_once_per_command(monkeypatch,
+                                                        capsys, argv):
+    named = Counter()
+    fun_text = cli.fun_text
+
+    def counting(f, args):
+        named[f, args] += 1
+        return fun_text(f, args)
+
+    monkeypatch.setattr(cli, "fun_text", counting)
+    for _ in range(2):
+        named.clear()
+        code, out, _ = run(capsys, argv[0], str(CORPUS / argv[1]), *argv[2:])
+        assert code == 0
+        assert named and set(named.values()) == {1}
+        assert all(fun_text(*inst) in out for inst in named)
+
+
+def test_budget_seconds_stop_a_long_projection_without_decisions(capsys):
+    # grounding 2,000 steps of t0 takes longer than 0.2 s, and the search
+    # makes no decision: the clock is read once per template and at the
+    # answer set found
+    code, _, err = run(capsys, "project", str(CORPUS / "t0.alm"),
+                       "--history", str(CORPUS / "t0.hist"), "--horizon",
+                       "2000", "--budget-seconds", "0.2")
+    assert code == 4
+    assert "budget exhausted" in err
 
 
 def test_check_well_founded_needs_a_structure(capsys):

@@ -22,7 +22,7 @@ from almc.modular import UndefinedArithmetic, compare, enumerate_placements
 from almc.ontology import BASIC_FLUENT, DEFINED_FLUENT, FALSE, TRUE, dom_name
 from almc.records import replace
 from almc.semantics import (
-    Grounder, _body_keys, _rule, build_diagrams, enumerate_states,
+    Grounder, State, _body_keys, _rule, build_diagrams, enumerate_states,
     compute_transitions, static_truth, stratified, system_pre_models,
 )
 from almc.syntax.parser import parse_file, parse_literal_text
@@ -46,6 +46,16 @@ def grounder_of(cs):
 
 def state_key(state):
     return frozenset((f, args, v) for f, args, v in state.atoms())
+
+
+def state_from_model(model, step):
+    """The state at `step` of an answer set, read by a scan of the whole
+    model and a sort: the reference for `ModelReader`."""
+    vals = {}
+    for key in model:
+        if key[0] == "v" and key[4] == step:
+            vals[(key[1], key[2])] = key[3]
+    return State(tuple(sorted(vals.items())))
 
 
 # ---------------------------------------------------------------- T0 fixture
@@ -860,7 +870,7 @@ def full_verdict(g, cand):
         max_models=2, facts=g.state_facts(cand, 0)))
     if len(answers) == 2:
         return "ambiguous"
-    if not answers or g.state_from_model(answers[0], 0) != cand:
+    if not answers or state_from_model(answers[0], 0) != cand:
         return "rejected"
     values = cand.as_dict()
     settled = all((dom_name(f.name), args) in values
@@ -1018,7 +1028,7 @@ def test_unsettled_domain_is_rejected_without_search():
                 for v in g.values[f.name]:
                     gen.add_choice(("v", f.name, args, v, 0))
         for model in gen.answer_sets():
-            cand = g.state_from_model(model, 0)
+            cand = state_from_model(model, 0)
             verdict = semantics.certify_state(g, cand)
             assert verdict == full_verdict(g, cand), cand
             verdicts[verdict] += 1
@@ -1353,3 +1363,96 @@ def test_grouped_statics_programs_give_the_ungrouped_pre_models(
     assert grouped == [system_pre_models(cs.theory, cs.structure, cs.sink)
                        for cs in systems]
     assert next(alone) >= sum(map(len, grouped))  # one key per placement
+
+
+# ------------------------------------------------------------ reading models
+
+TRAVEL_3X1 = read(CORPUS / "travel.alm").replace(
+    "      bob, john in agents\n", "      bob in agents\n")
+
+
+def reference_transitions(g, states, action_sets="singleton"):
+    """`compute_transitions` as it read its models before `ModelReader`:
+    the occurrences by one scan of the model, and the target as a `State`
+    (`state_from_model`), looked up by record."""
+    index = {s: i for i, s in enumerate(states)}
+    prog = g.build_program(1)
+    occ_keys = [("occ", a, 0) for a in g.actions]
+    for k in occ_keys:
+        prog.add_choice(k)
+    if action_sets == "singleton":
+        prog.add_atmost(occ_keys, 1)
+    out = []
+    for i, s0 in enumerate(states):
+        seen = set()
+        for model in prog.answer_sets(facts=g.state_facts(s0, 0)):
+            acts = frozenset(k[1] for k in model if k[0] == "occ")
+            j = index.get(state_from_model(model, 1))
+            if j is not None and (acts, j) not in seen:
+                seen.add((acts, j))
+                out.append((i, acts, j))
+    return out
+
+
+def test_transitions_read_by_their_atoms_are_the_reference_ones():
+    """Singleton and powerset transitions, in order, on t0, travel with 3
+    points and 1 agent, professors, P_D (whose empty action changes its
+    state) and the 100 random BATs of seed 413."""
+    rng = random.Random(413)
+    systems = [compile_system(parse_path(CORPUS / f"{name}.alm"), [],
+                              DiagnosticSink())
+               for name in ("t0", "professors")]
+    systems += [compile_src(src) for src in chain(
+        (TRAVEL_3X1, P_D), (make_source(rng) for _ in range(100)))]
+    sizes = []
+    for cs in systems:
+        for g, *_ in cs.groups:
+            states = enumerate_states(g).states
+            for sets in ("singleton", "powerset"):
+                got = compute_transitions(g, states, sets)
+                assert got == reference_transitions(g, states, sets)
+                sizes.append(len(got))
+    assert sizes[:2] == [18, 21] and sum(sizes) > 2000
+    (g, *_), = compile_src(P_D).groups
+    states = enumerate_states(g).states
+    assert any(not acts and i != j
+               for i, acts, j in compute_transitions(g, states))
+
+
+def generation_systems():
+    """The corpus systems whose states can be enumerated (cell_cycle2's
+    cannot, ROADMAP "Not planned"), the 100 random BATs of seed 413, and
+    100 whose basic-headed constraints read a defined fluent."""
+    for name in ("t0", "travel", "professors", "n_w_f",
+                 "monkey_and_banana"):
+        yield compile_system(parse_path(CORPUS / f"{name}.alm"),
+                             [str(CORPUS)], DiagnosticSink())
+    rng, variant = random.Random(413), random.Random(417)
+    for src in chain((make_source(rng) for _ in range(100)),
+                     (make_source(variant, reads_d=True)
+                      for _ in range(100))):
+        yield compile_src(src)
+
+
+def test_generation_candidates_are_pairwise_distinct():
+    """What `enumerate_states`' docstring proves: the generation program
+    has value, disequality and occurrence atoms only, no answer set holds
+    an occurrence, and distinct answer sets give distinct candidates.  The
+    state reader gives each candidate as a scan and a sort of the model
+    would (`state_from_model`)."""
+    kinds, total = set(), 0
+    for cs in generation_systems():
+        for g, *_ in cs.groups:
+            gen = g.state_program().copy()
+            g.add_generation(gen, 0)
+            kinds.update(k[0] for k in gen.keys)
+            candidates = []
+            for model in gen.answer_sets():
+                assert not any(k[0] == "occ" for k in model)
+                cand = state_from_model(model, 0)
+                assert g.state_reader(model) == ([cand.values], [])
+                candidates.append(cand)
+            assert len(set(candidates)) == len(candidates)
+            total += len(candidates)
+    assert kinds == {"v", "neq", "occ"}
+    assert total > 20000

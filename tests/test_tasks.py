@@ -3,11 +3,13 @@ import random
 import time
 import weakref
 from collections import Counter
+from itertools import chain
 
 import pytest
 
 from almc import lpcore, semantics, tasks
 from almc.cli import compile_from_path, main
+from almc.bat import FunLit
 from almc.errors import BudgetExceeded, DiagnosticSink, InputError
 from almc.lpcore import Program
 from almc.memo import ReadsMemo
@@ -21,7 +23,8 @@ from almc.tasks import (
 
 from conftest import CORPUS
 from test_semantics import (
-    INTERLEAVED, NWF_PLACED, compile_src, make_source, ungrouped,
+    INTERLEAVED, NWF_PLACED, compile_src, make_source, state_from_model,
+    ungrouped,
 )
 
 
@@ -682,7 +685,7 @@ def count_enumerations(monkeypatch):
 
     def states(g, budget=None):
         calls["states"] += 1
-        return StateSpace([State.of({})], True, [])
+        return StateSpace([State(())], True, [])
 
     def transitions(g, states, action_sets="singleton", budget=None):
         calls["transitions"] += 1
@@ -749,3 +752,135 @@ def test_programs_are_yielded_in_first_member_order(monkeypatch):
     goal = parse_goal("instance(e0, kind_a).")
     assert yielded_members(monkeypatch, cs, lambda: find_plans(
         cs, History(), goal, 1)) == [[0], [1], [2], [3]]
+
+
+# ------------------------------------------------------------ reading models
+
+def reference_project(cs, hist, horizon=None, facts=()):
+    """`temporal_project` as it read its models before `ModelReader`: the
+    state of each step by a scan and a sort of the whole model
+    (`state_from_model`), and the occurrences of each step by another
+    scan, n + 1 and n readings of a model at horizon n."""
+    n = hist.max_step if horizon is None else horizon
+    observed = tasks._observation_lits(cs, hist)
+    fns = cs.sig.functions
+    given_at_0 = any(step == 0 and isinstance(lit, FunLit)
+                     and lit.func in fns and fns[lit.func].is_defined
+                     for lit, (_, _, step) in zip(observed, hist.observed))
+    found, with_models = {}, []
+    for members, prog in tasks._history_programs(cs, hist, observed, n):
+        g, cache, with_model = members[0], {}, False
+        for model in prog.answer_sets(facts=facts):
+            states = tuple(state_from_model(model, i) for i in range(n + 1))
+            for i, s in enumerate(states):
+                if s not in cache:
+                    cache[s] = semantics.certify_state(
+                        g, s, derived=i > 0 or not given_at_0)
+                if cache[s] != "state":
+                    break
+            else:
+                occs = tuple(frozenset(k[1] for k in model
+                                       if k[0] == "occ" and k[2] == i)
+                             for i in range(n))
+                found.setdefault(tasks.Trajectory(states, occs))
+                with_model = True
+        if with_model:
+            with_models.append(members)
+    return tasks.ProjectionResult(list(found), n,
+                                  [g for ms in with_models for g in ms],
+                                  tasks._coverage(cs, hist, observed))
+
+
+def golden_projections():
+    """(system, history) of every golden `project` case."""
+    from test_golden import CASES, ROOT
+    for name, argv in sorted(CASES.items()):
+        if name.startswith("project-"):
+            lib = [str(ROOT / argv[i + 1]) for i, a in enumerate(argv)
+                   if a == "--lib"]
+            hist = argv[argv.index("--history") + 1]
+            yield (compile_from_path(str(ROOT / argv[1]), lib),
+                   parse_history((ROOT / hist).read_text(), hist))
+
+
+def test_projections_read_in_one_pass_are_the_reference_ones(monkey,
+                                                             monkey_task):
+    """Trajectories in order, the grounders with one and the coverage, on
+    every golden projection, the one-action projections of the random
+    BATs, t0 at horizon 300, and monkey's validation of its carry plan,
+    whose occurrences are facts."""
+    runs = [(cs, hist, None, ()) for cs, hist in golden_projections()]
+    rng, variant = random.Random(413), random.Random(417)
+    one_action = parse_history("happened(act0, 0).")
+    runs += [(compile_src(src), one_action, None, ()) for src in chain(
+        (make_source(rng) for _ in range(100)),
+        (make_source(variant, reads_d=True) for _ in range(100)))]
+    t0 = compile_from_path(str(CORPUS / "t0.alm"), [])
+    runs.append((t0, parse_history((CORPUS / "t0.hist").read_text()), 300,
+                 ()))
+    hist, _, plans = monkey_task
+    (carry,) = [p for p in plans if "carry" in str(p)]
+    runs.append((monkey, hist, 6, [("occ", a, i) for i, (a,) in
+                                   enumerate(carry.steps)]))
+    trajectories = 0
+    for cs, hist, horizon, facts in runs:
+        got = temporal_project(cs, hist, horizon, facts=facts)
+        assert got == reference_project(cs, hist, horizon, facts)
+        trajectories += len(got.trajectories)
+    assert trajectories > 50
+    assert len(got.trajectories) == 1
+    assert got.trajectories[0].occurrences == tuple(map(frozenset,
+                                                        carry.steps))
+
+
+def test_projection_reads_each_model_once(monkeypatch, monkey_task):
+    """One reading per model, at the program's horizon, however long it
+    is: t0 at horizon 40, and monkey's plans validated at horizon 6.  Once
+    the pre-models are derived, the history programs are the only ones
+    solved, as the theories are stratified (`certify_state`)."""
+    t0 = compile_from_path(str(CORPUS / "t0.alm"), [])
+    monkey = compile_from_path(str(CORPUS / "monkey_and_banana.alm"),
+                               [str(CORPUS)])
+    assert t0.groups and monkey.groups  # the pre-models, derived here
+    hist, goal, plans = monkey_task
+    reads, models = Counter(), [0]
+    call, answer_sets = semantics.ModelReader.__call__, Program.answer_sets
+
+    def counting_call(self, model):
+        reads[self.horizon] += 1
+        return call(self, model)
+
+    def counting_answer_sets(self, *args, **kwargs):
+        for model in answer_sets(self, *args, **kwargs):
+            models[0] += 1
+            yield model
+
+    monkeypatch.setattr(semantics.ModelReader, "__call__", counting_call)
+    monkeypatch.setattr(Program, "answer_sets", counting_answer_sets)
+    temporal_project(t0, parse_history((CORPUS / "t0.hist").read_text()),
+                     horizon=40)
+    assert reads == {40: 1} and models == [1]
+    assert all(validate_plan(monkey, hist, goal, p) for p in plans)
+    assert reads == {40: 1, 6: 2} and models == [3]
+
+
+def test_deadline_after_grounding_stops_a_search_without_decisions(
+        monkeypatch):
+    """t0's projection makes no decision, so its search reads the clock
+    only at the answer set it finds, before certifying it: a deadline that
+    passes as soon as the history program is ground stops it there."""
+    t0 = compile_from_path(str(CORPUS / "t0.alm"), [])
+    hist = parse_history((CORPUS / "t0.hist").read_text())
+    assert t0.groups  # the pre-models, derived before the deadline
+    budget = lpcore.Budget()
+    build = Grounder.build_program
+
+    def expiring(self, horizon, budget=None):
+        prog = build(self, horizon, budget)
+        budget.deadline = time.monotonic() - 1
+        return prog
+
+    monkeypatch.setattr(Grounder, "build_program", expiring)
+    with pytest.raises(BudgetExceeded):
+        temporal_project(t0, hist, budget=budget)
+    assert budget.decisions == 0

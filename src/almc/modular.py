@@ -32,6 +32,7 @@ from almc.bat import ActionTheory, Constraint, FunLit
 from almc.syntax import ast, parse_file
 
 LIBRARY_PATH_VAR = "ALM_LIBRARY_PATH"
+MAX_PLACEMENTS = 1_000_000
 
 #: Ground values are object names (str), integers, or "true"/"false".
 Value = Union[str, int]
@@ -583,8 +584,7 @@ def _add_attr(uni: _Universe, sig: Signature, obj: ObjectTerm,
 # -------------------------------------------------- placement enumeration
 
 def enumerate_placements(sig: Signature, structure: ast.Structure,
-                         sink: DiagnosticSink,
-                         limit: int = 1_000_000) -> Iterator[PreModel]:
+                         sink: DiagnosticSink) -> Iterator[PreModel]:
     """Pre-model candidates, one per object placement, deterministic order.
 
     Each candidate carries the placement and the structure's attribute
@@ -622,9 +622,9 @@ def enumerate_placements(sig: Signature, structure: ast.Structure,
     total = 1
     for _, options in choice_axes:
         total *= len(options)
-        if total > limit:
-            raise SemanticError(
-                f"placement enumeration exceeds {limit} candidates")
+        if total > MAX_PLACEMENTS:
+            raise SemanticError(f"placement enumeration exceeds "
+                                f"{MAX_PLACEMENTS} candidates", structure.span)
 
     for combo in product(*[options for _, options in choice_axes]):
         is_a: dict[str, set[str]] = {k: set(v) for k, v in fixed.items()}

@@ -28,12 +28,13 @@ instance of the law's sort.  The *template* stage grounds the fluent and
 occurrence literals of those bindings and drops a binding at a statically
 false one.  A binding's ground literals never depend on the step, so each
 surviving binding becomes a step-free *rule template*, computed once per
-grounder by its first `build_program` call, which numbers their keys;
-every call then adds the steps to the templates, in statement, binding,
-step order, through per-step rows of atom ids interned on first use.  A ground
-instance whose arithmetic has no value (`X mod 0`) is dropped, as gringo
-drops it, and the budget's deadline is read in both stages and once per
-template while steps are added.
+grounder by its first `build_program` call, with each key numbered when a
+kept rule first meets it; every call then adds the steps to the
+templates, in statement, binding, step order, through per-step rows of
+atom ids interned on first use.  A ground instance whose arithmetic has
+no value (`X mod 0`) is dropped, as gringo drops it, and the budget's
+deadline is read in both stages and once per template while steps are
+added.
 
 Pre-models come from `system_pre_models`, which grounds and solves one more
 program per placement of the structure's objects: a grounder whose atoms
@@ -68,19 +69,19 @@ search, so each of these solves only switches the facts of its state.
 
 States are enumerated by adding free choices over the values of basic
 fluents (with the companion domain atoms closed as "false unless a value
-exists", a generation aid only) to a copy of the horizon-0 program.  Every
-candidate is then certified (`certify_state`): the program with the
-candidate's non-defined atoms as facts must have exactly one answer set,
-equal to the candidate, and every domain must be settled.  A candidate
-read off an answer set of a program that contains the state rules is
-always one answer set of that program, so the check needs no search when
-the theory is `stratified`, which makes the program stratified and so its
-answer set unique: the test runs once per grounder, and only the domains
-are read per candidate.  Otherwise the program is solved for up to two
-answer sets, and a candidate with two witnesses that the theory is not
-well-founded; its diagram is kept even when no state is left, so that
-`states` and `transitions` can mark it ``[not well-founded]``.  Each
-answer set is read back in one pass (`ModelReader`).
+exists", so that every domain is settled) to a copy of the horizon-0
+program.  Every candidate is then certified (`certify_state`): the
+program with the candidate's non-defined atoms as facts must have exactly
+one answer set, equal to the candidate.  A candidate read off an answer
+set of a program that contains the state rules is always one answer set
+of that program, so the check needs no search when the theory is
+`stratified`, which makes the program stratified and so its answer set
+unique: the test runs once per grounder, and nothing is read per
+candidate.  Otherwise the program is solved for up to two answer sets,
+and a candidate with two witnesses that the theory is not well-founded;
+its diagram is kept even when no state is left, so that `states` and
+`transitions` can mark it ``[not well-founded]``.  Each answer set is
+read back in one pass (`ModelReader`).
 """
 
 from __future__ import annotations
@@ -186,56 +187,14 @@ class State:
         return [(f, args, v) for (f, args), v in self.values]
 
 
-# A rule template is a ground rule without its step: (head, pos, neg, neqs),
-# where each key is a pair (step-free key, offset) that stands for the atom
-# key + (step + offset,) at an instantiating step, a head of None makes a
-# constraint, and neqs lists the disequality keys among pos and neg, which
-# the program must define.  A template is the tuple of rules added together
-# at each step.
-
-def _rule(head, pos=(), neg=()) -> tuple:
-    neqs = tuple(k for k in chain(pos, neg) if k[0][0] == "neq")
-    return (head, tuple(pos), tuple(neg), neqs)
-
-
-def _body_keys(results) -> tuple[list, list]:
-    """Positive and negative body keys (offset 0) of a body's literal
-    results (`Grounder.ground_lit`), each in body order."""
-    pos = [(r[0], 0) for r in results if r is not True and r[1]]
-    neg = [(r[0], 0) for r in results if r is not True and not r[1]]
-    return pos, neg
-
-
-class _KeyIds(dict):
-    """Maps each (key, offset) pair of rule templates to ``2 * i + offset``
-    and each key, which starts with a string, to i, its index in `found`."""
-
-    found: list
-
-    def __missing__(self, lit: tuple) -> int:
-        key, o = lit
-        if key not in self:
-            self[key] = len(self.found)
-            self.found.append(key)
-        c = self[lit] = 2 * self[key] + o
-        return c
-
-
-def _template_ids(groups: tuple[tuple, ...]) -> tuple[list, tuple]:
-    """The keys of the template groups (`_ground_templates`), and the groups
-    with each rule as ``(lits, j, neqs)``: its head (-1 for none), positive
-    and negative body, then its positive body's end j and its disequality
-    pairs, the pairs numbered by `_KeyIds`."""
-    ids = _KeyIds({None: -1})
-    ids.found = []
-    get = ids.__getitem__
-    return ids.found, tuple(
-        tuple(tuple((tuple(map(get, (head, *pos, *neg))), 1 + len(pos),
-                     tuple(map(get, nq)) if nq else ())
-                    for head, pos, neg, nq in template)
-              for template in templates)
-        for templates in groups)
-
+# A rule template is a ground rule without its step: ``(lits, j, neqs)``.
+# Each literal is a code ``2 * i + o``, which stands for the atom
+# keys[i] + (step + o,) at an instantiating step, where keys are the
+# step-free keys that `Grounder._ground_templates` numbers.  lits is the
+# head (-1 makes a constraint), the positive body up to index j, then the
+# negative body, and neqs lists the codes of the disequality atoms among
+# them, which the program must define.  A template is the tuple of rules
+# added together at each step.
 
 def _check_time(budget: Optional[Budget]) -> None:
     if budget is not None:
@@ -554,25 +513,49 @@ class Grounder:
                 yield env, results
 
     def _ground_templates(self, budget: Optional[Budget]
-                          ) -> tuple[tuple, ...]:
-        """The template stage: the rule templates of every binding of the
-        reads (`reads`) whose fluent and occurrence literals are not
-        statically false, and of the fixed rules, in six groups that
-        `build_program` instantiates over different step ranges.  Beyond
-        the reads, they depend only on `program_key`'s fluent instances,
-        values and constants."""
+                          ) -> tuple[list, tuple[tuple, ...]]:
+        """The template stage: the step-free keys, in the order first met,
+        and the rule templates of every binding of the reads (`reads`)
+        whose fluent and occurrence literals are not statically false, and
+        of the fixed rules, in six groups that `build_program` instantiates
+        over different step ranges.  A rule's keys are numbered once the
+        rule is kept, head first, so that every key is used.  Beyond the
+        reads, they depend only on `program_key`'s fluent instances, values
+        and constants."""
         th = self.theory
+        ids: dict[tuple, int] = {}
+        keys: list = []
+
+        def num(key: tuple, o: int = 0) -> int:
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(keys)
+                keys.append(key)
+            return 2 * i + o
+
+        def rule(head: int, pos, neg=()) -> tuple:
+            lits = (head, *pos, *neg)
+            return (lits, 1 + len(pos),
+                    tuple(c for c in lits[1:] if keys[c >> 1][0] == "neq"))
+
+        def kept(head: int, results, pos=()) -> tuple:
+            """The rule of a kept binding: `head`, `pos`, then the body's
+            positive and negative keys (`ground_lit` results), in order."""
+            return rule(head, [*pos, *(num(r[0]) for r in results
+                                       if r is not True and r[1])],
+                        [num(r[0]) for r in results
+                         if r is not True and not r[1]])
+
         reads = iter(self.reads(budget))
         state: list = []
         for stmt in th.constraints + th.definitions:
             head = stmt.head
             static_head = head is not None and not self._is_atom_lit(head)
             for env, results in self._completed(stmt, next(reads), budget):
-                pos, neg = _body_keys(results)
                 if head is None or static_head:
                     # the reads stage dropped a binding whose static head
                     # holds: what is left is a plain constraint
-                    state.append((_rule(None, pos, neg),))
+                    state.append((kept(-1, results),))
                     continue
                 try:
                     argvals = tuple(self.eval_term(a, env) for a in head.args)
@@ -587,10 +570,10 @@ class Grounder:
                             f"ill-typed head {head.func}"
                             f"({', '.join(map(str, argvals))}) = {val}; "
                             "rule treated as a constraint", stmt.span)
-                    state.append((_rule(None, pos, neg),))
+                    state.append((kept(-1, results),))
                     continue
-                state.append((_rule((("v", head.func, argvals, val), 0),
-                                    pos, neg),))
+                state.append((kept(num(("v", head.func, argvals, val)),
+                                   results),))
 
         dynamic: list = []
         for stmt in th.dynamic:
@@ -606,22 +589,19 @@ class Grounder:
                 if not self._typed(info, argvals) \
                         or val not in self.values[stmt.head.func]:
                     continue
-                pos, neg = _body_keys(results)
-                dynamic.append((_rule(
-                    (("v", stmt.head.func, argvals, val), 1),
-                    [(("occ", act), 0)] + pos, neg),))
+                dynamic.append((kept(
+                    num(("v", stmt.head.func, argvals, val), 1), results,
+                    (num(("occ", act)),)),))
 
         executable: list = []
         for stmt in th.executability:
             for env, results in self._completed(stmt, next(reads), budget):
-                pos, neg = _body_keys(results)
-                executable.append((_rule(
-                    None, [(("occ", self.eval_term(stmt.act, env)), 0)] + pos,
-                    neg),))
+                act = self.eval_term(stmt.act, env)
+                executable.append((kept(-1, results, (num(("occ", act)),)),))
 
         # closed world assumption for defined functions
-        closed = [(_rule((("v", f, args, FALSE), 0), (),
-                         [(("v", f, args, TRUE), 0)]),)
+        closed = [(rule(num(("v", f, args, FALSE)), (),
+                        (num(("v", f, args, TRUE)),)),)
                   for f, args_list in self.tuples.items()
                   if self.sig.functions[f].is_defined
                   for args in args_list]
@@ -630,12 +610,13 @@ class Grounder:
         unique: list = []
         for fname, args_list in self.tuples.items():
             vals = self.values[fname]
+            if len(vals) < 2:
+                continue
             for args in args_list:
-                for i in range(len(vals)):
-                    for j in range(i + 1, len(vals)):
-                        unique.append((_rule(None, [
-                            (("v", fname, args, vals[i]), 0),
-                            (("v", fname, args, vals[j]), 0)]),))
+                codes = [num(("v", fname, args, v)) for v in vals]
+                unique.extend((((-1, a, b), 3, ()),)
+                              for i, a in enumerate(codes)
+                              for b in codes[i + 1:])
 
         # inertia for basic fluents
         inertia: list = []
@@ -645,18 +626,19 @@ class Grounder:
             if f.dom_of is not None:
                 for args in self.tuples[f.name]:
                     t, u = ("v", f.name, args, TRUE), ("v", f.name, args, FALSE)
-                    inertia.append((_rule((t, 1), [(t, 0)], [(u, 1)]),
-                                    _rule((u, 1), [(u, 0)], [(t, 1)])))
+                    inertia.append((rule(num(t, 1), (num(t),), (num(u, 1),)),
+                                    rule(num(u, 1), (num(u),), (num(t, 1),))))
                 continue
             dn = dom_name(f.name) if f.args else None
             for args in self.tuples[f.name]:
-                guard = [(("v", dn, args, TRUE), 1)] if dn else []
                 for v in self.values[f.name]:
                     key = ("v", f.name, args, v)
-                    inertia.append((_rule((key, 1), guard + [(key, 0)],
-                                          [(("neq", f.name, args, v), 1)]),))
-        return tuple(map(tuple, (state, dynamic, executable, closed, unique,
-                                 inertia)))
+                    h = num(key, 1)  # head first, as in every rule
+                    guard = (num(("v", dn, args, TRUE), 1),) if dn else ()
+                    neq = num(("neq", f.name, args, v), 1)
+                    inertia.append((rule(h, (*guard, num(key)), (neq,)),))
+        return keys, tuple(map(tuple, (state, dynamic, executable, closed,
+                                       unique, inertia)))
 
     # ---------------------------------------------------- program assembly
 
@@ -664,14 +646,14 @@ class Grounder:
                       budget: Optional[Budget] = None) -> Program:
         """The ground program for steps 0..horizon.
 
-        The first call grounds the rule templates (`_template_ids`); every
-        call adds each template at each step of its group's range, template
-        by template, so the rules come in statement, binding, step order,
-        and interns each atom when first met, head before body.  The
+        The first call grounds the rule templates (`_ground_templates`);
+        every call adds each template at each step of its group's range,
+        template by template, so the rules come in statement, binding, step
+        order, and interns each atom when first met, head before body.  The
         budget's deadline is checked while templates are ground, and once
         per template while they are added."""
         if self._templates is None:
-            self._templates = _template_ids(self._ground_templates(budget))
+            self._templates = self._ground_templates(budget)
         keys, groups = self._templates
         h = horizon
         ranges = (range(h + 1), range(h), range(max(h, 1)), range(h + 1),
@@ -788,19 +770,6 @@ class Grounder:
         """The reader of the state program and of the generation programs
         made from it."""
         return ModelReader(self, 0)
-
-    def unsettled_domains(self, state: State) -> list[tuple[str, tuple]]:
-        """The ``(dom_f, args)`` instances of basic fluents f whose domain
-        atom has no value in the state."""
-        vals = state.as_dict()
-        out = []
-        for f in self.basic_nondom_fluents():
-            if not f.args:
-                continue
-            dn = dom_name(f.name)
-            out.extend((dn, args) for args in self.tuples[f.name]
-                       if (dn, args) not in vals)
-        return out
 
 
 class ModelReader(dict):
@@ -933,14 +902,23 @@ def certify_state(g: Grounder, cand: State, budget: Optional[Budget] = None,
     Precondition: the candidate is the value atoms at a step t of an
     answer set M of a program that contains Π's rules at step t and whose
     other rules derive no defined atom of step t, and no disequality atom
-    of step t except by `define_neqs`.  The generation program of
-    `enumerate_states` meets it, and so does a history program of
-    `temporal_project`, except at step 0 when the history observes a
-    defined fluent there: that observation is a fact, and the caller
-    passes ``derived=False`` to get the full check.
+    of step t except by `define_neqs`; and M settles every basic fluent's
+    domain at step t.  The generation program of `enumerate_states` meets
+    it, and so does a history program of `temporal_project`, except at
+    step 0 when the history observes a defined fluent there: that
+    observation is a fact, and the caller passes ``derived=False`` to get
+    the full check, which needs only the precondition's domain part.
+
+    Both callers settle the domains.  The generation program closes each
+    domain atom: ``dom_f(x̄) = false`` unless it is true (`add_generation`).
+    A history program closes it at step 0 by its default, as each dom_f is
+    a boolean basic fluent (`_ground_history`), and dom inertia carries
+    that to every later step: a value of dom_f(x̄) at step s holds at s+1
+    unless the other value does.  So the candidate, M's values at step t,
+    settles every domain, and the full check's domain test always passes.
 
     Under the precondition, when the theory is `stratified`, the verdict
-    needs no search: 'rejected' if a domain is unsettled, else 'state'.
+    needs no search: 'state'.
 
     Proof.  Let N be the atoms of Π (at step t) true in M.  Π's rules
     mention step t only, so N satisfies the reduct Π^N, as M satisfies its
@@ -956,22 +934,20 @@ def certify_state(g: Grounder, cand: State, budget: Optional[Budget] = None,
     d = true, so Π ∪ F is stratified and has at most one answer set (Apt,
     Blair, Walker, *Towards a theory of declarative knowledge*, 1988);
     constraints can only remove it.  So the full check finds one answer
-    set, the candidate, and only the domain test is left.
+    set, the candidate.
 
     Stratified definitions alone are not enough: with ``d1 if b.``,
     ``d2 if -d1.`` and the state constraint ``b if -d2.``, where `b` is a
     basic fluent with no value in the candidate, Π ∪ F has a second answer
     set, which derives `b` from ``-d2``."""
     if derived and g.stratified:
-        return "rejected" if g.unsettled_domains(cand) else "state"
+        return "state"
     answers = list(g.state_program(budget).answer_sets(
         max_models=2, budget=budget, facts=g.state_facts(cand, 0)))
     if len(answers) != 1:
         return "ambiguous" if len(answers) == 2 else "rejected"
-    if g.state_reader(answers[0])[0][0] != cand.values:
-        return "rejected"
-    # the domain of every basic fluent must be settled one way or the other
-    return "rejected" if g.unsettled_domains(cand) else "state"
+    return "state" if g.state_reader(answers[0])[0][0] == cand.values \
+        else "rejected"
 
 
 Transition = tuple[int, frozenset, int]

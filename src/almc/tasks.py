@@ -194,10 +194,6 @@ class Trajectory:
     states: tuple[State, ...]
     occurrences: tuple[frozenset, ...]  # one action set per step
 
-    @property
-    def horizon(self) -> int:
-        return len(self.states) - 1
-
 
 @record
 class ProjectionResult:
@@ -225,7 +221,9 @@ def _observation_lits(cs: CompiledSystem, hist: History) -> list:
 def _ground_history(g: Grounder, hist: History, observed: list,
                     prog: Program, horizon: int) -> None:
     """Add the history to `prog`; `observed` holds the history's
-    `_observation_lits`, which `g` grounds (`Grounder.ground_lit`)."""
+    `_observation_lits`, which `g` grounds (`Grounder.ground_lit`).  A
+    disequality atom that `prog` already has is already defined: that of
+    every basic fluent instance at steps 1..horizon, through inertia."""
     neq_keys: set = set()
     for lit, (fterm, _, step) in zip(observed, hist.observed):
         if step > horizon:
@@ -241,8 +239,9 @@ def _ground_history(g: Grounder, hist: History, observed: list,
         else:
             # reality check: fail only if the function holds another value
             nk = ("neq",) + r[0][1:] + (step,)
+            if nk not in prog:
+                neq_keys.add(nk)
             prog.add_constraint((prog.atom(nk),))
-            neq_keys.add(nk)
     g.define_neqs(prog, neq_keys)
     # default closure of the initial situation: a boolean basic fluent that
     # is not derivably true at step 0 is false there (defeasible, so
@@ -450,12 +449,14 @@ def find_plans(cs: CompiledSystem, hist: History, goal: list[ast.Lit],
         if body is not None:
             atoms = [r for r in body if r is not True]
             for i in range(horizon + 1):
+                # a disequality atom the program has is defined already
+                goal_neqs.update(k + (i,) for k, _ in atoms
+                                 if k[0] == "neq" and k + (i,) not in prog)
                 gi = prog.atom(("goal", i))
                 prog.add_rule(gi,
                               [prog.atom(k + (i,)) for k, p in atoms if p],
                               [prog.atom(k + (i,)) for k, p in atoms if not p])
                 prog.add_rule(success, (gi,))
-                goal_neqs.update(k + (i,) for k, _ in atoms if k[0] == "neq")
         g.define_neqs(prog, goal_neqs)
         prog.add_constraint((), (success,))
 

@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from almc import cli
+from almc import cli, modular
 from almc.cli import (
     build_arg_parser, compile_from_path, main, parse_command_line,
 )
@@ -677,6 +677,39 @@ def test_mod_by_zero_drops_the_ground_instance(capsys, tmp_path):
                 atoms[f"f({x})"] = v
         want.add(frozenset(atoms.items()))
     assert len(want) == 48 and got == want
+
+
+# 21 objects, each placed in kind_a or kind_b: 2**21 placements
+CROWDED = """system description crowded
+  theory t
+    module m
+      sort declarations
+        elems :: universe
+        kind_a, kind_b :: elems
+      function declarations
+        fluents
+          basic
+            p : elems -> booleans
+      axioms
+        false if p(X), instance(X, kind_a).
+  structure s
+    instances
+""" + "".join(f"      e{i} in elems\n" for i in range(21))
+
+
+def test_too_many_placements_are_refused_at_the_structure(
+        capsys, tmp_path, monkeypatch):
+    """More than `MAX_PLACEMENTS` placements is a semantic error located at
+    the structure, raised before any placement is built."""
+    system = tmp_path / "crowded.alm"
+    system.write_text(CROWDED)
+    built = []
+    monkeypatch.setattr(modular, "_make_placement",
+                        lambda *args: built.append(args))
+    code, out, err = run(capsys, "states", str(system))
+    assert (code, out, built) == (3, "", [])
+    assert err == (f"almc: {system}:13:3: placement enumeration exceeds "
+                   f"{modular.MAX_PLACEMENTS} candidates\n")
 
 
 class ClosedPipe(io.StringIO):

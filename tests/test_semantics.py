@@ -22,8 +22,8 @@ from almc.modular import UndefinedArithmetic, compare, enumerate_placements
 from almc.ontology import BASIC_FLUENT, DEFINED_FLUENT, FALSE, TRUE, dom_name
 from almc.records import replace
 from almc.semantics import (
-    Grounder, State, _body_keys, _rule, build_diagrams, enumerate_states,
-    compute_transitions, static_truth, stratified, system_pre_models,
+    Grounder, State, build_diagrams, enumerate_states, compute_transitions,
+    static_truth, stratified, system_pre_models,
 )
 from almc.syntax.parser import parse_file, parse_literal_text
 from almc.tasks import (
@@ -653,6 +653,36 @@ def test_templates_ground_the_reference_programs_past_step_9():
 
 # ------------------------------------------------------------ group keys
 
+# The tests' own form of a template rule: (head, pos, neg, neqs), each key a
+# pair (step-free key, offset), a head of None for a constraint, and neqs
+# the disequality pairs among pos and neg.
+
+def pair_rule(head, pos=(), neg=()):
+    neqs = tuple(k for k in chain(pos, neg) if k[0][0] == "neq")
+    return (head, tuple(pos), tuple(neg), neqs)
+
+
+def body_pairs(results):
+    """Positive and negative body pairs (offset 0) of a body's literal
+    results (`Grounder.ground_lit`), each in body order."""
+    pos = [(r[0], 0) for r in results if r is not True and r[1]]
+    neg = [(r[0], 0) for r in results if r is not True and not r[1]]
+    return pos, neg
+
+
+def decoded(keys, groups):
+    """The numbered template groups of `_ground_templates` in pair form."""
+    def pair(c):
+        return None if c < 0 else (keys[c >> 1], c & 1)
+
+    return tuple(
+        tuple(tuple((pair(lits[0]), tuple(map(pair, lits[1:j])),
+                     tuple(map(pair, lits[j:])), tuple(map(pair, nq)))
+                    for lits, j, nq in template)
+              for template in templates)
+        for templates in groups)
+
+
 def direct_templates(g):
     """The state, dynamic and executability templates ground in one pass:
     every binding of `bindings(stmt, stmt.body)`, the static and fluent
@@ -673,33 +703,33 @@ def direct_templates(g):
 
     for stmt in th.constraints + th.definitions:
         for env, results in g.bindings(stmt, stmt.body):
-            pos, neg = _body_keys(results)
+            pos, neg = body_pairs(results)
             head = stmt.head
             ground = None if head is None else ground_head(head, env)
             if head is not None and ground is None:
                 continue
             if head is None or not g._is_atom_lit(head):
                 if head is None or not static_truth(g.pm, head, *ground):
-                    state.append((_rule(None, pos, neg),))
+                    state.append((pair_rule(None, pos, neg),))
             elif fits(head.func, *ground):
-                state.append((_rule((("v", head.func, *ground), 0),
-                                    pos, neg),))
+                state.append((pair_rule((("v", head.func, *ground), 0),
+                                        pos, neg),))
             else:
-                state.append((_rule(None, pos, neg),))
+                state.append((pair_rule(None, pos, neg),))
     for stmt in th.dynamic + th.executability:
         for env, results in g.bindings(stmt, stmt.body):
             act = g.eval_term(stmt.act, env)
             if not g.pm.is_instance(act, stmt.sort):
                 continue
-            pos, neg = _body_keys(results)
+            pos, neg = body_pairs(results)
             body = [(("occ", act), 0)] + pos
             if isinstance(stmt, DynLaw):
                 ground = ground_head(stmt.head, env)
                 if ground is not None and fits(stmt.head.func, *ground):
-                    dynamic.append((_rule(
+                    dynamic.append((pair_rule(
                         (("v", stmt.head.func, *ground), 1), body, neg),))
             else:
-                executable.append((_rule(None, body, neg),))
+                executable.append((pair_rule(None, body, neg),))
     return tuple(map(tuple, (state, dynamic, executable)))
 
 
@@ -726,12 +756,12 @@ def placed_bat_systems():
 
 def group_sizes(grounders):
     """The number of grounders per `program_key`, and, under each key, the
-    templates, which must be the same for every grounder: the rule
+    numbered templates, which must be the same for every grounder: the rule
     templates are a function of the key."""
     groups = {}
     for g in grounders:
         templates = g._ground_templates(None)
-        assert templates[:3] == direct_templates(g)
+        assert decoded(*templates)[:3] == direct_templates(g)
         seen = groups.setdefault(g.program_key(), [templates, 0])
         assert seen[0] == templates
         seen[1] += 1
@@ -759,6 +789,19 @@ def test_equal_program_keys_give_equal_templates():
         grouped += sizes[-1] > 1
         split += len(sizes) > 1
     assert grouped > 0 and split > 0
+
+
+def test_numbering_interns_only_used_keys():
+    """`_ground_templates` numbers a rule's keys once the rule is kept, so
+    every key it returns appears in a rule.  In DROPPED_HEADS, a causal law
+    and a state constraint drop every binding at the head, after their
+    bodies, which name keys that no other rule has, are ground."""
+    for g in [*corpus_grounders(), *random_bat_grounders(),
+              *compile_src(DROPPED_HEADS).grounders]:
+        keys, groups = g._ground_templates(None)
+        used = {c >> 1 for templates in groups for template in templates
+                for lits, _, _ in template for c in lits if c >= 0}
+        assert used == set(range(len(keys)))
 
 
 def ungrouped(cs, run):
@@ -957,6 +1000,18 @@ OBSERVED_D = fixture_source("""\
         d(X) if p(X).""")
 
 
+# every binding of the causal law and of the state constraint is dropped at
+# its head, where `Y mod 0` has no value; the occurrence of act0 and
+# `d(x) != true` appear in no other rule
+DROPPED_HEADS = fixture_source("""\
+          basic
+            f : elems -> [0..2]
+          defined
+            d : elems -> booleans""", """\
+        occurs(A) causes f(X) = Y mod 0 if instance(A, acts), f(X) = Y.
+        f(X) = Y mod 0 if d(X) != true, f(X) = Y.""")
+
+
 def test_corpus_verdicts_without_search_are_the_full_checks(monkeypatch):
     """Each state of the t0, travel and professors diagrams, and each
     trajectory state of the golden projections and of monkey's validated
@@ -1011,28 +1066,46 @@ def test_random_bat_verdicts_without_search_are_the_full_checks(
     assert not any(searched for strat, _, searched in seen if strat)
 
 
-def test_unsettled_domain_is_rejected_without_search():
-    """Candidates read off the state program with free basic values and no
-    domain closure meet `certify_state`'s precondition, and some leave a
-    domain unsettled: those are rejected, as by the full check."""
-    rng = random.Random(413)
-    verdicts = Counter()
-    for src in [read(CORPUS / "t0.alm")] + \
-            [make_source(rng) for _ in range(30)]:
+def test_certified_candidates_settle_every_domain(monkeypatch):
+    """`certify_state` reads no domain: its precondition says that each
+    candidate settles the domain of every basic fluent instance with
+    arguments, and so does each candidate of `enumerate_states` and of
+    `temporal_project`, on the corpus diagrams, the golden projections and
+    monkey's validated plans, and on the diagrams and one-action
+    projections of the 100 random BATs of the inertia suite and of 100
+    `make_source(reads_d=True)` BATs."""
+    from test_golden import CASES, run_case
+    certify = semantics.certify_state
+    domains = Counter()
+
+    def checked(g, cand, budget=None, derived=True):
+        values = cand.as_dict()
+        doms = [(dom_name(f.name), args) for f in g.basic_nondom_fluents()
+                if f.args for args in g.tuples[f.name]]
+        assert all(d in values for d in doms), cand
+        domains[bool(doms)] += 1
+        domains["false"] += FALSE in map(values.get, doms)
+        return certify(g, cand, budget, derived)
+
+    for module in (semantics, tasks):
+        monkeypatch.setattr(module, "certify_state", checked)
+    for name in GROUND_SYSTEMS:
+        if name != "cell_cycle2":
+            build_diagrams(compile_system(
+                parse_path(CORPUS / f"{name}.alm"), [str(CORPUS)],
+                DiagnosticSink()), with_transitions=False)
+    for name, argv in CASES.items():
+        if name.startswith("project-") or name == "plan-mb-h6":
+            run_case(argv)
+    rng, variant = random.Random(413), random.Random(417)
+    hist = parse_history("happened(act0, 0).")
+    for src in chain((make_source(rng) for _ in range(100)),
+                     (make_source(variant, reads_d=True)
+                      for _ in range(100))):
         cs = compile_src(src)
-        assert stratified(cs.theory)
-        g = cs.groups[0][0]
-        gen = g.state_program().copy()
-        for f in g.basic_nondom_fluents():
-            for args in g.tuples[f.name]:
-                for v in g.values[f.name]:
-                    gen.add_choice(("v", f.name, args, v, 0))
-        for model in gen.answer_sets():
-            cand = state_from_model(model, 0)
-            verdict = semantics.certify_state(g, cand)
-            assert verdict == full_verdict(g, cand), cand
-            verdicts[verdict] += 1
-    assert verdicts["rejected"] > 0 and verdicts["state"] > 0
+        build_diagrams(cs, with_transitions=False)
+        temporal_project(cs, hist)
+    assert domains[True] > 1000 and domains["false"] > 1000
 
 
 def test_negation_through_a_basic_fluent_is_not_stratified():

@@ -187,6 +187,35 @@ def test_planner_and_validation_agree_on_static_goals(t0, goal, plans):
     assert not validate_plan(t0, hist, goal, Plan((("b",),)))
 
 
+def test_each_disequality_atom_is_defined_once(t0, monkeypatch):
+    """An observation past step 0 and a `!=` goal name disequality atoms of
+    basic fluents, which inertia defines at steps 1..horizon: they are not
+    defined again, so no rule of a history program repeats, and projection
+    and planning find what they find when those atoms are defined twice."""
+    hist = parse_history(T0_HIST + "observed(g(x), o, 1).")
+    goal = parse_goal("f(x) != z.")
+    programs = []
+    history_programs = tasks._history_programs
+
+    def kept(*args, **kwargs):
+        for members, prog in history_programs(*args, **kwargs):
+            programs.append(prog)
+            yield members, prog
+
+    def run():
+        programs.clear()
+        found = (temporal_project(t0, hist, horizon=2).trajectories,
+                 find_plans(t0, hist, goal, horizon=2).plans)
+        return found, [max(Counter(p.rules).values()) for p in programs]
+
+    monkeypatch.setattr(tasks, "_history_programs", kept)
+    found, repeats = run()
+    assert repeats == [1, 1] and all(found)
+    monkeypatch.setattr(Program, "__contains__", lambda self, key: False)
+    twice, repeats = run()
+    assert twice == found and min(repeats) > 1
+
+
 @pytest.mark.parametrize("sort,entailed", [
     ("person", True), ("professor", True),
     ("assistant", False), ("associate", False), ("full", False),

@@ -965,7 +965,8 @@ class _Search:
         the run ends (exhausted, closed early, or by `BudgetExceeded`), the
         assignment is undone to the base mark and the learned nogoods are
         dropped.  The budget's clock is read at decisions and at each total
-        assignment, before it is certified."""
+        assignment, before it is certified and again after, since
+        certification reads the whole program."""
         self.busy = True
         try:
             if self.base < 0:
@@ -990,6 +991,8 @@ class _Search:
                         model = {i for i in range(self.n_model)
                                  if self.status[i] == TRUE}
                         if certify(model):
+                            if budget is not None:
+                                budget.check_time()
                             yield model
                         conflict, self.conflict = True, None
                     else:

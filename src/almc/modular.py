@@ -219,18 +219,15 @@ def range_values(sig: Signature, consts: dict[str, Value], key: str) -> range:
     return range(bound(r.lo), bound(r.hi) + 1)
 
 
-@record(frozen=True)
-class ObjectTerm:
-    """A ground object: bare name or parameterised instance."""
+def object_key(name: str, args: tuple[Value, ...] = ()) -> str:
+    """The key of a ground object: its name, or a parameterised instance
+    written out with its arguments."""
+    if not args:
+        return name
+    return f"{name}({', '.join(map(str, args))})"
 
-    name: str
-    args: tuple[Value, ...] = ()
 
-    @property
-    def key(self) -> str:
-        if not self.args:
-            return self.name
-        return f"{self.name}({', '.join(str(a) for a in self.args)})"
+_BOOLEAN_VALUES = (TRUE, FALSE)
 
 
 @record
@@ -240,25 +237,29 @@ class PreModel:
     universe: list[str]  # object keys, deterministic order
     #: direct membership in source nodes: object -> frozenset of sorts
     is_a: dict[str, frozenset[str]]
-    #: full membership: sort -> tuple of objects (instance closure)
+    #: full membership: sort -> tuple of objects (instance closure), in
+    #: universe order
     members: dict[str, tuple[str, ...]]
     #: (func name, ground args) -> value, for statics and attributes
     statics: dict[tuple[str, tuple[Value, ...]], Value]
     #: declared links object -> declared sorts (for reporting)
     declared: dict[str, tuple[str, ...]]
+    #: the same closure by object: object -> every node it is an instance of
+    nodes: dict[str, frozenset[str]]
 
-    def sort_values(self, key: str, span: Span = Span()) -> list[Value]:
-        """Ground values of a sort key: node members, booleans, or a range.
-        An unbounded numeric sort is an error located at `span`."""
+    def sort_values(self, key: str, span: Span = Span()) -> tuple[Value, ...]:
+        """Ground values of a sort key: node members, booleans, or a range,
+        as a tuple that a node shares with every caller.  An unbounded
+        numeric sort is an error located at `span`."""
         if key == BOOLEANS:
-            return [TRUE, FALSE]
+            return _BOOLEAN_VALUES
         if key in NUMERIC_SORTS:
             raise SemanticError(
                 f"the numeric sort {key!r} is unbounded and cannot be "
                 "grounded; use a range sort instead", span)
         if key in self.sig.ranges:
-            return list(self.range_values(key))
-        return list(self.members.get(key, ()))
+            return tuple(self.range_values(key))
+        return self.members.get(key, ())
 
     def range_values(self, key: str) -> range:
         return range_values(self.sig, self.consts, key)
@@ -272,7 +273,7 @@ class PreModel:
                  else obj >= 0 if sort == "natural_numbers" else True)
         if sort in self.sig.ranges:
             return isinstance(obj, int) and obj in self.range_values(sort)
-        return obj in self.members.get(sort, ())
+        return sort in self.nodes.get(obj, ())
 
     def static_value(self, func: str, args: tuple[Value, ...]) -> Optional[Value]:
         return self.statics.get((func, args))
@@ -294,19 +295,14 @@ class UndefinedArithmetic(SemanticError):
 def eval_ground_term(t: ast.Term, consts: dict[str, Value],
                      env: Optional[dict[str, Value]] = None) -> Value:
     """Evaluate a pre-interpreted term to a ground value."""
-    if isinstance(t, ast.Num):
-        return t.value
     if isinstance(t, ast.Var):
         if env is None or t.name not in env:
             raise SemanticError(f"unbound variable {t.name}", t.span)
         return env[t.name]
     if isinstance(t, ast.Sym):
-        if t.name in consts:
-            return consts[t.name]
-        return t.name
-    if isinstance(t, ast.App):
-        args = tuple(eval_ground_term(a, consts, env) for a in t.args)
-        return ObjectTerm(t.name, args).key
+        return consts.get(t.name, t.name)
+    if isinstance(t, ast.Num):
+        return t.value
     if isinstance(t, ast.Arith):
         lv = eval_ground_term(t.left, consts, env)
         rv = eval_ground_term(t.right, consts, env)
@@ -323,6 +319,9 @@ def eval_ground_term(t: ast.Term, consts: dict[str, Value],
                 raise UndefinedArithmetic(f"{lv} mod 0 is undefined", t.span)
             return lv % rv
         raise SemanticError(f"unknown operator {t.op}", t.span)
+    if isinstance(t, ast.App):
+        args = tuple([eval_ground_term(a, consts, env) for a in t.args])
+        return object_key(t.name, args)
     raise SemanticError(f"cannot evaluate term {t!r}")
 
 
@@ -342,20 +341,17 @@ def compare(op: str, lv: Value, rv: Value, span: Span = Span()) -> bool:
 
 @record
 class _Universe:
-    objects: list[ObjectTerm] = field(default_factory=list)
-    #: object key -> declared sorts
+    #: object key -> declared sorts, in the order the objects are made
     declared: dict[str, list[str]] = field(default_factory=dict)
     #: object key -> attribute assignments (func, extra args) -> value
     attrs: list[tuple[str, str, tuple[Value, ...], Value]] = \
         field(default_factory=list)
 
-    def add(self, obj: ObjectTerm, sorts: list[str]) -> None:
-        if obj.key not in self.declared:
-            self.objects.append(obj)
-            self.declared[obj.key] = []
+    def add(self, key: str, sorts: list[str]) -> None:
+        have = self.declared.setdefault(key, [])
         for s in sorts:
-            if s not in self.declared[obj.key]:
-                self.declared[obj.key].append(s)
+            if s not in have:
+                have.append(s)
 
 
 def _declared_members(uni: _Universe, sig: Signature, sort: str,
@@ -366,8 +362,8 @@ def _declared_members(uni: _Universe, sig: Signature, sort: str,
     if sort in sig.ranges:
         return list(range_values(sig, consts, sort))
     below = {sort} | sig.descendants(sort)
-    return [o.key for o in uni.objects
-            if any(s in below for s in uni.declared[o.key])]
+    return [key for key, sorts in uni.declared.items()
+            if any(s in below for s in sorts)]
 
 
 def build_universe(sig: Signature, structure: ast.Structure,
@@ -405,15 +401,13 @@ def build_universe(sig: Signature, structure: ast.Structure,
             if not isinstance(o, ast.Sym):
                 sink.error("instance name must be an identifier", idef.span)
                 continue
-            obj = ObjectTerm(o.name)
-            uni.add(obj, sorts)
+            uni.add(o.name, sorts)
             for a in idef.attrs:
-                _add_attr(uni, sig, obj, a, consts, {}, sink)
+                _add_attr(uni, sig, o.name, a, consts, {}, sink)
 
     for oinfo in sig.objects.values():
         if not oinfo.params:
-            uni.add(ObjectTerm(oinfo.name),
-                    check_sorts(oinfo.sorts, oinfo.span))
+            uni.add(oinfo.name, check_sorts(oinfo.sorts, oinfo.span))
 
     # Parameterised module constants and instance schemas, to fixpoint.
     pending: list[tuple[str, object]] = \
@@ -428,15 +422,15 @@ def build_universe(sig: Signature, structure: ast.Structure,
                 domains = [_declared_members(uni, sig, p, consts)
                            for p in oinfo.params]
                 for combo in product(*domains):
-                    obj = ObjectTerm(oinfo.name, tuple(combo))
-                    if obj.key not in uni.declared:
-                        uni.add(obj, check_sorts(oinfo.sorts, oinfo.span))
+                    key = object_key(oinfo.name, tuple(combo))
+                    if key not in uni.declared:
+                        uni.add(key, check_sorts(oinfo.sorts, oinfo.span))
                         changed = True
             else:
                 changed |= _expand_schema(uni, sig, item, consts, sink)
         if not changed:
             break
-        if len(uni.objects) > 100000:
+        if len(uni.declared) > 100000:
             sink.error("instance expansion exceeds 100000 objects",
                        structure.span)
             break
@@ -528,18 +522,18 @@ def _expand_schema(uni: _Universe, sig: Signature, idef: ast.InstanceDef,
             it = iter(combo)
             args = tuple(ground[pos] if pos in ground else next(it)
                          for pos in range(len(o.args)))
-            obj = ObjectTerm(o.name, args)
-            if obj.key in uni.declared:
+            key = object_key(o.name, args)
+            if key in uni.declared:
                 # created elsewhere (e.g. a parameterised constant):
                 # merge any sorts this definition adds
-                new = [s for s in sorts if s not in uni.declared[obj.key]]
+                new = [s for s in sorts if s not in uni.declared[key]]
                 if new:
-                    uni.add(obj, new)
+                    uni.add(key, new)
                     changed = True
                 continue
-            uni.add(obj, sorts)
+            uni.add(key, sorts)
             for a in idef.attrs:
-                _add_attr(uni, sig, obj, a, consts, env, sink)
+                _add_attr(uni, sig, key, a, consts, env, sink)
             changed = True
     return changed
 
@@ -561,7 +555,7 @@ def _where_holds(where, consts, env, sink: DiagnosticSink) -> bool:
     return True
 
 
-def _add_attr(uni: _Universe, sig: Signature, obj: ObjectTerm,
+def _add_attr(uni: _Universe, sig: Signature, okey: str,
               a: ast.AttrAssign, consts: dict[str, Value],
               env: dict[str, Value], sink: DiagnosticSink) -> None:
     info = sig.functions.get(a.name)
@@ -578,7 +572,7 @@ def _add_attr(uni: _Universe, sig: Signature, obj: ObjectTerm,
         sink.error(f"attribute {a.name!r} takes {info.arity - 1} extra "
                    f"argument(s)", a.span)
         return
-    uni.attrs.append((a.name, obj.key, extra, value))
+    uni.attrs.append((a.name, okey, extra, value))
 
 
 # -------------------------------------------------- placement enumeration
@@ -593,6 +587,13 @@ def enumerate_placements(sig: Signature, structure: ast.Structure,
     statics` and the theory's static axioms derive the rest, each answer
     set gives one pre-model, and a candidate whose statics conflict gives
     none.
+
+    What every placement shares is computed once, as the fixed part: each
+    object's sources among its declared sorts and the nodes above them, the
+    members those give every node, and the attribute values.  A placement
+    then adds only the sources its choice axes pick, and the objects they
+    bring to a node are merged into its members in universe order
+    (`_make_placement`).
     """
     uni, consts = build_universe(sig, structure, sink)
 
@@ -600,23 +601,20 @@ def enumerate_placements(sig: Signature, structure: ast.Structure,
     # in exactly one source node below that sort.
     source_nodes = set(sig.source_nodes())
     choice_axes: list[tuple[str, list[str]]] = []  # (object, options)
-    fixed: dict[str, set[str]] = {o.key: set() for o in uni.objects}
-    for obj in uni.objects:
-        for s in uni.declared[obj.key]:
-            if s in source_nodes:
-                fixed[obj.key].add(s)
-    for obj in uni.objects:
-        for s in uni.declared[obj.key]:
+    fixed = {key: {s for s in sorts if s in source_nodes}
+             for key, sorts in uni.declared.items()}
+    for key, sorts in uni.declared.items():
+        for s in sorts:
             if s in source_nodes:
                 continue
             options = sorted(set(sig.descendants(s)) & source_nodes)
             if not options:
                 sink.error(f"sort {s!r} has no source subsorts to place "
-                           f"{obj.key} into")
+                           f"{key} into")
                 continue
-            if fixed[obj.key] & set(options):
+            if fixed[key] & set(options):
                 continue  # membership already witnessed by a declared source
-            choice_axes.append((obj.key, options))
+            choice_axes.append((key, options))
     sink.raise_if_errors()
 
     total = 1
@@ -626,48 +624,63 @@ def enumerate_placements(sig: Signature, structure: ast.Structure,
             raise SemanticError(f"placement enumeration exceeds "
                                 f"{MAX_PLACEMENTS} candidates", structure.span)
 
+    # Instance closure: membership in a node = is_a in some source below it.
+    above = {n: frozenset({n, *sig.ancestors(n)}) for n in source_nodes}
+    nodes = {key: frozenset().union(*map(above.get, srcs))
+             for key, srcs in fixed.items()}
+    members: dict[str, list[str]] = {n: [] for n in sig.sorts}
+    for key, ns in nodes.items():
+        for n in ns:
+            members[n].append(key)
+    # Attribute assignments from the structure.
+    statics: dict[tuple[str, tuple[Value, ...]], Value] = {}
+    conflict = None
+    for func, okey, extra, value in uni.attrs:
+        keyargs = (okey,) + extra
+        prev = statics.setdefault((func, keyargs), value)
+        if prev != value:
+            conflict = f"conflicting values for {func}({okey}, ...)"
+            break
+    base = PreModel(
+        sig=sig,
+        consts=consts,
+        universe=list(uni.declared),
+        is_a={k: frozenset(v) for k, v in fixed.items()},
+        members={n: tuple(v) for n, v in members.items()},
+        statics=statics,
+        declared={k: tuple(v) for k, v in uni.declared.items()},
+        nodes=nodes,
+    )
+    position = {key: i for i, key in enumerate(base.universe)}
     for combo in product(*[options for _, options in choice_axes]):
-        is_a: dict[str, set[str]] = {k: set(v) for k, v in fixed.items()}
-        for (okey, _), chosen in zip(choice_axes, combo):
-            is_a[okey].add(chosen)
-        pm = _make_placement(sig, uni, consts, is_a, sink)
+        pm = _make_placement(base, above, position,
+                             zip(choice_axes, combo), conflict, sink)
         if pm is not None:
             yield pm
 
 
-def _make_placement(sig: Signature, uni: _Universe,
-                    consts: dict[str, Value],
-                    is_a: dict[str, set[str]],
+def _make_placement(base: PreModel, above: dict[str, frozenset[str]],
+                    position: dict[str, int], chosen: Iterator,
+                    conflict: Optional[str],
                     sink: DiagnosticSink) -> Optional[PreModel]:
-    # Instance closure: membership in a node = is_a in some source below it.
-    members: dict[str, list[str]] = {n: [] for n in sig.sorts}
-    for obj in uni.objects:
-        nodes: set[str] = set()
-        for src in is_a[obj.key]:
-            nodes.add(src)
-            nodes |= sig.ancestors(src)
-        for n in nodes:
-            members[n].append(obj.key)
-
-    pm = PreModel(
-        sig=sig,
-        consts=consts,
-        universe=[o.key for o in uni.objects],
-        is_a={k: frozenset(v) for k, v in is_a.items()},
-        members={n: tuple(v) for n, v in members.items()},
-        statics={},
-        declared={k: tuple(v) for k, v in uni.declared.items()},
-    )
-
-    # Attribute assignments from the structure.
-    for func, okey, extra, value in uni.attrs:
-        keyargs = (okey,) + extra
-        prev = pm.statics.get((func, keyargs))
-        if prev is not None and prev != value:
-            sink.error(f"conflicting values for {func}({okey}, ...)")
-            return None
-        pm.statics[(func, keyargs)] = value
-    return pm
+    """The fixed part `base` with each object of a choice axis also placed
+    in the source it chose: ``((object, options), source)`` pairs."""
+    if conflict is not None:
+        sink.error(conflict)
+        return None
+    is_a, nodes, members = dict(base.is_a), dict(base.nodes), \
+        dict(base.members)
+    joined: dict[str, list[str]] = {}  # node -> objects the choices add
+    for (key, _), src in chosen:
+        is_a[key] |= {src}
+        for n in above[src] - nodes[key]:
+            joined.setdefault(n, []).append(key)
+        nodes[key] |= above[src]
+    for n, keys in joined.items():
+        members[n] = tuple(sorted((*members[n], *keys),
+                                  key=position.__getitem__))
+    return PreModel(base.sig, base.consts, base.universe, is_a, members,
+                    dict(base.statics), base.declared, nodes)
 
 
 def structure_static_rules(theory: ActionTheory, structure: ast.Structure,

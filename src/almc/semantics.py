@@ -19,22 +19,26 @@ Grounding is body-ordered, as in gringo (Gebser, Kaminski, König, Schaub,
 *Advances in gringo series 3*, LPNMR 2011): a statement's variables are
 bound in nested loops, and each literal is ground (`ground_lit`, the one
 literal evaluator) as soon as its variables are bound, so a statically
-false literal cuts off every binding below it.  Rule templates are ground
-in two stages.  The *reads* stage (`reads`), the only one that walks the
-pre-model, binds each statement over its static and comparison literals
-and keeps the surviving bindings, less those the pre-model rules out: a
-static head that holds discharges its rule, and a law's action must be an
-instance of the law's sort.  The *template* stage grounds the fluent and
-occurrence literals of those bindings and drops a binding at a statically
-false one.  A binding's ground literals never depend on the step, so each
+false literal cuts off every binding below it.  What that takes from the
+theory alone, the variables' order, the sorts that narrow each domain and
+the literals ground at each depth, is a statement's *binding plan*
+(`binding_plan`); each domain is asked of the pre-model whenever the
+statement is bound.  Rule templates are ground in two stages.  The
+*reads* stage (`reads`), the only one that walks the pre-model, binds each
+statement over its static and comparison literals and keeps the surviving
+bindings, less those the pre-model rules out: a static head that holds
+discharges its rule, and a law's action must be an instance of the law's
+sort.  The *template* stage grounds the fluent and occurrence literals of
+those bindings and drops a binding at a statically false one.  A
+binding's ground literals never depend on the step, so each
 surviving binding becomes a step-free *rule template*, computed once per
 grounder by its first `build_program` call, with each key numbered when a
 kept rule first meets it; every call then adds the steps to the
 templates, in statement, binding, step order, through per-step rows of
 atom ids interned on first use.  A ground instance whose arithmetic has
 no value (`X mod 0`) is dropped, as gringo drops it, and the budget's
-deadline is read in both stages and once per template while steps are
-added.
+deadline is read in both stages, while a program's rows are made, and once
+per template and every few hundred steps while steps are added.
 
 Pre-models come from `system_pre_models`, which grounds and solves one more
 program per placement of the structure's objects: a grounder whose atoms
@@ -54,9 +58,12 @@ placements, get equal keys.  A compiled system groups its grounders by key
 (`CompiledSystem.groups`), and every task enumerates the states or grounds
 the programs of a group once, so only the group's first grounder runs the
 template stage.  The grounders of one system share their reads stage per
-statement (`ReadsMemo`): a statement is read for the first pre-model with
-every query of it recorded, and a later pre-model that answers those
-queries alike reuses the reading instead of reading the statement again.
+statement (`ReadsMemo`), with one binding plan per statement: a statement
+is read for the first pre-model with every query of it recorded, and a
+later pre-model that answers those queries alike reuses the reading
+instead of reading the statement again.  Sorts are traced by member: where
+a placement only adds members to a sort or removes them, the reading is
+reused when no binding of those members survives (`_reads_alike`).
 
 Only the facts of a state change from one solve to the next, so each
 program shape is ground once and solved many times with a state's facts
@@ -89,7 +96,7 @@ from __future__ import annotations
 from almc.records import record, replace
 from functools import cached_property
 from itertools import chain, islice, product
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from almc.bat import (
     ActionTheory, CmpLit, DynLaw, Exec, FunLit, OccLit, _has_fluent_lit,
@@ -196,6 +203,52 @@ class State:
 # them, which the program must define.  A template is the tuple of rules
 # added together at each step.
 
+# The sources of a binding plan that are not sorts: the sort nodes, which a
+# hierarchy literal's sort argument ranges over, and the actions, which an
+# occurrence literal's action ranges over.
+_NODES, _ACTIONS = 0, 1
+
+
+@record(frozen=True, slots=True)
+class BindingPlan:
+    """What binding a statement's variables and grounding some of its
+    literals takes from the theory alone (`Grounder.binding_plan`), kept
+    per statement by a `ReadsMemo` for all the pre-models of a system."""
+
+    names: tuple[str, ...]  # the variables, in binding order
+    #: ``(variable position, source)`` in the order the domains are
+    #: narrowed, a source being a sort key, `_NODES` or `_ACTIONS`
+    narrows: tuple[tuple[int, object], ...]
+    lits: tuple  # the literals to ground
+    first: list[int]  # the positions of those with no variable
+    stages: list[list[int]]  # of those whose last variable is names[d]
+    #: the variables no literal gives a sort, an error once the domains are
+    #: asked for
+    missing: list[str]
+
+    def domains(self, values, only=None) -> list[Sequence[Value]]:
+        """Each variable's domain, in `names` order, where ``values(source)``
+        gives the values of a source, asked in narrowing order: those of
+        its first source, less those missing from any later one.  With
+        `only`, the variables at the other positions get None."""
+        domains: list = [None] * len(self.names)
+        for j, source in self.narrows:
+            if only is not None and j not in only:
+                continue
+            got = values(source)
+            if domains[j] is None:
+                domains[j] = got
+            else:
+                keep = set(got)
+                domains[j] = [v for v in domains[j] if v in keep]
+        return domains
+
+
+#: A mask: steps are added to templates, and their rows made, in runs of
+#: this many plus one between two readings of the budget's deadline.
+_STEPS_PER_CHECK = 255
+
+
 def _check_time(budget: Optional[Budget]) -> None:
     if budget is not None:
         budget.check_time()
@@ -215,8 +268,8 @@ class Grounder:
         self.sink = sink
         # Ground instances of every atom function: argument tuples and value
         # domain, in signature order.
-        self.tuples: dict[str, list[tuple[Value, ...]]] = {}
-        self.values: dict[str, list[Value]] = {}
+        self.tuples: dict[str, tuple[tuple[Value, ...], ...]] = {}
+        self.values: dict[str, tuple[Value, ...]] = {}
         count = 0
         for f in self.sig.functions.values():
             if not (f.is_fluent if atoms is None else f.name in atoms):
@@ -230,7 +283,7 @@ class Grounder:
                 raise BudgetExceeded(
                     f"too many ground function instances (over "
                     f"{MAX_GROUND_INSTANCES}); bound your sorts")
-            self.tuples[f.name] = [tuple(t) for t in product(*doms)]
+            self.tuples[f.name] = tuple(product(*doms))
             self.values[f.name] = pm.sort_values(f.result, f.span)
         self.actions: list[Value] = list(pm.members.get(ACTIONS, ()))
         #: `reads`, computed on first use
@@ -241,76 +294,100 @@ class Grounder:
 
     # ---------------------------------------------------- variable domains
 
-    def var_domains(self, stmt) -> dict[str, list[Value]]:
-        domains: dict[str, list[Value]] = {}
+    def binding_plan(self, stmt, lits) -> BindingPlan:
+        """How `bindings` binds the statement's variables and grounds
+        `lits`, from the theory alone: each variable is bound in the order
+        a literal of the statement first gives it a sort, over the values
+        of that sort narrowed by every other sort a literal gives it, and
+        each literal is ground once its last variable is bound."""
+        sig = self.sig
+        names: dict[str, int] = {}
+        narrows: list[tuple[int, object]] = []
 
-        def sort_values(key: str) -> list[Value]:
-            return self.pm.sort_values(key, stmt.span)
-
-        def narrow(var: str, dom: list[Value]) -> None:
-            if var in domains:
-                cur = set(dom)
-                domains[var] = [v for v in domains[var] if v in cur]
-            else:
-                domains[var] = list(dom)
+        def narrow(var: str, source) -> None:
+            narrows.append((names.setdefault(var, len(names)), source))
 
         def from_funlit(lit: FunLit) -> None:
-            if lit.func in self.sig.functions:
-                info = self.sig.functions[lit.func]
-                for i, a in enumerate(lit.args):
-                    if isinstance(a, ast.Var) and i < info.arity:
-                        narrow(a.name, sort_values(info.args[i]))
+            info = sig.functions.get(lit.func)
+            if info is not None:
+                for a, sort in zip(lit.args, info.args):
+                    if isinstance(a, ast.Var):
+                        narrow(a.name, sort)
                 if isinstance(lit.value, ast.Var):
-                    narrow(lit.value.name, sort_values(info.result))
+                    narrow(lit.value.name, info.result)
                 return
             # hierarchy functions
-            nodes = list(self.sig.sorts)
             if lit.func in ("instance", "is_a"):
                 o, c = lit.args
                 if isinstance(c, ast.Var):
-                    narrow(c.name, nodes)
+                    narrow(c.name, _NODES)
                 if isinstance(o, ast.Var):
                     positive = isinstance(lit.value, ast.Sym) \
                         and lit.value.name == TRUE and lit.op == "="
-                    if positive and isinstance(c, ast.Sym) \
-                            and self.sig.is_node(c.name):
-                        narrow(o.name, sort_values(c.name))
-                    else:
-                        narrow(o.name, sort_values(UNIVERSE))
+                    narrow(o.name, c.name if positive
+                           and isinstance(c, ast.Sym) and sig.is_node(c.name)
+                           else UNIVERSE)
             else:
                 for a in lit.args:
                     if isinstance(a, ast.Var):
-                        narrow(a.name, nodes)
+                        narrow(a.name, _NODES)
 
-        lits = []
-        if isinstance(stmt, (DynLaw, Exec)):
-            if isinstance(stmt.act, ast.Var):
-                narrow(stmt.act.name, sort_values(stmt.sort))
-            lits.extend(stmt.body)
-            if isinstance(stmt, DynLaw):
-                lits.append(stmt.head)
-        else:
-            if getattr(stmt, "head", None) is not None:
-                lits.append(stmt.head)
-            lits.extend(stmt.body)
-        for lit in lits:
+        law = isinstance(stmt, (DynLaw, Exec))
+        head = getattr(stmt, "head", None)
+        own = [*stmt.body, head] if isinstance(stmt, DynLaw) \
+            else [*stmt.body] if law or head is None else [head, *stmt.body]
+        if law and isinstance(stmt.act, ast.Var):
+            narrow(stmt.act.name, stmt.sort)
+        needed = term_vars(stmt.act) if law else set()
+        seen: dict[int, set[str]] = {}  # id of a literal -> its variables
+        for lit in own:
             if isinstance(lit, FunLit):
                 from_funlit(lit)
-            elif isinstance(lit, OccLit):
-                if isinstance(lit.action, ast.Var):
-                    narrow(lit.action.name, self.actions)
+            elif isinstance(lit, OccLit) and isinstance(lit.action, ast.Var):
+                narrow(lit.action.name, _ACTIONS)
+            needed |= seen.setdefault(id(lit), lit_vars(lit))
+        # stages[d]: the literals whose last variable is the d-th bound
+        stages: list[list[int]] = [[] for _ in range(len(names) + 1)]
+        for i, lit in enumerate(lits):
+            vs = seen[id(lit)] if id(lit) in seen else lit_vars(lit)
+            stages[max([names.get(v, -1) + 1 for v in vs], default=0)
+                   ].append(i)
+        return BindingPlan(tuple(names), tuple(narrows), tuple(lits),
+                           stages[0], stages[1:], sorted(needed - set(names)))
 
-        needed: set[str] = set()
-        for lit in lits:
-            needed |= lit_vars(lit)
-        if isinstance(stmt, (DynLaw, Exec)):
-            needed |= term_vars(stmt.act)
-        missing = needed - set(domains)
-        if missing:
+    def _domains(self, stmt, plan: BindingPlan, old: Optional[list] = None,
+                 only=()) -> list[Sequence[Value]]:
+        """The domains of the plan's variables, in binding order: the
+        pre-model is asked for the values of each sort on every call, in
+        narrowing order, so that a `TracedPreModel` records them.  Given
+        `old` domains, only the variables at the positions `only` are
+        narrowed anew, and the others keep theirs."""
+        pm, span = self.pm, stmt.span
+        domains = plan.domains(
+            lambda source: pm.sort_values(source, span)
+            if isinstance(source, str) else self._source_values(source),
+            None if old is None else only)
+        if old is not None:
+            domains = [o if d is None else d for o, d in zip(old, domains)]
+        if plan.missing:
             raise SemanticError(
                 "cannot determine a sort for variable(s) "
-                f"{', '.join(sorted(missing))}", getattr(stmt, "span", Span()))
+                f"{', '.join(plan.missing)}", getattr(stmt, "span", Span()))
+        size = 1
+        for d in domains:
+            size *= len(d)
+            if size > MAX_GROUND_INSTANCES:
+                raise BudgetExceeded(
+                    "too many ground instances of a statement", stmt.span)
         return domains
+
+    def _source_values(self, source) -> Sequence[Value]:
+        """The values of a binding plan's source that is not a sort."""
+        return tuple(self.sig.sorts) if source is _NODES else self.actions
+
+    def var_domains(self, stmt) -> dict[str, Sequence[Value]]:
+        plan = self.binding_plan(stmt, ())
+        return dict(zip(plan.names, self._domains(stmt, plan)))
 
     def bindings(self, stmt, lits, budget: Optional[Budget] = None
                  ) -> Iterator[tuple[dict[str, Value], list]]:
@@ -320,29 +397,23 @@ class Grounder:
         cuts off every binding below it.  Yields ``(env, results)`` for each
         binding under which no literal is statically false; both objects
         are reused from one binding to the next."""
-        domains = self.var_domains(stmt)
-        names = list(domains)
-        size = 1
-        for n in names:
-            size *= len(domains[n])
-            if size > MAX_GROUND_INSTANCES:
-                raise BudgetExceeded(
-                    "too many ground instances of a statement", stmt.span)
-        depth = {n: i + 1 for i, n in enumerate(names)}
-        # stages[d]: the literals whose last variable is the d-th bound
-        stages: list[list[int]] = [[] for _ in range(len(names) + 1)]
-        for i, lit in enumerate(lits):
-            stages[max((depth[v] for v in lit_vars(lit)), default=0)].append(i)
+        plan = self.binding_plan(stmt, lits)
+        return self._bindings(plan, self._domains(stmt, plan), budget)
+
+    def _bindings(self, plan: BindingPlan, domains, budget: Optional[Budget]
+                  ) -> Iterator[tuple[dict[str, Value], list]]:
+        """`bindings` by a plan over the given domains."""
+        lits = plan.lits
         env: dict[str, Value] = {}
         results: list = [True] * len(lits)
-        for i in stages[0]:
+        for i in plan.first:
             results[i] = self.ground_lit(lits[i], env)
             if results[i] is False:
                 return iter(())
-        if not names:
+        if not plan.names:
             return iter([(env, results)])
-        return self._bind(lits, names, [domains[n] for n in names],
-                          stages[1:], env, results, budget)
+        return self._bind(lits, plan.names, domains, plan.stages, env,
+                          results, budget)
 
     def _bind(self, lits, names, domains, stages, env, results,
               budget: Optional[Budget]
@@ -379,8 +450,7 @@ class Grounder:
         return eval_ground_term(t, self.pm.consts, env)
 
     def _typed(self, info: FuncInfo, argvals: tuple[Value, ...]) -> bool:
-        return all(self.pm.is_instance(v, s)
-                   for v, s in zip(argvals, info.args))
+        return all(map(self.pm.is_instance, argvals, info.args))
 
     def ground_lit(self, lit, env: dict[str, Value]):
         """Ground one body literal under `env`: False if it is statically
@@ -389,8 +459,8 @@ class Grounder:
         consts = self.pm.consts
         try:
             if isinstance(lit, FunLit):
-                argvals = tuple(eval_ground_term(a, consts, env)
-                                for a in lit.args)
+                argvals = tuple([eval_ground_term(a, consts, env)
+                                 for a in lit.args])
                 val = eval_ground_term(lit.value, consts, env)
             elif isinstance(lit, CmpLit):
                 return compare(lit.op, eval_ground_term(lit.lhs, consts, env),
@@ -431,8 +501,10 @@ class Grounder:
         reads entry of each statement (`_read_statement`), in the order
         state constraints, definitions, dynamic laws, executability
         conditions.  With a `memo`, the pre-model is read through a
-        `TracedPreModel` and an entry is reused when it answers the entry's
-        recorded queries alike.  The budget's clock is read before each
+        `TracedPreModel`, the binding plans are the memo's, and an entry is
+        reused when it answers the entry's recorded queries alike, or when
+        its sorts differ only in members whose bindings would not survive
+        (`_reads_alike`).  The budget's clock is read before each
         statement, computed or reused."""
         th, pm = self.theory, self.pm
         if memo is not None:
@@ -442,32 +514,49 @@ class Grounder:
             for i, stmt in enumerate(chain(th.constraints, th.definitions,
                                            th.dynamic, th.executability)):
                 _check_time(budget)
-                out.append(self._read_statement(stmt, budget) if memo is None
-                           else memo.read(self, i, stmt, budget))
+                out.append(memo.read(self, i, stmt, budget) if memo else
+                           self._read_statement(stmt, self.reads_plan(stmt),
+                                                budget))
             return tuple(out)
         finally:
             self.pm = pm
 
-    def _read_statement(self, stmt, budget: Optional[Budget]) -> tuple:
+    def reads_plan(self, stmt) -> BindingPlan:
+        """The binding plan of the reads stage: the statement's static and
+        comparison literals."""
+        return self.binding_plan(
+            stmt, [lit for lit in stmt.body if self._is_static_lit(lit)])
+
+    def _read_statement(self, stmt, plan: BindingPlan,
+                        budget: Optional[Budget]) -> tuple:
         """One statement's reads entry: the pair ``(names, bindings)`` of
         its variables and of the bindings, each the tuple of its variables'
         values, that survive the statement's static and comparison literals
-        (`bindings`) and its pre-model checks, in binding order.  A binding
-        whose static head holds is dropped, as the rule is discharged, and
-        so is a law's binding whose action is not an instance of its
-        sort."""
+        (`bindings`, by its reads plan) and its pre-model checks
+        (`_surviving`), in binding order."""
+        kept = tuple(self._surviving(stmt, plan, self._domains(stmt, plan),
+                                     budget))
+        return (plan.names if kept else (), kept)
+
+    def _surviving(self, stmt, plan: BindingPlan, domains,
+                   budget: Optional[Budget]) -> Iterator[tuple]:
+        """The bindings over `domains` that survive the statement's static
+        literals and its pre-model checks.  A binding whose static head
+        holds is dropped, as the rule is discharged, and so is a law's
+        binding whose action is not an instance of its sort.  An action
+        that is a variable needs no check: its domain is narrowed from the
+        members of that sort first (`binding_plan`), and a node's members
+        are exactly its instances."""
         pm = self.pm
         head = getattr(stmt, "head", None)
         static_head = head is not None and not self._is_atom_lit(head)
         law = isinstance(stmt, (DynLaw, Exec))
-        static = [lit for lit in stmt.body if self._is_static_lit(lit)]
-        kept = []
-        env: dict[str, Value] = {}
-        for env, _ in self.bindings(stmt, static, budget):
+        typed = law and isinstance(stmt.act, ast.Var)
+        for env, _ in self._bindings(plan, domains, budget):
             try:
                 if law:
-                    if not pm.is_instance(self.eval_term(stmt.act, env),
-                                          stmt.sort):
+                    if not typed and not pm.is_instance(
+                            self.eval_term(stmt.act, env), stmt.sort):
                         continue
                 elif static_head and static_truth(
                         pm, head, tuple(self.eval_term(a, env)
@@ -476,8 +565,45 @@ class Grounder:
                     continue
             except UndefinedArithmetic:
                 continue
-            kept.append(tuple(env.values()))
-        return (tuple(env) if kept else (), tuple(kept))
+            yield tuple(env.values())
+
+    def _reads_alike(self, stmt, plan: BindingPlan, old: list, moved: set,
+                     read: tuple, budget: Optional[Budget]) -> bool:
+        """Would reading `stmt` give the reads entry `read` again?  `read`
+        was read from a pre-model that gave the plan's variables the
+        domains `old` and answered every other query of that reading as
+        this one does (`ReadsMemo`), but the values of the sorts `moved`.
+
+        Each variable's domain then changes at most by members removed and
+        added, and only where a sort of it moved.  The reading visits the bindings over the members common to
+        both, which keep their order, exactly as before, asks the same
+        queries under them and gets the same answers, so they survive as
+        before.  So the entry is `read` again if no removed member has a
+        surviving binding in `read` and no binding that takes an added
+        member survives here.  Only those bindings are evaluated: for each
+        variable, those that take an added member there, common members
+        before it and any member after it."""
+        new = self._domains(stmt, plan, old, {
+            j for j, source in plan.narrows if source in moved})
+        kept = read[1]
+        common, added = [], []
+        for j, (was, now) in enumerate(zip(old, new)):
+            if was == now:
+                common.append(now)
+                added.append(())
+                continue
+            had, has = set(was), set(now)
+            common.append([v for v in now if v in had])
+            if common[j] != [v for v in was if v in has]:
+                return False
+            gone = had - has
+            if gone and any(b[j] in gone for b in kept):
+                return False
+            added.append([v for v in now if v not in had])
+        return not any(
+            next(self._surviving(stmt, plan, [*common[:j], more, *new[j + 1:]],
+                                 budget), None) is not None
+            for j, more in enumerate(added) if more)
 
     def reads(self, budget: Optional[Budget] = None,
               memo: Optional[ReadsMemo] = None) -> tuple:
@@ -650,8 +776,10 @@ class Grounder:
         every call adds each template at each step of its group's range,
         template by template, so the rules come in statement, binding, step
         order, and interns each atom when first met, head before body.  The
-        budget's deadline is checked while templates are ground, and once
-        per template while they are added."""
+        budget's deadline is checked while templates are ground, while the
+        rows of the steps are made, and once per template and every
+        `_STEPS_PER_CHECK` + 1 steps while they are added, so that a huge
+        horizon stops before its memory grows."""
         if self._templates is None:
             self._templates = self._ground_templates(budget)
         keys, groups = self._templates
@@ -662,12 +790,19 @@ class Grounder:
         atom, add = prog.atom, prog.rules.append
         # rows[s][2 * i + o] is the atom of key i at step s + o, None until
         # first met; the spare last slot is the head of every constraint
-        rows = [[None] * (2 * len(keys)) + [_NO_HEAD] for _ in range(h + 1)]
+        row = [None] * (2 * len(keys)) + [_NO_HEAD]
+        rows = []
+        for step in range(h + 1):
+            if not step & _STEPS_PER_CHECK:
+                _check_time(budget)
+            rows.append(row.copy())
         neqs: set[int] = set()
         for templates, steps in zip(groups, ranges):
             for template in templates:
                 _check_time(budget)
                 for step in steps:
+                    if step & _STEPS_PER_CHECK == _STEPS_PER_CHECK:
+                        _check_time(budget)
                     get = rows[step].__getitem__
                     for lits, j, nq in template:
                         ids = tuple(map(get, lits))
@@ -706,10 +841,9 @@ class Grounder:
         (`CompiledSystem.groups`), whose grounders share one `memo`: each
         statement is read once and then checked per pre-model by the
         queries its reading made."""
-        return (self.reads(budget, memo),
-                tuple((f, tuple(ts)) for f, ts in self.tuples.items()),
-                tuple((f, tuple(vs)) for f, vs in self.values.items()),
-                tuple(self.actions), tuple(self.pm.consts.items()))
+        return (self.reads(budget, memo), tuple(self.tuples.items()),
+                tuple(self.values.items()), tuple(self.actions),
+                tuple(self.pm.consts.items()))
 
     def define_neqs(self, prog: Program, keys) -> None:
         """Define each disequality atom ``('neq', f, args, v, step)`` by one
@@ -1033,9 +1167,11 @@ def system_pre_models(theory: ActionTheory, structure: ast.Structure,
     placements = enumerate_placements(sig, structure, sink)
     ahead = list(islice(placements, 2))
     memo = ReadsMemo() if len(ahead) > 1 else None
-    for pm in chain(ahead, placements):
+    for n, pm in enumerate(chain(ahead, placements)):
         _check_time(budget)
-        for f in sig.functions.values():  # a fluent sort's error first
+        # a fluent sort's error first; it depends on the sort and the
+        # constants alone, so the first placement finds it for all
+        for f in sig.functions.values() if not n else ():
             for key in (*f.args, f.result) if f.is_fluent else ():
                 pm.sort_values(key, f.span)
         g = Grounder(rules, pm, sink, derived)

@@ -19,23 +19,30 @@ from almc.syntax.lexer import Token, tokenize
 _REL_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 
+#: The parser's largest fixed lookahead past the current token.
+_LOOKAHEAD = 2
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+        """`tokens` end with one `eof` token.  The parser never moves past
+        it and never looks further than `_LOOKAHEAD` tokens ahead, except
+        in loops that stop at the first `eof`, so with that many copies of
+        it appended every lookahead is a plain index."""
+        self.toks = tokens + tokens[-1:] * _LOOKAHEAD
         self.pos = 0
 
     # ---------------------------------------------------------- plumbing
 
     def peek(self, off: int = 0) -> Token:
-        i = min(self.pos + off, len(self.toks) - 1)
-        return self.toks[i]
+        return self.toks[self.pos + off]
 
     def at(self, kind: str, text: Optional[str] = None, off: int = 0) -> bool:
-        t = self.peek(off)
+        t = self.toks[self.pos + off]
         return t.kind == kind and (text is None or t.text == text)
 
     def at_kw(self, *words: str, off: int = 0) -> bool:
-        t = self.peek(off)
+        t = self.toks[self.pos + off]
         return t.kind == "kw" and t.text in words
 
     def next(self) -> Token:
@@ -65,9 +72,12 @@ class _Parser:
         return self.next().text
 
     def eat(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self.at(kind, text):
-            return self.next()
-        return None
+        t = self.toks[self.pos]
+        if t.kind != kind or (text is not None and t.text != text):
+            return None
+        if kind != "eof":
+            self.pos += 1
+        return t
 
     # ---------------------------------------------------------- terms
 
@@ -76,7 +86,7 @@ class _Parser:
 
     def _parse_add(self) -> ast.Term:
         t = self._parse_mul()
-        while self.at("+") or self.at("-"):
+        while self.toks[self.pos].kind in ("+", "-"):
             op = self.next()
             rhs = self._parse_mul()
             t = ast.Arith(op.text, t, rhs, op.span)
@@ -91,15 +101,15 @@ class _Parser:
         return t
 
     def _parse_primary(self) -> ast.Term:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind == "int":
-            self.next()
+            self.pos += 1
             return ast.Num(int(t.text), t.span)
         if t.kind == "var":
-            self.next()
+            self.pos += 1
             return ast.Var(t.text, t.span)
         if t.kind == "ident":
-            self.next()
+            self.pos += 1
             if self.eat("("):
                 args = [self.parse_term()]
                 while self.eat(","):

@@ -98,7 +98,8 @@ class CompiledSystem:
         horizon, so every task grounds and solves them with the first.  The
         grounders of several pre-models share one `ReadsMemo`: each
         statement is read for the first pre-model and then reused by every
-        later one that answers the queries of that reading alike."""
+        later one that answers the queries of that reading alike, or whose
+        sorts differ from it only in members with no surviving binding."""
         memo = ReadsMemo() if len(self.grounders) > 1 else None
         groups: dict[tuple, list[Grounder]] = {}
         for g in self.grounders:

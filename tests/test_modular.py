@@ -231,7 +231,7 @@ def test_declared_source_membership_suppresses_choice():
 def test_schema_instances_with_mixed_arguments():
     node, sig, sink = compiled("monkey_and_banana", [CORPUS])
     uni, consts = build_universe(sig, node.structure, sink)
-    keys = {o.key for o in uni.objects}
+    keys = set(uni.declared)
     assert "carry(box, under_banana)" in keys
     assert "carry(box, top(box))" not in keys  # where-clause: floor only
     assert "grasp(banana)" in keys and "grasp(box)" in keys

@@ -8,6 +8,7 @@ with evaluators written here from scratch.
 
 import random
 import time
+import tracemalloc
 from collections import Counter
 from itertools import chain, islice, product
 
@@ -18,7 +19,9 @@ from almc.bat import CmpLit, Constraint, DynLaw, FunLit, OccLit
 from almc.errors import BudgetExceeded, DiagnosticSink
 from almc.lpcore import Budget, Program, _Search
 from almc.memo import ReadsMemo
-from almc.modular import UndefinedArithmetic, compare, enumerate_placements
+from almc.modular import (
+    UndefinedArithmetic, build_universe, compare, enumerate_placements,
+)
 from almc.ontology import BASIC_FLUENT, DEFINED_FLUENT, FALSE, TRUE, dom_name
 from almc.records import replace
 from almc.semantics import (
@@ -1286,6 +1289,162 @@ def test_memoised_keys_ignore_a_sort_no_statement_reads():
             for pm in (a.pm, replace(a.pm, consts={"n": 1})))
     assert c.reads(None, memo) == d.reads(None, memo)
     assert not any(x is y for x, y in zip(c.reads(), d.reads()))
+
+
+# e0 is placed in kind_a or kind_b, so it leaves kind_a and joins kind_b;
+# the statement's bindings of e0 survive, or `st` drops them
+MEMBER_READS = """
+system description members
+  theory t
+    module m
+      sort declarations
+        elems :: universe
+        kind_a, kind_b :: elems
+      function declarations
+        statics
+          basic
+            st : elems -> booleans
+        fluents
+          basic
+            p : booleans
+            q : kind_b -> booleans
+            r : kind_a -> booleans
+      axioms
+        {}
+  structure s
+    instances
+      e0 in elems
+      e1 in kind_b
+    values of statics
+      st(e1).
+"""
+
+
+@pytest.mark.parametrize("axiom,reused", [
+    ("false if q(X), p.", False), ("false if q(X), st(X), p.", True),
+    ("false if r(X), p.", False), ("false if r(X), st(X), p.", True)],
+    ids=["joins-survives", "joins-dropped", "leaves-survived",
+         "leaves-dropped"])
+def test_memo_reads_a_moved_member_by_its_bindings(monkeypatch, axiom,
+                                                   reused):
+    """The reads memo traces sorts by member (`Grounder._reads_alike`):
+    e0 joins kind_b and leaves kind_a in the second pre-model.  Where a
+    binding of e0 survives, in that pre-model or in the first, the
+    statement is read anew and the keys differ; where `st` drops it, the
+    first pre-model's entry is reused as it is.  Either way the entry is
+    the one that reading the statement alone gives."""
+    cs = compile_src(MEMBER_READS.format(axiom))
+    a, b = cs.grounders
+    assert [a.pm.members["kind_b"], b.pm.members["kind_b"]] == \
+        [("e1",), ("e0", "e1")]
+    computed = []
+    read_statement = Grounder._read_statement
+
+    def noted(self, stmt, *args):
+        computed.append((self, stmt))
+        return read_statement(self, stmt, *args)
+
+    monkeypatch.setattr(Grounder, "_read_statement", noted)
+    assert len(cs.groups) == 2
+    first, second = a.reads()[0], b.reads()[0]
+    assert (first is second) == (first == second) == reused
+    assert ((b, cs.theory.constraints[0]) in computed) == (not reused)
+    assert second == b._read_bindings(None)[0]
+    assert a.program_key() != b.program_key()
+
+
+def reference_placements(sig, structure, sink):
+    """Each placement built on its own, from the universe up, as the
+    placements were before they shared their fixed part: the fields of
+    every `PreModel` that `enumerate_placements` yields, in order."""
+    uni, consts = build_universe(sig, structure, sink)
+    sources = set(sig.source_nodes())
+    objects = list(uni.declared)
+    declared = {o: tuple(ss) for o, ss in uni.declared.items()}
+    axes = [(o, sorted(sig.descendants(s) & sources))
+            for o in objects for s in uni.declared[o] if s not in sources]
+    axes = [(o, options) for o, options in axes
+            if not sources & set(options) & set(uni.declared[o])]
+    statics = {(f, (o, *extra)): v for f, o, extra, v in uni.attrs}
+    for combo in product(*[options for _, options in axes]):
+        is_a = {o: {s for s in uni.declared[o] if s in sources}
+                for o in objects}
+        for (o, _), chosen in zip(axes, combo):
+            is_a[o].add(chosen)
+        nodes = {o: frozenset(n for s in srcs for n in {s, *sig.ancestors(s)})
+                 for o, srcs in is_a.items()}
+        members = {n: tuple(o for o in objects if n in nodes[o])
+                   for n in sig.sorts}
+        yield (consts, objects, {o: frozenset(v) for o, v in is_a.items()},
+               list(members.items()), statics, declared, nodes)
+
+
+PARAMETERISED = """
+system description params
+  theory t
+    module m
+      sort declarations
+        points :: universe
+        marks :: universe
+        red, blue :: marks
+        hops :: actions
+      object constants
+        peak(points) : marks
+      function declarations
+        fluents
+          basic
+            at : points -> booleans
+      axioms
+        false if at(P), at(Q), P != Q.
+  structure s
+    instances
+      p1, p2 in points
+      c1 in red
+      hop(P) in hops where instance(P, points)
+      flag(P) in marks where instance(P, points)
+      ring(P) in red where instance(P, points)
+"""
+
+
+def test_placements_share_their_fixed_part_exactly():
+    """`enumerate_placements` builds what its placements share once; each
+    placement equals, field by field and in order, one built on its own
+    (`reference_placements`), with every node's members in universe
+    order, on the corpus, the placed BATs and parameterised objects
+    placed into a sort with two sources, one of whose members (`ring`)
+    come after them."""
+    systems = [compile_system(parse_path(CORPUS / f"{name}.alm"),
+                              [str(CORPUS)], DiagnosticSink())
+               for name in ("t0", "travel", "professors", "n_w_f",
+                            "monkey_and_banana", "cell_cycle1",
+                            "cell_cycle2")]
+    counts = []
+    for cs in [*systems, *placed_bat_systems(), compile_src(PARAMETERISED)]:
+        got = [(pm.consts, pm.universe, pm.is_a, list(pm.members.items()),
+                pm.statics, pm.declared, pm.nodes)
+               for pm in enumerate_placements(cs.sig, cs.structure,
+                                              cs.sink)]
+        assert got == list(reference_placements(cs.sig, cs.structure,
+                                                cs.sink))
+        counts.append(len(got))
+    assert counts[4] == 8 and counts[-1] == 16 and sum(counts) > 300
+
+
+def test_a_huge_horizon_stops_before_its_rows_are_made():
+    """`build_program` reads the budget's deadline while it makes the rows
+    of its steps: a passed deadline stops a horizon of 200,000 on t0, with
+    its templates already ground, before it takes memory."""
+    cs = compile_system(parse_path(CORPUS / "t0.alm"), [], DiagnosticSink())
+    (g,) = cs.grounders
+    g.build_program(1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            g.build_program(200_000, Budget.of(seconds=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 # ------------------------------------------------------------ static values

@@ -484,9 +484,9 @@ def record_stages(monkeypatch):
         monkeypatch.setattr(Grounder, name, recorded)
     read_statement = Grounder._read_statement
 
-    def computed(self, stmt, budget):
+    def computed(self, *args):
         runs.append(("statement", self, None))
-        return read_statement(self, stmt, budget)
+        return read_statement(self, *args)
 
     monkeypatch.setattr(Grounder, "_read_statement", computed)
     return runs
@@ -513,13 +513,14 @@ def test_monkey_plan_and_validation_ground_templates_once(monkeypatch,
     it, and grounds rule templates once, for the first of the group: the
     keys are cached, so validation finds the templates already ground.
     The reads are memoised per statement (`ReadsMemo`): the first
-    pre-model computes all 43 statements, and each later one computes only
-    the 5 that read the sorts `carry` or `climb`, where its placement of
-    the `move` actions differs, and reuses the other 38.  The same holds
-    for the statics programs that derive the pre-models, whose theory has
-    no causal law: each placement is read once, its first computes all 6
-    statements and each later one 1, and the templates of their one group
-    are ground once."""
+    pre-model computes all 43 statements, and each later one reuses all
+    43.  The 5 that read the sorts `carry` or `climb`, where its placement
+    of the `move` actions differs, are reused by member: no binding of a
+    `move` action that leaves or joins those sorts survives.  The same
+    holds for the statics programs that derive the pre-models, whose
+    theory has no causal law: each placement is read once, its first
+    computes all 6 statements and each later one reuses all 6, and the
+    templates of their one group are ground once."""
     runs = record_stages(monkeypatch)
     code = main(["plan", *MB, "--goal", str(CORPUS / "mb.goal"),
                  "--horizon", "6", "--validate"])
@@ -532,11 +533,11 @@ def test_monkey_plan_and_validation_ground_templates_once(monkeypatch,
     assert len({id(g) for _, g in statics}) == 8
     assert statements_read(runs, [g for stage, g in statics
                                   if stage == "reads"]) == \
-        ([6] + [1] * 7, [0] + [5] * 7)
+        ([6] + [0] * 7, [0] + [6] * 7)
     stages = [(stage, g) for stage, g in stages if g.theory.dynamic]
     reads = [g for stage, g in stages if stage == "reads"]
     assert len(reads) == len({id(g) for g in reads}) == 8
-    assert statements_read(runs, reads) == ([43] + [5] * 7, [0] + [38] * 7)
+    assert statements_read(runs, reads) == ([43] + [0] * 7, [0] + [43] * 7)
     assert [(stage, g) for stage, g in stages if stage == "templates"] \
         == [("templates", reads[0])]
 
@@ -566,8 +567,8 @@ def test_zero_budget_stops_pre_model_derivation(monkeypatch, capsys):
 def test_deadline_after_the_first_reads_stops_a_member(monkeypatch, capsys):
     """The reads stage reads the clock before each statement, computed or
     reused: a deadline that passes once the first of monkey's pre-models
-    has been read stops the second, all but 5 of whose statements the memo
-    would reuse, before its first statement, with exit 4."""
+    has been read stops the second, all of whose statements the memo would
+    reuse, before its first statement, with exit 4."""
     read_bindings = Grounder._read_bindings
     read = ReadsMemo.read
     runs, statements = [], []

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from almc.errors import Span
 from almc.lpcore import Budget
 from almc.modular import PreModel, Value
 from almc.ontology import ACTIONS
@@ -15,14 +14,13 @@ if TYPE_CHECKING:
 
 
 class Trace:
-    """The queries of one reading: the values of each sort it asked for,
-    and the arguments of each `is_instance`, `static_value` and
-    `holds_is_a` query."""
+    """The dynamic queries of one reading: the arguments of each
+    `is_instance`, `static_value` and `holds_is_a` query (its sorts are
+    static, named by its binding plan)."""
 
-    __slots__ = ("sorts", "instances", "statics", "is_a")
+    __slots__ = ("instances", "statics", "is_a")
 
     def __init__(self) -> None:
-        self.sorts: dict[str, tuple[Value, ...]] = {}
         self.instances: set[tuple[Value, str]] = set()
         self.statics: set[tuple[str, tuple]] = set()
         self.is_a: set[tuple[Value, str]] = set()
@@ -59,31 +57,27 @@ class Changes:
             return None
         return Changes(a, b)
 
-    def moved(self, trace: Trace) -> Optional[set[str]]:
-        """The sorts of `trace` whose members changed, or None if another
-        of its queries may answer otherwise."""
+    def moved(self, sorts: frozenset, trace: Trace) -> Optional[set[str]]:
+        """The `sorts` of a reading whose members changed, or None if a
+        query of its `trace` may answer otherwise."""
         if self.statics.isdisjoint(trace.statics) \
                 and self.instances.isdisjoint(trace.instances) \
                 and self.is_a.isdisjoint(trace.is_a):
-            return self.sorts.intersection(trace.sorts)
+            return self.sorts.intersection(sorts)
         return None
 
 
 class TracedPreModel:
     """A pre-model for one grounder's reads stage through a `ReadsMemo`:
-    it records the queries of the statement being read (`sort_values`,
-    `is_instance`, `static_value`, `holds_is_a`) in `trace`.  The
+    it records the dynamic queries of the statement being read in `trace`
+    and forwards `sort_values`, whose sorts the binding plan names.  The
     signature is the theory's, and the object constants are compared
     whole."""
 
     def __init__(self, pm: PreModel):
         self.pm, self.sig, self.consts = pm, pm.sig, pm.consts
+        self.sort_values = pm.sort_values
         self.trace = Trace()
-
-    def sort_values(self, key: str, span: Span = Span()
-                    ) -> tuple[Value, ...]:
-        out = self.trace.sorts[key] = self.pm.sort_values(key, span)
-        return out
 
     def is_instance(self, obj: Value, sort: str) -> bool:
         self.trace.instances.add((obj, sort))
@@ -106,27 +100,28 @@ class ReadsMemo:
     differ only in the placement of its objects, which most statements do
     not read.  A statement's reads entry (`Grounder._read_statement`) is a
     function of the answers its computation gets from the pre-model, of
-    the object constants and of the grounder's actions.  So the memo keeps
-    each entry computed so far with the pre-model it was read from and the
-    queries it asked (`Trace`).  A later grounder reuses an entry, as the
-    same object, when its pre-model answers every recorded query alike,
-    which is checked against where the two pre-models differ (`Changes`),
-    found once per pair, rather than query by query.
+    the object constants and of the grounder's actions.  The sorts it asks
+    for are static dependencies, named by its binding plan
+    (`Grounder.reads_plan`, from the theory alone); its other queries are
+    dynamic.  So the memo keeps each entry with the pre-model it was read
+    from, the domains it was bound over and the dynamic queries it asked
+    (`Trace`).  A later grounder reuses an entry, as the same object, when
+    its pre-model gives the plan's sorts the same members and answers
+    every recorded query alike, checked against where the two pre-models
+    differ (`Changes`), found once per pair.
 
-    Placements move objects between sorts, so the sorts' values are traced
-    by member: when a recorded sort's members differ here, and every other
+    Placements move objects between sorts, so sorts are compared by
+    member: when a plan's sort has other members here, and every recorded
     query answers alike, the grounder evaluates the bindings of just the
     members added or removed (`Grounder._reads_alike`), and the entry is
     reused if none survives here and none survived there.  Otherwise the
-    entry is computed and recorded anew.  The memo also keeps each
-    statement's binding plan (`Grounder.reads_plan`), which depends on the
-    theory alone."""
+    entry is computed and recorded anew."""
 
     def __init__(self) -> None:
-        #: statement index -> [[pre-model, trace, entry, its domains]]
-        self.entries: dict[int, list[list]] = {}
-        #: statement index -> its reads plan
-        self.plans: dict[int, BindingPlan] = {}
+        #: statement index -> [(pre-model, trace, entry, its domains)]
+        self.entries: dict[int, list[tuple]] = {}
+        #: statement index -> its reads plan and the sort keys it narrows by
+        self.plans: dict[int, tuple[BindingPlan, frozenset[str]]] = {}
         #: the pre-model being read, and its changes from the pre-model of
         #: each entry (`Changes.between`), found once and kept by the entry
         #: pre-model's id, which the entry keeps alive
@@ -141,28 +136,26 @@ class ReadsMemo:
         pm = traced.pm
         if self.reading is not pm:
             self.reading, self.known = pm, {}
-        plan = self.plans.get(i)
-        if plan is None:
-            plan = self.plans[i] = g.reads_plan(stmt)
+        if i not in self.plans:
+            plan = g.reads_plan(stmt)
+            self.plans[i] = plan, frozenset(
+                s for _, s in plan.narrows if isinstance(s, str))
+        plan, sorts = self.plans[i]
         seen = self.entries.setdefault(i, [])
-        for entry in seen:
-            old, trace, read, domains = entry
+        for old, trace, read, domains in seen:
             changes = self.known.get(id(old), False)
             if changes is False:
                 changes = self.known[id(old)] = Changes.between(old, pm)
-            moved = None if changes is None else changes.moved(trace)
+            moved = None if changes is None else changes.moved(sorts, trace)
             if moved is None:
                 continue
             if not moved:
                 return read
-            if domains is None:  # the domains of the entry's reading
-                domains = entry[3] = plan.domains(
-                    lambda source: trace.sorts[source]
-                    if isinstance(source, str) else g._source_values(source))
             traced.trace = Trace()  # the check's own queries
-            if g._reads_alike(stmt, plan, domains, moved, read, budget):
+            if g._reads_alike(stmt, plan, domains, read, budget):
                 return read
         traced.trace = trace = Trace()
-        read = g._read_statement(stmt, plan, budget)
-        seen.append([pm, trace, read, None])
+        domains = tuple(g._domains(stmt, plan))
+        read = g._read_statement(stmt, plan, domains, budget)
+        seen.append((pm, trace, read, domains))
         return read

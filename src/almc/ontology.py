@@ -15,10 +15,11 @@ otherwise.
 
 from __future__ import annotations
 
-from almc.records import field, record
+from functools import cached_property
 from typing import Optional
 
 from almc.errors import DiagnosticSink, Span
+from almc.records import field, record
 from almc.syntax import ast
 
 UNIVERSE = "universe"
@@ -124,11 +125,17 @@ class Signature:
                 stack.extend(self.sorts[p])
         return seen
 
-    def descendants(self, node: str) -> set[str]:
+    @cached_property
+    def _children(self) -> dict[str, list[str]]:
+        """Each node's children, built once: the sorts are final."""
         kids: dict[str, list[str]] = {n: [] for n in self.sorts}
         for child, ps in self.sorts.items():
             for p in ps:
                 kids[p].append(child)
+        return kids
+
+    def descendants(self, node: str) -> set[str]:
+        kids = self._children
         seen: set[str] = set()
         stack = list(kids[node])
         while stack:
@@ -140,8 +147,7 @@ class Signature:
 
     def source_nodes(self) -> list[str]:
         """Nodes with no children, in declaration order."""
-        with_child = {p for ps in self.sorts.values() for p in ps}
-        return [n for n in self.sorts if n not in with_child]
+        return [n for n, kids in self._children.items() if not kids]
 
     def is_subsort(self, sub: str, sup: str) -> bool:
         return sub == sup or sup in self.ancestors(sub)

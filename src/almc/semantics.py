@@ -58,12 +58,12 @@ placements, get equal keys.  A compiled system groups its grounders by key
 (`CompiledSystem.groups`), and every task enumerates the states or grounds
 the programs of a group once, so only the group's first grounder runs the
 template stage.  The grounders of one system share their reads stage per
-statement (`ReadsMemo`), with one binding plan per statement: a statement
-is read for the first pre-model with every query of it recorded, and a
-later pre-model that answers those queries alike reuses the reading
-instead of reading the statement again.  Sorts are traced by member: where
-a placement only adds members to a sort or removes them, the reading is
-reused when no binding of those members survives (`_reads_alike`).
+statement (`ReadsMemo`): a reading's sorts are named by its binding plan,
+its other queries are recorded, and a later pre-model that answers them
+alike reuses the reading instead of reading the statement again.  Sorts
+are compared by member: where a placement only adds members to a sort or
+removes them, the reading is reused when no binding of those members
+survives (`_reads_alike`).
 
 Only the facts of a state change from one solve to the next, so each
 program shape is ground once and solved many times with a state's facts
@@ -226,23 +226,6 @@ class BindingPlan:
     #: asked for
     missing: list[str]
 
-    def domains(self, values, only=None) -> list[Sequence[Value]]:
-        """Each variable's domain, in `names` order, where ``values(source)``
-        gives the values of a source, asked in narrowing order: those of
-        its first source, less those missing from any later one.  With
-        `only`, the variables at the other positions get None."""
-        domains: list = [None] * len(self.names)
-        for j, source in self.narrows:
-            if only is not None and j not in only:
-                continue
-            got = values(source)
-            if domains[j] is None:
-                domains[j] = got
-            else:
-                keep = set(got)
-                domains[j] = [v for v in domains[j] if v in keep]
-        return domains
-
 
 #: A mask: steps are added to templates, and their rows made, in runs of
 #: this many plus one between two readings of the budget's deadline.
@@ -295,7 +278,7 @@ class Grounder:
     # ---------------------------------------------------- variable domains
 
     def binding_plan(self, stmt, lits) -> BindingPlan:
-        """How `bindings` binds the statement's variables and grounds
+        """How `_bindings` binds the statement's variables and grounds
         `lits`, from the theory alone: each variable is bound in the order
         a literal of the statement first gives it a sort, over the values
         of that sort narrowed by every other sort a literal gives it, and
@@ -355,20 +338,24 @@ class Grounder:
         return BindingPlan(tuple(names), tuple(narrows), tuple(lits),
                            stages[0], stages[1:], sorted(needed - set(names)))
 
-    def _domains(self, stmt, plan: BindingPlan, old: Optional[list] = None,
-                 only=()) -> list[Sequence[Value]]:
-        """The domains of the plan's variables, in binding order: the
-        pre-model is asked for the values of each sort on every call, in
-        narrowing order, so that a `TracedPreModel` records them.  Given
-        `old` domains, only the variables at the positions `only` are
-        narrowed anew, and the others keep theirs."""
+    def _domains(self, stmt, plan: BindingPlan) -> list[Sequence[Value]]:
+        """The domains of the plan's variables, in binding order: the values of
+        each one's first source less those missing from a later one, asked in
+        narrowing order, which fixes the error reported first.  No other code
+        of the reads stage asks for a sort (`static_truth`, `hier_true`,
+        `_surviving`, `ground_lit` on static literals), so a reading's sorts
+        are its plan's (`ReadsMemo`)."""
         pm, span = self.pm, stmt.span
-        domains = plan.domains(
-            lambda source: pm.sort_values(source, span)
-            if isinstance(source, str) else self._source_values(source),
-            None if old is None else only)
-        if old is not None:
-            domains = [o if d is None else d for o, d in zip(old, domains)]
+        domains: list = [None] * len(plan.names)
+        for j, source in plan.narrows:
+            got = pm.sort_values(source, span) if isinstance(source, str) \
+                else tuple(self.sig.sorts) if source is _NODES \
+                else self.actions
+            if domains[j] is None:
+                domains[j] = got
+            else:
+                keep = set(got)
+                domains[j] = [v for v in domains[j] if v in keep]
         if plan.missing:
             raise SemanticError(
                 "cannot determine a sort for variable(s) "
@@ -381,28 +368,13 @@ class Grounder:
                     "too many ground instances of a statement", stmt.span)
         return domains
 
-    def _source_values(self, source) -> Sequence[Value]:
-        """The values of a binding plan's source that is not a sort."""
-        return tuple(self.sig.sorts) if source is _NODES else self.actions
-
-    def var_domains(self, stmt) -> dict[str, Sequence[Value]]:
-        plan = self.binding_plan(stmt, ())
-        return dict(zip(plan.names, self._domains(stmt, plan)))
-
-    def bindings(self, stmt, lits, budget: Optional[Budget] = None
-                 ) -> Iterator[tuple[dict[str, Value], list]]:
-        """Bind the statement's variables in nested loops, in the order of
-        `var_domains`, grounding each literal of `lits` (`ground_lit`) as
-        soon as its variables are bound, so that a statically false literal
-        cuts off every binding below it.  Yields ``(env, results)`` for each
-        binding under which no literal is statically false; both objects
-        are reused from one binding to the next."""
-        plan = self.binding_plan(stmt, lits)
-        return self._bindings(plan, self._domains(stmt, plan), budget)
-
     def _bindings(self, plan: BindingPlan, domains, budget: Optional[Budget]
                   ) -> Iterator[tuple[dict[str, Value], list]]:
-        """`bindings` by a plan over the given domains."""
+        """Bind the plan's variables over `domains` in nested loops,
+        grounding each of its literals (`ground_lit`) as soon as its
+        variables are bound, so that a statically false literal cuts off
+        every binding below it.  Yields ``(env, results)`` for each binding
+        under which no literal is statically false; both are reused."""
         lits = plan.lits
         env: dict[str, Value] = {}
         results: list = [True] * len(lits)
@@ -418,7 +390,7 @@ class Grounder:
     def _bind(self, lits, names, domains, stages, env, results,
               budget: Optional[Budget]
               ) -> Iterator[tuple[dict[str, Value], list]]:
-        """The nested loops of `bindings`, one iterator per bound variable
+        """The nested loops of `_bindings`, one iterator per bound variable
         on a stack: a plain generator, which refers to no closure, so the
         grounder is freed by reference counting once it is dropped."""
         ground_lit = self.ground_lit
@@ -502,10 +474,10 @@ class Grounder:
         state constraints, definitions, dynamic laws, executability
         conditions.  With a `memo`, the pre-model is read through a
         `TracedPreModel`, the binding plans are the memo's, and an entry is
-        reused when it answers the entry's recorded queries alike, or when
-        its sorts differ only in members whose bindings would not survive
-        (`_reads_alike`).  The budget's clock is read before each
-        statement, computed or reused."""
+        reused when the pre-model answers the entry's recorded queries
+        alike and its plan's sorts differ at most in members whose bindings
+        would not survive (`_reads_alike`).  The budget's clock is read
+        before each statement, computed or reused."""
         th, pm = self.theory, self.pm
         if memo is not None:
             self.pm = TracedPreModel(pm)
@@ -514,9 +486,12 @@ class Grounder:
             for i, stmt in enumerate(chain(th.constraints, th.definitions,
                                            th.dynamic, th.executability)):
                 _check_time(budget)
-                out.append(memo.read(self, i, stmt, budget) if memo else
-                           self._read_statement(stmt, self.reads_plan(stmt),
-                                                budget))
+                if memo is None:
+                    plan = self.reads_plan(stmt)
+                    out.append(self._read_statement(
+                        stmt, plan, self._domains(stmt, plan), budget))
+                else:
+                    out.append(memo.read(self, i, stmt, budget))
             return tuple(out)
         finally:
             self.pm = pm
@@ -527,15 +502,14 @@ class Grounder:
         return self.binding_plan(
             stmt, [lit for lit in stmt.body if self._is_static_lit(lit)])
 
-    def _read_statement(self, stmt, plan: BindingPlan,
+    def _read_statement(self, stmt, plan: BindingPlan, domains,
                         budget: Optional[Budget]) -> tuple:
         """One statement's reads entry: the pair ``(names, bindings)`` of
         its variables and of the bindings, each the tuple of its variables'
         values, that survive the statement's static and comparison literals
-        (`bindings`, by its reads plan) and its pre-model checks
-        (`_surviving`), in binding order."""
-        kept = tuple(self._surviving(stmt, plan, self._domains(stmt, plan),
-                                     budget))
+        (`_bindings` by its reads plan over `domains`) and its pre-model
+        checks (`_surviving`), in binding order."""
+        kept = tuple(self._surviving(stmt, plan, domains, budget))
         return (plan.names if kept else (), kept)
 
     def _surviving(self, stmt, plan: BindingPlan, domains,
@@ -567,24 +541,25 @@ class Grounder:
                 continue
             yield tuple(env.values())
 
-    def _reads_alike(self, stmt, plan: BindingPlan, old: list, moved: set,
+    def _reads_alike(self, stmt, plan: BindingPlan, old: tuple,
                      read: tuple, budget: Optional[Budget]) -> bool:
         """Would reading `stmt` give the reads entry `read` again?  `read`
         was read from a pre-model that gave the plan's variables the
-        domains `old` and answered every other query of that reading as
-        this one does (`ReadsMemo`), but the values of the sorts `moved`.
+        domains `old` and answered every recorded query as this one does
+        (`ReadsMemo`), though some of the plan's sorts have other members.
 
-        Each variable's domain then changes at most by members removed and
-        added, and only where a sort of it moved.  The reading visits the bindings over the members common to
-        both, which keep their order, exactly as before, asks the same
-        queries under them and gets the same answers, so they survive as
-        before.  So the entry is `read` again if no removed member has a
-        surviving binding in `read` and no binding that takes an added
-        member survives here.  Only those bindings are evaluated: for each
-        variable, those that take an added member there, common members
-        before it and any member after it."""
-        new = self._domains(stmt, plan, old, {
-            j for j, source in plan.narrows if source in moved})
+        Here the domains are narrowed as by every reading (`_domains`): a
+        variable none of whose sorts moved gets an equal domain, and any
+        other changes at most by members removed and added.  The reading
+        visits the bindings over the members common to both, which keep
+        their order, exactly as before, asks the same queries under them
+        and gets the same answers, so they survive as before.  So the entry
+        is `read` again if no removed member has a surviving binding in
+        `read` and no binding that takes an added member survives here.
+        Only those bindings are evaluated: for each variable, those that
+        take an added member there, common members before it and any
+        member after it."""
+        new = self._domains(stmt, plan)
         kept = read[1]
         common, added = [], []
         for j, (was, now) in enumerate(zip(old, new)):
@@ -618,7 +593,7 @@ class Grounder:
         """The template stage of one statement: each binding of its reads
         entry `read` (`_read_bindings`) with its fluent and occurrence
         literals ground (`ground_lit`), unless one is statically false, as
-        ``(env, results)`` in body order, both reused as in `bindings`."""
+        ``(env, results)`` in body order, both reused as in `_bindings`."""
         names, kept = read
         lits = stmt.body
         later = [i for i, lit in enumerate(lits)
@@ -779,11 +754,17 @@ class Grounder:
         budget's deadline is checked while templates are ground, while the
         rows of the steps are made, and once per template and every
         `_STEPS_PER_CHECK` + 1 steps while they are added, so that a huge
-        horizon stops before its memory grows."""
+        horizon stops before its memory grows.  A horizon whose steps times
+        step-free keys, at least one, exceed `MAX_GROUND_INSTANCES` is
+        refused before any row is made."""
         if self._templates is None:
             self._templates = self._ground_templates(budget)
         keys, groups = self._templates
         h = horizon
+        if (h + 1) * max(len(keys), 1) > MAX_GROUND_INSTANCES:
+            raise BudgetExceeded(
+                f"horizon {h} would ground over {MAX_GROUND_INSTANCES} atoms "
+                "or steps; use a smaller horizon")
         ranges = (range(h + 1), range(h), range(max(h, 1)), range(h + 1),
                   range(h + 1), range(h))
         prog = Program()

@@ -523,6 +523,18 @@ def test_emit_asp_to_unwritable_path_is_input_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_emit_asp_over_the_atom_cap_is_budget_exhausted(capsys):
+    """`emit-asp` takes no budget flags, but a horizon over the cap on a
+    program's atoms stops before any row is made, as exit 4."""
+    code, out, err = run(capsys, "emit-asp", str(CORPUS / "t0.alm"),
+                         "--horizon", "100000000000000000000")
+    assert code == 4
+    assert err == ("almc: budget exhausted: horizon 100000000000000000000 "
+                   "would ground over 2000000 atoms or steps; use a smaller "
+                   "horizon\n")
+    assert out == ""
+
+
 def test_non_utf8_history_is_input_error(capsys, tmp_path):
     hist = tmp_path / "utf16.hist"
     hist.write_bytes(b"\xff\xfe" + "happened(move(initial_box), 0).\n"

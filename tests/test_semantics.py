@@ -346,10 +346,10 @@ system description rnd
 
 def envs(g, stmt):
     """Every binding of the statement's variables: the full product of
-    their domains, in `var_domains` order."""
-    domains = g.var_domains(stmt)
-    for combo in product(*domains.values()):
-        yield dict(zip(domains, combo))
+    their domains, in binding order."""
+    plan = g.binding_plan(stmt, ())
+    for combo in product(*g._domains(stmt, plan)):
+        yield dict(zip(plan.names, combo))
 
 
 def lit_true(g, pm, lit, env, values):
@@ -688,11 +688,15 @@ def decoded(keys, groups):
 
 def direct_templates(g):
     """The state, dynamic and executability templates ground in one pass:
-    every binding of `bindings(stmt, stmt.body)`, the static and fluent
-    literals together, with the static head and the action's sort checked
-    after the body."""
+    every binding of the whole body (`bindings` below), the static and
+    fluent literals together, with the static head and the action's sort
+    checked after the body."""
     th = g.theory
     state, dynamic, executable = [], [], []
+
+    def bindings(stmt):
+        plan = g.binding_plan(stmt, stmt.body)
+        return g._bindings(plan, g._domains(stmt, plan), None)
 
     def ground_head(lit, env):
         try:
@@ -705,7 +709,7 @@ def direct_templates(g):
         return g._typed(g.sig.functions[f], args) and val in g.values[f]
 
     for stmt in th.constraints + th.definitions:
-        for env, results in g.bindings(stmt, stmt.body):
+        for env, results in bindings(stmt):
             pos, neg = body_pairs(results)
             head = stmt.head
             ground = None if head is None else ground_head(head, env)
@@ -720,7 +724,7 @@ def direct_templates(g):
             else:
                 state.append((pair_rule(None, pos, neg),))
     for stmt in th.dynamic + th.executability:
-        for env, results in g.bindings(stmt, stmt.body):
+        for env, results in bindings(stmt):
             act = g.eval_term(stmt.act, env)
             if not g.pm.is_instance(act, stmt.sort):
                 continue
@@ -1322,17 +1326,20 @@ system description members
 
 @pytest.mark.parametrize("axiom,reused", [
     ("false if q(X), p.", False), ("false if q(X), st(X), p.", True),
-    ("false if r(X), p.", False), ("false if r(X), st(X), p.", True)],
+    ("false if r(X), p.", False), ("false if r(X), st(X), p.", True),
+    ("false if instance(Y, elems), q(X), p.", False)],
     ids=["joins-survives", "joins-dropped", "leaves-survived",
-         "leaves-dropped"])
+         "leaves-dropped", "joins-a-later-sort"])
 def test_memo_reads_a_moved_member_by_its_bindings(monkeypatch, axiom,
                                                    reused):
-    """The reads memo traces sorts by member (`Grounder._reads_alike`):
-    e0 joins kind_b and leaves kind_a in the second pre-model.  Where a
-    binding of e0 survives, in that pre-model or in the first, the
-    statement is read anew and the keys differ; where `st` drops it, the
-    first pre-model's entry is reused as it is.  Either way the entry is
-    the one that reading the statement alone gives."""
+    """The reads memo compares a plan's sorts by member
+    (`Grounder._reads_alike`): e0 joins kind_b and leaves kind_a in the
+    second pre-model.  Where a binding of e0 survives, in that pre-model
+    or in the first, the statement is read anew and the keys differ; where
+    `st` drops it, the first pre-model's entry is reused as it is.  Either
+    way the entry is the one that reading the statement alone gives.  In
+    the last case the moved sort, kind_b, is not the first one the
+    statement narrows by: elems, which does not move, is."""
     cs = compile_src(MEMBER_READS.format(axiom))
     a, b = cs.grounders
     assert [a.pm.members["kind_b"], b.pm.members["kind_b"]] == \
@@ -1432,19 +1439,49 @@ def test_placements_share_their_fixed_part_exactly():
 
 def test_a_huge_horizon_stops_before_its_rows_are_made():
     """`build_program` reads the budget's deadline while it makes the rows
-    of its steps: a passed deadline stops a horizon of 200,000 on t0, with
-    its templates already ground, before it takes memory."""
+    of its steps: a passed deadline stops a horizon of 100,000 on t0, under
+    the cap on its atoms, with its templates already ground, before it
+    takes memory."""
     cs = compile_system(parse_path(CORPUS / "t0.alm"), [], DiagnosticSink())
     (g,) = cs.grounders
     g.build_program(1)
+    assert 100_001 * len(g._templates[0]) <= semantics.MAX_GROUND_INSTANCES
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceeded):
-            g.build_program(200_000, Budget.of(seconds=0))
+        with pytest.raises(BudgetExceeded, match="time budget exhausted"):
+            g.build_program(100_000, Budget.of(seconds=0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000
+
+
+@pytest.mark.parametrize("system,keys,refused", [
+    ("t0", 14, 142_857), ("statics", 0, 2_000_000)])
+def test_a_horizon_over_the_atom_cap_is_refused_before_its_rows(
+        system, keys, refused):
+    """A horizon whose steps times step-free keys exceed
+    `MAX_GROUND_INSTANCES` is refused at once, with no budget, before a
+    row is made: t0 has 14 keys, so 142,857 steps fit (horizon 142,856)
+    and horizon 142,857 does not.  A program with no key still makes a
+    row per step, so it counts as one key per step."""
+    cs = compile_system(parse_path(CORPUS / "t0.alm"), [], DiagnosticSink()) \
+        if system == "t0" else statics_system(
+            "          basic\n            p : c -> booleans\n", [])
+    (g,) = cs.grounders
+    g.build_program(1)
+    assert len(g._templates[0]) == keys
+    for horizon in (refused, 10 ** 20):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded,
+                               match=f"^horizon {horizon} would ground over "
+                                     "2000000 atoms"):
+                g.build_program(horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 # ------------------------------------------------------------ static values

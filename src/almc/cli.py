@@ -50,7 +50,8 @@ def fun_text(f: str, args: tuple) -> str:
 
 
 def atom_text(key) -> str:
-    """Stable ASP-style rendering of a ground atom key."""
+    """Stable ASP-style rendering of a ground atom key of `build_program`:
+    a value, disequality or occurrence atom."""
     kind = key[0]
     if kind == "v":
         _, f, args, v, step = key
@@ -58,11 +59,7 @@ def atom_text(key) -> str:
     if kind == "neq":
         _, f, args, v, step = key
         return f"other_value({fun_text(f, args)}, {v}, {step})"
-    if kind == "occ":
-        return f"occurs({key[1]}, {key[2]})"
-    name = key[0]
-    rest = key[1:]
-    return f"{name}({', '.join(map(str, rest))})" if rest else str(name)
+    return f"occurs({key[1]}, {key[2]})"
 
 
 def state_text(state: State, name: Callable[[str, tuple], str]) -> str:
@@ -97,46 +94,24 @@ def rendered_once(diagrams: list[Diagram],
 
 
 def program_text(prog: Program) -> str:
-    """Deterministic text export of a ground program, one rule per line."""
+    """Deterministic text export of a ground program of `build_program`,
+    one rule per line; such a program has no choice atoms, no
+    consistency-restoring rules and no cardinality groups."""
     keys = prog.keys
-    lines = ["% ground program export"]
-
-    def body_text(pos, neg):
-        parts = [atom_text(keys[b]) for b in sorted(pos, key=lambda b: atom_text(keys[b]))]
-        parts += [f"not {atom_text(keys[b])}"
-                  for b in sorted(neg, key=lambda b: atom_text(keys[b]))]
-        return ", ".join(parts)
-
     rendered = []
     for head, pos, neg in prog.rules:
-        body = body_text(pos, neg)
+        body = ", ".join(
+            [atom_text(keys[b])
+             for b in sorted(pos, key=lambda b: atom_text(keys[b]))]
+            + [f"not {atom_text(keys[b])}"
+               for b in sorted(neg, key=lambda b: atom_text(keys[b]))])
         if head < 0:
             rendered.append(f":- {body}." if body else ":- .")
         elif body:
             rendered.append(f"{atom_text(keys[head])} :- {body}.")
         else:
             rendered.append(f"{atom_text(keys[head])}.")
-    lines.extend(sorted(rendered))
-    choice = sorted(atom_text(keys[a]) for a in prog.choice)
-    if choice:
-        lines.append("% free choices")
-        lines.extend(f"{{{a}}}." for a in choice)
-    crs = []
-    for head, pos, neg in prog.cr_rules:
-        body = body_text(pos, neg)
-        crs.append(f"{atom_text(keys[head])} :+ {body}." if body
-                   else f"{atom_text(keys[head])} :+ .")
-    if crs:
-        lines.append("% consistency-restoring rules")
-        lines.extend(sorted(crs))
-    groups = []
-    for members, k in prog.atmost:
-        names = "; ".join(sorted(atom_text(keys[a]) for a in members))
-        groups.append(f":- {k + 1} <= #count {{ {names} }}.")
-    if groups:
-        lines.append("% cardinality bounds")
-        lines.extend(sorted(groups))
-    return "\n".join(lines) + "\n"
+    return "\n".join(["% ground program export", *sorted(rendered)]) + "\n"
 
 
 def emit_json(record: dict) -> None:

@@ -115,7 +115,6 @@ class Program:
         self.cr_rules: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         self.atmost: list[tuple[tuple[int, ...], int]] = []
         # caches for the program shape given by `_stamp()`
-        self._loops: Optional[tuple[tuple, list[int]]] = None
         self._search: Optional[tuple[tuple, _Search]] = None
         self._index: Optional[tuple[tuple, tuple]] = None
 
@@ -280,11 +279,9 @@ class Program:
 
         Choice atoms are founded whenever they are true, so they lose their
         out-edges and lie on no cycle.  The list is empty for a tight
-        program.  It is cached until the program changes.
+        program.  It is computed anew on each call; a program's search
+        (`_Search`), kept per program shape, asks for it once.
         """
-        stamp = self._stamp()
-        if self._loops is not None and self._loops[0] == stamp:
-            return self._loops[1]
         n = len(self.keys)
         # the spare last list takes the constraints' edges
         succ: list[list[int]] = [[] for _ in range(n + 1)]
@@ -334,7 +331,6 @@ class Program:
                         # a self-loop is a cycle of length one
                         if len(component) > 1 or v in succ[v]:
                             cyclic.extend(component)
-        self._loops = (stamp, cyclic)
         return cyclic
 
     def _certifier(self) -> tuple:

@@ -27,9 +27,9 @@ class Trace:
 
 
 class Changes:
-    """Where one pre-model may answer a query of the reads stage otherwise
-    than another pre-model of the same system, found once per pair from
-    what each query reads (`PreModel`): the sorts whose members differ,
+    """Where a later pre-model may answer a query of the reads stage
+    otherwise than the first pre-model of the same system, found once per
+    later pre-model from what each query reads (`PreModel`): the sorts whose members differ,
     the statics whose values differ, and the ``(object, sort)`` pairs where
     the instance closure or the placement differs.  Every other query
     answers alike."""
@@ -103,30 +103,32 @@ class ReadsMemo:
     the object constants and of the grounder's actions.  The sorts it asks
     for are static dependencies, named by its binding plan
     (`Grounder.reads_plan`, from the theory alone); its other queries are
-    dynamic.  So the memo keeps each entry with the pre-model it was read
-    from, the domains it was bound over and the dynamic queries it asked
-    (`Trace`).  A later grounder reuses an entry, as the same object, when
-    its pre-model gives the plan's sorts the same members and answers
-    every recorded query alike, checked against where the two pre-models
-    differ (`Changes`), found once per pair.
+    dynamic.  So the memo keeps one reading per statement, the first
+    pre-model's, with that pre-model, the domains it was bound over and
+    the dynamic queries it asked (`Trace`).  A later grounder reuses the
+    entry, as the same object, when its pre-model gives the plan's sorts
+    the same members and answers every recorded query alike, checked
+    against where it differs from the first pre-model (`Changes`), found
+    once per later pre-model.
 
     Placements move objects between sorts, so sorts are compared by
     member: when a plan's sort has other members here, and every recorded
     query answers alike, the grounder evaluates the bindings of just the
     members added or removed (`Grounder._reads_alike`), and the entry is
     reused if none survives here and none survived there.  Otherwise the
-    entry is computed and recorded anew."""
+    later grounder reads the statement anew and the memo keeps nothing of
+    that reading: on the corpus and the benchmark's workloads, no later
+    pre-model ever reused a reading other than the first one."""
 
     def __init__(self) -> None:
-        #: statement index -> [(pre-model, trace, entry, its domains)]
-        self.entries: dict[int, list[tuple]] = {}
+        #: statement index -> (pre-model, trace, entry, its domains) of the
+        #: statement's first reading
+        self.entries: dict[int, tuple] = {}
         #: statement index -> its reads plan and the sort keys it narrows by
         self.plans: dict[int, tuple[BindingPlan, frozenset[str]]] = {}
-        #: the pre-model being read, and its changes from the pre-model of
-        #: each entry (`Changes.between`), found once and kept by the entry
-        #: pre-model's id, which the entry keeps alive
+        #: the pre-model being read and its changes from the first one
         self.reading: Optional[PreModel] = None
-        self.known: dict[int, Optional[Changes]] = {}
+        self.changes: Optional[Changes] = None
 
     def read(self, g: Grounder, i: int, stmt,
              budget: Optional[Budget]) -> tuple:
@@ -134,28 +136,23 @@ class ReadsMemo:
         pre-model is a `TracedPreModel` while its reads stage runs."""
         traced = g.pm
         pm = traced.pm
-        if self.reading is not pm:
-            self.reading, self.known = pm, {}
         if i not in self.plans:
             plan = g.reads_plan(stmt)
             self.plans[i] = plan, frozenset(
                 s for _, s in plan.narrows if isinstance(s, str))
         plan, sorts = self.plans[i]
-        seen = self.entries.setdefault(i, [])
-        for old, trace, read, domains in seen:
-            changes = self.known.get(id(old), False)
-            if changes is False:
-                changes = self.known[id(old)] = Changes.between(old, pm)
-            moved = None if changes is None else changes.moved(sorts, trace)
-            if moved is None:
-                continue
-            if not moved:
-                return read
-            traced.trace = Trace()  # the check's own queries
-            if g._reads_alike(stmt, plan, domains, read, budget):
-                return read
         traced.trace = trace = Trace()
+        if i in self.entries:
+            first, was, read, domains = self.entries[i]
+            if self.reading is not pm:
+                self.reading = pm
+                self.changes = Changes.between(first, pm)
+            moved = None if self.changes is None \
+                else self.changes.moved(sorts, was)
+            if moved is not None and (not moved or g._reads_alike(
+                    stmt, plan, domains, read, budget)):
+                return read
         domains = tuple(g._domains(stmt, plan))
         read = g._read_statement(stmt, plan, domains, budget)
-        seen.append((pm, trace, read, domains))
+        self.entries.setdefault(i, (pm, trace, read, domains))
         return read

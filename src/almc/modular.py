@@ -634,13 +634,12 @@ def enumerate_placements(sig: Signature, structure: ast.Structure,
             members[n].append(key)
     # Attribute assignments from the structure.
     statics: dict[tuple[str, tuple[Value, ...]], Value] = {}
-    conflict = None
     for func, okey, extra, value in uni.attrs:
         keyargs = (okey,) + extra
         prev = statics.setdefault((func, keyargs), value)
         if prev != value:
-            conflict = f"conflicting values for {func}({okey}, ...)"
-            break
+            raise SemanticError(f"conflicting values {prev} and {value} for "
+                                f"attribute {func} of {okey}", structure.span)
     base = PreModel(
         sig=sig,
         consts=consts,
@@ -653,21 +652,13 @@ def enumerate_placements(sig: Signature, structure: ast.Structure,
     )
     position = {key: i for i, key in enumerate(base.universe)}
     for combo in product(*[options for _, options in choice_axes]):
-        pm = _make_placement(base, above, position,
-                             zip(choice_axes, combo), conflict, sink)
-        if pm is not None:
-            yield pm
+        yield _make_placement(base, above, position, zip(choice_axes, combo))
 
 
 def _make_placement(base: PreModel, above: dict[str, frozenset[str]],
-                    position: dict[str, int], chosen: Iterator,
-                    conflict: Optional[str],
-                    sink: DiagnosticSink) -> Optional[PreModel]:
+                    position: dict[str, int], chosen: Iterator) -> PreModel:
     """The fixed part `base` with each object of a choice axis also placed
     in the source it chose: ``((object, options), source)`` pairs."""
-    if conflict is not None:
-        sink.error(conflict)
-        return None
     is_a, nodes, members = dict(base.is_a), dict(base.nodes), \
         dict(base.members)
     joined: dict[str, list[str]] = {}  # node -> objects the choices add

@@ -58,12 +58,14 @@ placements, get equal keys.  A compiled system groups its grounders by key
 (`CompiledSystem.groups`), and every task enumerates the states or grounds
 the programs of a group once, so only the group's first grounder runs the
 template stage.  The grounders of one system share their reads stage per
-statement (`ReadsMemo`): a reading's sorts are named by its binding plan,
-its other queries are recorded, and a later pre-model that answers them
-alike reuses the reading instead of reading the statement again.  Sorts
-are compared by member: where a placement only adds members to a sort or
-removes them, the reading is reused when no binding of those members
-survives (`_reads_alike`).
+statement (`ReadsMemo`), which keeps the first pre-model's reading of
+each: its sorts are named by its binding plan, its other queries are
+recorded, and a later pre-model that answers them alike reuses the
+reading instead of reading the statement again.  Sorts are compared by
+member: where a placement only adds members to a sort or removes them,
+the reading is reused when no binding of those members survives
+(`_reads_alike`).  A later pre-model that cannot reuse it reads the
+statement for itself alone.
 
 Only the facts of a state change from one solve to the next, so each
 program shape is ground once and solved many times with a state's facts
@@ -1075,7 +1077,10 @@ def compute_transitions(g: Grounder, states: list[State],
 
     `action_sets` is "singleton" (the empty set and singletons) or
     "powerset"; any other value raises `ValueError`.  A model's target is
-    the state whose `values` are its step-1 values (`ModelReader`)."""
+    the state whose `values` are its step-1 values (`ModelReader`).  No
+    triple repeats: a certified state's step-0 part is the one answer set
+    of the horizon-0 program with its facts, and neq and dom atoms follow
+    from values, so two models differ in their actions or step-1 values."""
     if action_sets not in ("singleton", "powerset"):
         raise ValueError(f"unknown action_sets {action_sets!r}")
     index = {s.values: i for i, s in enumerate(states)}
@@ -1088,15 +1093,11 @@ def compute_transitions(g: Grounder, states: list[State],
         prog.add_atmost(occ_keys, 1)
     read = ModelReader(g, 1, first=1)
     for i, s0 in enumerate(states):
-        seen: set[tuple[frozenset, int]] = set()
         for model in prog.answer_sets(budget=budget,
                                       facts=g.state_facts(s0, 0)):
             (values,), (acts,) = read(model)
             j = index.get(values)
-            if j is None:
-                continue  # not a certified state; cannot label a transition
-            if (acts, j) not in seen:
-                seen.add((acts, j))
+            if j is not None:  # else not a certified state: no transition
                 out.append((i, acts, j))
     return out
 

@@ -14,7 +14,7 @@ from almc.cli import (
 )
 from almc.errors import InputError
 
-from conftest import ALM_FILES, CORPUS, ROOT
+from conftest import ALM_FILES, CORPUS, ROOT, read
 from test_modular import LIBRARIES
 
 
@@ -848,6 +848,23 @@ def test_no_pre_model_is_a_located_semantic_error(capsys, tmp_path, command):
     assert err.strip() == (
         f"almc: {system}:13:3: structure 's' has no pre-model: its statics "
         "have no consistent values in any placement of its objects")
+
+
+def test_conflicting_attribute_values_are_a_located_semantic_error(
+        capsys, tmp_path, monkeypatch):
+    """Two values of one attribute of an object are a semantic error at the
+    structure that names both, raised before any placement is built, not
+    the generic "no pre-model" error."""
+    system = tmp_path / "t0_clash.alm"
+    system.write_text(read(CORPUS / "t0.alm").replace(
+        "        attr_1 = o\n", "        attr_1 = o\n        attr_1 = z\n"))
+    built = []
+    monkeypatch.setattr(modular, "_make_placement",
+                        lambda *args: built.append(args))
+    code, out, err = run(capsys, "states", str(system))
+    assert (code, out, built) == (3, "", [])
+    assert err == (f"almc: {system}:23:3: conflicting values o and z for "
+                   "attribute attr_1 of a\n")
 
 
 def test_unbounded_numeric_sort_is_located_at_its_function(capsys):

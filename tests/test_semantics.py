@@ -632,8 +632,11 @@ def test_templates_ground_the_reference_programs():
     checked = 0
     for g in [*corpus_grounders(), *random_bat_grounders()]:
         for horizon in range(4):
-            assert program_fingerprint(g.build_program(horizon)) == \
+            prog = g.build_program(horizon)
+            assert program_fingerprint(prog) == \
                 program_fingerprint(reference_program(g, horizon)), horizon
+            # what `cli.program_text` exports, and all it exports
+            assert not prog.choice and not prog.cr_rules and not prog.atmost
             checked += 1
     assert checked == 4 * (16 + 100)
 
@@ -1664,13 +1667,17 @@ def reference_transitions(g, states, action_sets="singleton"):
 
 
 def test_transitions_read_by_their_atoms_are_the_reference_ones():
-    """Singleton and powerset transitions, in order, on t0, travel with 3
-    points and 1 agent, professors, P_D (whose empty action changes its
-    state) and the 100 random BATs of seed 413."""
+    """Singleton and powerset transitions, in order, on t0, professors,
+    travel, n_w_f, travel with 3 points and 1 agent, P_D (whose empty
+    action changes its state) and the 100 random BATs of seed 413 (the
+    corpus systems whose diagrams are small: monkey has 10,416 states, and
+    cell_cycle2's cannot be enumerated).  No `(from, actions, to)` triple
+    repeats, though `compute_transitions` drops none: two answer sets for
+    a certified state differ in their actions or their step-1 values."""
     rng = random.Random(413)
     systems = [compile_system(parse_path(CORPUS / f"{name}.alm"), [],
                               DiagnosticSink())
-               for name in ("t0", "professors")]
+               for name in ("t0", "professors", "travel", "n_w_f")]
     systems += [compile_src(src) for src in chain(
         (TRAVEL_3X1, P_D), (make_source(rng) for _ in range(100)))]
     sizes = []
@@ -1680,6 +1687,7 @@ def test_transitions_read_by_their_atoms_are_the_reference_ones():
             for sets in ("singleton", "powerset"):
                 got = compute_transitions(g, states, sets)
                 assert got == reference_transitions(g, states, sets)
+                assert len(set(got)) == len(got)
                 sizes.append(len(got))
     assert sizes[:2] == [18, 21] and sum(sizes) > 2000
     (g, *_), = compile_src(P_D).groups

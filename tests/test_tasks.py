@@ -23,8 +23,8 @@ from almc.tasks import (
 
 from conftest import CORPUS
 from test_semantics import (
-    INTERLEAVED, NWF_PLACED, compile_src, make_source, state_from_model,
-    ungrouped,
+    INTERLEAVED, NWF_PLACED, OVER_KIND_A, PLACED_READS, compile_src,
+    make_source, state_from_model, ungrouped,
 )
 
 
@@ -540,6 +540,49 @@ def test_monkey_plan_and_validation_ground_templates_once(monkeypatch,
     assert statements_read(runs, reads) == ([43] + [0] * 7, [0] + [43] * 7)
     assert [(stage, g) for stage, g in stages if stage == "templates"] \
         == [("templates", reads[0])]
+
+
+@pytest.mark.parametrize("decls,axiom", [
+    (OVER_KIND_A, "false if -w(X), p."),
+    ("", "false if is_a(e0, kind_a), p."),
+    ("", "false if d, p.")], ids=["domain", "is-a", "derived-static"])
+def test_memo_keeps_the_first_reading_of_each_statement(monkeypatch, decls,
+                                                         axiom):
+    """The reads memo keeps one reading per statement, the first
+    pre-model's.  e0 is placed in kind_a, kind_b or kind_c, and the first
+    statement reads the placement (the members of kind_a, an is_a literal
+    or a static derived from it), which puts e0 in kind_a in the first
+    pre-model alone: the second and the third pre-model read that
+    statement alike, but each computes it anew, as neither can reuse the
+    first one's reading, and the third gets the reading of no memo.  The
+    other statements are reused (the domain definition of w by member, as
+    no binding of e0 survives in it)."""
+    runs = record_stages(monkeypatch)
+    memos = []
+    read = ReadsMemo.read
+
+    def noted(memo, g, *args):
+        memos.append(memo)
+        return read(memo, g, *args)
+
+    monkeypatch.setattr(ReadsMemo, "read", noted)
+    cs = compile_src(PLACED_READS.replace(
+        "kind_a, kind_b :: elems", "kind_a, kind_b, kind_c :: elems"
+    ).format(decls, axiom))
+    a, b, c = cs.grounders
+    assert [g.pm.is_a["e0"] for g in (a, b, c)] == \
+        [{"kind_a"}, {"kind_b"}, {"kind_c"}]
+    assert cs.groups == [[a], [b, c]]
+    n = len(a.reads())
+    assert statements_read(runs, [a, b, c]) == \
+        ([n, 1, 1], [0, n - 1, n - 1])
+    assert b.reads()[0] == c.reads()[0] and b.reads()[0] is not c.reads()[0]
+    assert c.reads() == c._read_bindings(None)
+    memo, = {id(m): m for m in memos
+             if any(e[0] is a.pm for e in m.entries.values())}.values()
+    assert list(memo.entries) == list(range(n))
+    assert all(e[0] is a.pm and e[2] is r
+               for e, r in zip(memo.entries.values(), a.reads()))
 
 
 def test_zero_budget_stops_pre_model_derivation(monkeypatch, capsys):

@@ -51,10 +51,15 @@ Kaufmann, Schaub, *Multi-shot ASP solving with clingo*, TPLP 2019).  A
 program keeps one search state while it is unchanged, and each call to
 `answer_sets` passes only the facts that hold for that call.  Each atom
 ever passed as a fact is made external once: it gets a rule `a :- x_a`
-whose body is a fresh choice atom, its switch.  A call sets every switch
-(true for its facts, false for the others) before its first decision, on
-top of the level-0 propagation that all calls share (the base mark), and
-undoes to that mark when it ends, however it ends.
+whose body is a fresh choice atom, its switch.  A call sets the switches
+in ascending order of their atoms (true for its facts, false for the
+others), each propagated on its own, on top of the level-0 propagation
+that all calls share (the base mark).  However it ends, it undoes to the
+mark after its last switch, not to the base mark, so the next call keeps
+the switches it shares with this one up to the first that differs, as a
+CDCL solver keeps the part of its trail that the next call would rebuild
+(van der Tak, Ramos, Heule, *Reusing the assignment trail in CDCL
+solvers*, JSAT 2011), and sets only the rest.
 
 Atoms are interned from arbitrary hashable keys; callers deal only in keys.
 """
@@ -205,7 +210,7 @@ class Program:
             for model in islice(run, max_models):
                 yield frozenset(chain((keys[a] for a in model), unmentioned))
         finally:
-            run.close()  # undo to the base mark, also after a cut
+            run.close()  # undo to the last switch's mark, also after a cut
 
     def _multi_shot(self, atoms) -> "_Search":
         """The program's search, built on first use and rebuilt after the
@@ -437,16 +442,37 @@ class _Search:
     `declare` makes atoms external: each gets a rule whose body is a fresh
     choice atom, its switch, numbered after the program's atoms.  The level-0
     propagation (`_start`) leaves the switches undecided; its trail length
-    is the base mark.  Each `run` sets every switch, searches, and undoes to
-    the base mark, so one state serves any number of runs.  The search
-    holds no reference to the program.
+    is the base mark.  A run sets the switches in ascending order of their
+    external atoms, each assigned and propagated on its own, and `kept`
+    holds `(switch, value, trail mark before it)` for each switch in place.
+    It searches, and undoes to `switched`, the mark after the last kept
+    switch, so the next run keeps every switch up to the first whose value
+    differs (`_assume`) and one state serves any number of runs.  The
+    search holds no reference to the program.
+
+    Kept switches change no model.  Propagation only adds the literals
+    that the program, the assignment and the group bounds force, and each
+    of its checks runs again when an atom it reads leaves the queue, so it
+    ends at the closure of what it started from, or at a conflict when that
+    closure holds an atom both true and false, in whatever order the
+    literals came.  The assignment at a kept switch's mark is thus level 0
+    plus the switches before it, propagated, and at `switched` level 0 plus
+    all of them: what setting every switch at once from the base mark
+    gives.  The counters are functions of the assignment, an undo keeps the
+    sources' invariant, and the unfounded-set check, which runs after the
+    last switch, falsifies only above `switched`.  So each run makes its
+    first decision from the assignment of a run from the base mark, and
+    yields the same models in the same order.
     """
 
     def __init__(self, program: Program):
         self.n = self.n_model = len(program.keys)
         self.choice = set(program.choice)
         self.externals: dict[int, int] = {}  # external atom -> its switch
+        self.switches: list[tuple[int, int]] = []  # the externals, sorted
+        self.kept: list[tuple[int, int, int]] = []
         self.base = -1  # trail mark after level 0; -1 before `_start`
+        self.switched = 0  # trail mark after the kept switches
         self.base_ok = True
         self.busy = False  # a run is in progress
 
@@ -521,9 +547,11 @@ class _Search:
 
     def declare(self, atoms) -> None:
         """Make each atom external with a rule `a :- x_a` over a fresh
-        switch `x_a`.  Level 0 is propagated again by the next run."""
+        switch `x_a`.  Level 0 is propagated again by the next run, and
+        every switch is set again."""
         self._undo_to(0)
         self.base = -1
+        self.kept.clear()
         for a in atoms:
             x, r = self.n, len(self.rhead)
             self.n += 1
@@ -544,19 +572,43 @@ class _Search:
             self.bad.append(0)
             self.headw[a] += (r,)
             self.support[a] += 1
+        self.switches = sorted(self.externals.items())
 
     def _start(self) -> None:
         """Propagate level 0 and set the base mark."""
         self.base_ok = self._init()
-        self.base = len(self.trail)
+        self.base = self.switched = len(self.trail)
 
     def _assume(self, facts) -> bool:
-        """Switch the external atoms in `facts` on and the others off."""
+        """Switch the external atoms in `facts` on and the others off, in
+        ascending order of the atoms, from the trail at `switched`.  The
+        kept switches before the first whose value differs stay; the trail
+        is undone to that one's mark, and it and the ones after it are set,
+        each assigned and propagated on its own.  On a conflict the trail
+        is undone to the failing switch's mark, the end of the kept ones.
+        As each mark holds the closure of level 0 and the switches before
+        it, whatever order they were propagated in (see the class
+        docstring), the assignment after the last switch, and whether a
+        conflict is met, are those of setting every switch from the base
+        mark."""
         on = set(facts)
-        for a, x in self.externals.items():
-            if not self._assign(x, TRUE if a in on else FALSE, None):
+        kept, switches = self.kept, self.switches
+        i = 0
+        for (a, _), (_, val, mark) in zip(switches, kept):
+            if val != (TRUE if a in on else FALSE):
+                self._undo_to(mark)
+                del kept[i:]
+                break
+            i += 1
+        for a, x in switches[i:]:
+            mark, val = len(self.trail), TRUE if a in on else FALSE
+            if not (self._assign(x, val, None) and self._propagate()):
+                self._undo_to(mark)
+                self.switched = mark
                 return False
-        return self._propagate()
+            kept.append((x, val, mark))
+        self.switched = len(self.trail)
+        return True
 
     def _assign(self, a: int, val: int, why) -> bool:
         s = self.status[a]
@@ -957,9 +1009,10 @@ class _Search:
     def run(self, budget: Optional[Budget], certify,
             facts=()) -> Iterator[set[int]]:
         """Yield every answer set that passes `certify`, with the external
-        atoms in `facts` switched on and the other switches off.  However
-        the run ends (exhausted, closed early, or by `BudgetExceeded`), the
-        assignment is undone to the base mark and the learned nogoods are
+        atoms in `facts` switched on and the other switches off
+        (`_assume`).  However the run ends (exhausted, closed early, or by
+        `BudgetExceeded`), the assignment is undone to `switched`, the mark
+        after the last switch that it set, and the learned nogoods are
         dropped.  The budget's clock is read at decisions and at each total
         assignment, before it is certified and again after, since
         certification reads the whole program."""
@@ -1012,7 +1065,7 @@ class _Search:
                                     and self._propagate()
                                     and self._within_bound())
         finally:
-            self._undo_to(max(self.base, 0))
+            self._undo_to(self.switched)
             self.watches.clear()
             self.implied.clear()
             self.busy = False

@@ -142,12 +142,13 @@ def test_each_fluent_instance_is_named_once_per_command(monkeypatch,
 
 
 def test_budget_seconds_stop_a_long_projection_without_decisions(capsys):
-    # grounding 2,000 steps of t0 takes longer than 0.2 s, and the search
-    # makes no decision: the clock is read once per template and at the
-    # answer set found
+    # projecting 5,000 steps of t0 takes about 0.7 s, well over 0.2 s (2,000
+    # steps took 0.22-0.25 s and could finish within the budget), and the
+    # search makes no decision: the clock is read once per template and at
+    # the answer set found
     code, _, err = run(capsys, "project", str(CORPUS / "t0.alm"),
                        "--history", str(CORPUS / "t0.hist"), "--horizon",
-                       "2000", "--budget-seconds", "0.2")
+                       "5000", "--budget-seconds", "0.2")
     assert code == 4
     assert "budget exhausted" in err
 

@@ -512,6 +512,93 @@ def test_one_program_solved_again_and_again_matches_fresh_copies():
     assert cuts["budget"] > 50 and cuts["suspended"] > 50, cuts
 
 
+@never_rejected
+def test_runs_reuse_the_switches_they_share():
+    # each call's facts are the last call's with one external flipped, so
+    # the first switch that differs falls at every position of the sorted
+    # externals, or the last call's again, so that none differs; each call
+    # returns the models of a copy extended with add_fact and solved alone,
+    # in the same order, also after a call cut at its first model or
+    # stopped by a budget, when two switches conflict, and after a new
+    # external is declared mid-sequence
+    rng = random.Random(292929)
+    seen = Counter()
+    for trial in range(300):
+        k = 3 + trial % 9  # externals, and one more declared mid-sequence
+        n = k + rng.randrange(2, 8)
+        make = random_loop_program if trial % 2 else random_program
+        # most random programs of this size have no model at all; all but
+        # every tenth are drawn again until they have one without facts
+        while True:
+            rules, choice, atmost = make(rng, n)
+            if trial % 10 == 0 or any(build(n, rules, choice,
+                                            atmost).answer_sets()):
+                break
+        atoms = rng.sample(range(n), k=k + 1)
+        pool, extra = sorted(atoms[1:]), atoms[0]
+        if trial % 3 == 0:  # these two switches conflict when both are on
+            rules = rules + [(None, tuple(rng.sample(pool, 2)), ())]
+        prog = build(n, rules, choice, atmost)
+        # the first call declares every external, the second switches a
+        # random half of them on, the seventh declares one more, and each
+        # other one flips one or, a quarter of them, none
+        facts = set(pool)
+        stopped = False
+        for call in range(11):
+            if call == 1:
+                facts = {a for a in pool if rng.random() < 0.5}
+            elif call == 6:
+                pool = sorted(pool + [extra])
+                facts.add(extra)
+            elif call and rng.random() < 0.25:
+                seen["repeated"] += 1
+            elif call:
+                flip = rng.choice(pool)
+                facts ^= {flip}
+                seen[pool.index(flip), len(pool)] += 1
+            extended = prog.copy()
+            for key in sorted(facts):
+                extended.add_fact(key)
+            want = list(extended.answer_sets())
+            seen["no model" if not want else "models"] += 1
+            after, stopped = stopped, False
+            how = 0 if after else rng.randrange(3)
+            if how == 1:
+                got = list(prog.answer_sets(max_models=1, facts=facts))
+                assert got == want[:1], (trial, call, sorted(facts))
+                stopped = len(want) > 1
+            elif how == 2:
+                try:
+                    got = list(prog.answer_sets(
+                        budget=Budget(max_decisions=1), facts=facts))
+                except BudgetExceeded:
+                    stopped = True
+                    seen["budget"] += 1
+                else:
+                    assert got == want, (trial, call, sorted(facts))
+            else:
+                got = list(prog.answer_sets(facts=facts))
+                assert got == want, (trial, call, sorted(facts))
+                seen["after a stop" if after else "plain"] += 1
+            # the search keeps the call's switches, up to the first that
+            # met a conflict, and no more of the trail
+            search = prog._search[1]
+            assert len(search.externals) == len(pool)
+            assert [a for a, _ in search.switches] == pool
+            values = [(x, TRUE if a in facts else FALSE)
+                      for a, x in search.switches]
+            assert [(x, v) for x, v, _ in search.kept] == \
+                values[:len(search.kept)]
+            assert len(search.trail) == search.switched
+            seen["switch conflict"] += len(search.kept) < len(values)
+    # every position among 3 to 12 switches is the first that differs
+    for k in range(3, 13):
+        assert all(seen[i, k] for i in range(k)), (k, seen)
+    assert seen["models"] > 1500 and seen["no model"] > 1000, seen
+    assert seen["budget"] > 80 and seen["after a stop"] > 250, seen
+    assert seen["switch conflict"] > 800 and seen["repeated"] > 500, seen
+
+
 def test_a_solved_program_is_freed_by_reference_counting():
     # the program holds its search and its certifier index, and neither
     # refers back to it, so no cycle keeps dead tables alive
@@ -590,9 +677,10 @@ def counters_from_status(search):
 
 def test_search_counters_are_functions_of_the_assignment():
     # at every model the counters equal those recomputed from the
-    # assignment; once a run is exhausted, the trail is back at the base
-    # mark and the counters equal those of a fresh search right after its
-    # level-0 propagation, so the next run starts from the same state
+    # assignment; once a run is exhausted, the trail keeps level 0 and the
+    # run's switches, and the assignment and counters equal those of a
+    # fresh search right after its level-0 propagation and those switches,
+    # so the next run keeps what it shares with this one
     rng = random.Random(8080)
     models = 0
     for trial in range(360):
@@ -608,17 +696,22 @@ def test_search_counters_are_functions_of_the_assignment():
             for key in switches:
                 prog.add_rule(rng.randrange(n), (prog.add_choice(key),))
             prog.add_atmost(switches, len(switches))
-        search = _Search(prog)
-        fresh = _Search(prog)
         # half of them get external atoms, switched differently per run
         externals = rng.sample(range(n), k=rng.randrange(1, n + 1)) \
             if trial % 4 < 2 else []
+
+        def fresh_search():
+            fresh = _Search(prog)
+            if externals:
+                fresh.declare(externals)
+            fresh._start()
+            return fresh
+
+        search = _Search(prog)
         if externals:
             search.declare(externals)
-            fresh.declare(externals)
-        fresh._start()
-        initial = (fresh.need, fresh.bad, fresh.support, fresh.gcount)
-        for _ in range(2):
+        level0 = fresh_search().trail
+        for _ in range(3):
             facts = rng.sample(externals, k=rng.randrange(len(externals) + 1))
             for model in search.run(
                     None, lambda m: prog.is_answer_set(m, facts), facts):
@@ -627,11 +720,18 @@ def test_search_counters_are_functions_of_the_assignment():
                                  if search.status[a] == TRUE}
                 assert (search.need, search.bad, search.support,
                         search.gcount) == counters_from_status(search), trial
-            assert search.trail == fresh.trail and search.queue == []
-            assert search.base == len(fresh.trail)
-            assert search.status == fresh.status
-            assert (search.need, search.bad, search.support,
-                    search.gcount) == initial, trial
+            assert search.queue == []
+            assert search.base == len(level0)
+            assert search.trail[:search.base] == level0
+            assumed = fresh_search()
+            if assumed.base_ok:
+                assumed._assume(facts)
+            assert search.status == assumed.status, trial
+            counters = (search.need, search.bad, search.support,
+                        search.gcount)
+            assert counters == (assumed.need, assumed.bad, assumed.support,
+                                assumed.gcount), trial
+            assert counters == counters_from_status(search), trial
     assert models > 300
 
 

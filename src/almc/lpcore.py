@@ -133,9 +133,6 @@ class Program:
             self.keys.append(key)
         return i
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._ids
-
     def add_rule(self, head: Optional[int], pos=(), neg=()) -> None:
         self.rules.append((head if head is not None else _NO_HEAD,
                            tuple(pos), tuple(neg)))

@@ -448,7 +448,7 @@ def _schema_var_sorts(idef: ast.InstanceDef, sig: Signature,
 
     Sources: attribute assignments whose value is the variable (the
     attribute's result sort) and `instance(X, s)` literals in the where
-    clause.
+    clause; a negated one is refused, as no sort's complement is computed.
     """
     out: dict[str, str] = {}
 
@@ -477,6 +477,10 @@ def _schema_var_sorts(idef: ast.InstanceDef, sig: Signature,
             if isinstance(arg, ast.Var) and pos < len(info.args):
                 note(arg.name, info.args[pos], a.span)
     for w in idef.where:
+        if w.neg and w.op is None and isinstance(w.lhs, ast.App) \
+                and w.lhs.name == "instance":
+            raise SemanticError("a negated instance(...) literal is not "
+                                "supported in a where clause", w.span)
         if (isinstance(w.lhs, ast.App) and w.lhs.name == "instance"
                 and w.op is None and len(w.lhs.args) == 2
                 and isinstance(w.lhs.args[0], ast.Var)

@@ -247,6 +247,8 @@ def build_signature(module: ast.Module, sink: DiagnosticSink) -> Signature:
                 # back down with explicit instance(...) guards.
                 a, b = prev.args[0], info.args[0]
                 common = ({a} | sig.ancestors(a)) & ({b} | sig.ancestors(b))
+                if not common:  # a failed link, an error in the sink
+                    return
                 owner = max(sorted(common),
                             key=lambda c: len(sig.ancestors(c) & common))
                 sig.functions[info.name] = FuncInfo(

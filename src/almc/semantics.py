@@ -196,14 +196,14 @@ class State:
         return [(f, args, v) for (f, args), v in self.values]
 
 
-# A rule template is a ground rule without its step: ``(lits, j, neqs)``.
+# A rule template is a ground rule without its step: ``(lits, j)``.
 # Each literal is a code ``2 * i + o``, which stands for the atom
 # keys[i] + (step + o,) at an instantiating step, where keys are the
 # step-free keys that `Grounder._ground_templates` numbers.  lits is the
 # head (-1 makes a constraint), the positive body up to index j, then the
-# negative body, and neqs lists the codes of the disequality atoms among
-# them, which the program must define.  A template is the tuple of rules
-# added together at each step.
+# negative body.  `Grounder.define_neqs` defines the disequality atoms
+# among them after the templates are added.  A template is the tuple of
+# rules added together at each step.
 
 # The sources of a binding plan that are not sorts: the sort nodes, which a
 # hierarchy literal's sort argument ranges over, and the actions, which an
@@ -637,9 +637,7 @@ class Grounder:
             return 2 * i + o
 
         def rule(head: int, pos, neg=()) -> tuple:
-            lits = (head, *pos, *neg)
-            return (lits, 1 + len(pos),
-                    tuple(c for c in lits[1:] if keys[c >> 1][0] == "neq"))
+            return ((head, *pos, *neg), 1 + len(pos))
 
         def kept(head: int, results, pos=()) -> tuple:
             """The rule of a kept binding: `head`, `pos`, then the body's
@@ -717,7 +715,7 @@ class Grounder:
                 continue
             for args in args_list:
                 codes = [num(("v", fname, args, v)) for v in vals]
-                unique.extend((((-1, a, b), 3, ()),)
+                unique.extend((((-1, a, b), 3),)
                               for i, a in enumerate(codes)
                               for b in codes[i + 1:])
 
@@ -752,7 +750,8 @@ class Grounder:
         The first call grounds the rule templates (`_ground_templates`);
         every call adds each template at each step of its group's range,
         template by template, so the rules come in statement, binding, step
-        order, and interns each atom when first met, head before body.  The
+        order, and interns each atom when first met, head before body.
+        Then `define_neqs` (from mark 0) defines every disequality atom.  The
         budget's deadline is checked while templates are ground, while the
         rows of the steps are made, and once per template and every
         `_STEPS_PER_CHECK` + 1 steps while they are added, so that a huge
@@ -779,7 +778,6 @@ class Grounder:
             if not step & _STEPS_PER_CHECK:
                 _check_time(budget)
             rows.append(row.copy())
-        neqs: set[int] = set()
         for templates, steps in zip(groups, ranges):
             for template in templates:
                 _check_time(budget)
@@ -787,7 +785,7 @@ class Grounder:
                     if step & _STEPS_PER_CHECK == _STEPS_PER_CHECK:
                         _check_time(budget)
                     get = rows[step].__getitem__
-                    for lits, j, nq in template:
+                    for lits, j in template:
                         ids = tuple(map(get, lits))
                         if None in ids:
                             # intern the atoms first met here, head first
@@ -800,9 +798,7 @@ class Grounder:
                                         rows[t - 1][c | 1] = a
                             ids = tuple(map(get, lits))
                         add((ids[0], ids[1:j], ids[j:]))
-                        if nq:
-                            neqs.update(map(get, nq))
-        self.define_neqs(prog, map(prog.keys.__getitem__, neqs))
+        self.define_neqs(prog)
         return prog
 
     def state_program(self, budget: Optional[Budget] = None) -> Program:
@@ -828,23 +824,22 @@ class Grounder:
                 tuple(self.values.items()), tuple(self.actions),
                 tuple(self.pm.consts.items()))
 
-    def define_neqs(self, prog: Program, keys) -> None:
-        """Define each disequality atom ``('neq', f, args, v, step)`` by one
-        rule per sibling value of f, in `repr` order of the keys (step 10
-        before step 2), built from one `repr` per key less its step."""
-        stems: dict[tuple, str] = {}
+    def define_neqs(self, prog: Program, since: int = 0) -> None:
+        """Define each disequality atom ``('neq', f, args, v, step)`` that
+        `prog` interned from atom id `since` on (the range is read once, at
+        the start), in atom order, by one rule per sibling value of f.
 
-        def order(key: tuple) -> str:
-            stem = key[:4]
-            s = stems.get(stem)
-            if s is None:
-                s = stems[stem] = repr(stem)[:-1] + ", "
-            return s + repr(key[4]) + ")"
-
-        atom, add = prog.atom, prog.rules.append
-        for key in sorted(keys, key=order):
-            _, fname, args, v, step = key
-            a = atom(key)
+        Each disequality atom of a solved program is so defined once: only
+        `build_program` (from mark 0) and the later additions to its
+        program (`tasks._ground_history` and `find_plans`' goal, each from
+        the program's size before its rules) intern one, and each of them
+        calls this.  An atom before an addition's mark was defined by
+        whoever interned it; the sibling atoms made here are not neq atoms."""
+        keys, atom, add = prog.keys, prog.atom, prog.rules.append
+        for a in range(since, len(keys)):
+            if keys[a][0] != "neq":
+                continue
+            _, fname, args, v, step = keys[a]
             for w in self.values[fname]:
                 if w != v:
                     add((a, (atom(("v", fname, args, w, step)),), ()))

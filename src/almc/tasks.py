@@ -222,10 +222,9 @@ def _observation_lits(cs: CompiledSystem, hist: History) -> list:
 def _ground_history(g: Grounder, hist: History, observed: list,
                     prog: Program, horizon: int) -> None:
     """Add the history to `prog`; `observed` holds the history's
-    `_observation_lits`, which `g` grounds (`Grounder.ground_lit`).  A
-    disequality atom that `prog` already has is already defined: that of
-    every basic fluent instance at steps 1..horizon, through inertia."""
-    neq_keys: set = set()
+    `_observation_lits`, which `g` grounds (`Grounder.ground_lit`), and
+    define the disequality atoms interned here (`Grounder.define_neqs`)."""
+    since = len(prog.keys)
     for lit, (fterm, _, step) in zip(observed, hist.observed):
         if step > horizon:
             raise InputError(
@@ -239,11 +238,8 @@ def _ground_history(g: Grounder, hist: History, observed: list,
             prog.add_fact(r[0] + (step,))
         else:
             # reality check: fail only if the function holds another value
-            nk = ("neq",) + r[0][1:] + (step,)
-            if nk not in prog:
-                neq_keys.add(nk)
-            prog.add_constraint((prog.atom(nk),))
-    g.define_neqs(prog, neq_keys)
+            prog.add_constraint((prog.atom(("neq",) + r[0][1:] + (step,)),))
+    g.define_neqs(prog, since)
     # default closure of the initial situation: a boolean basic fluent that
     # is not derivably true at step 0 is false there (defeasible, so
     # observations and state constraints win); dom_f companions are boolean
@@ -444,21 +440,18 @@ def find_plans(cs: CompiledSystem, hist: History, goal: list[ast.Lit],
 
     def extend(g: Grounder, prog: Program) -> None:
         # goal(I) <- goal literals at I;  success <- goal(I);  <- not success
+        since = len(prog.keys)
         success = prog.atom(("success",))
         body = goal_body(g)
-        goal_neqs: set = set()
         if body is not None:
             atoms = [r for r in body if r is not True]
             for i in range(horizon + 1):
-                # a disequality atom the program has is defined already
-                goal_neqs.update(k + (i,) for k, _ in atoms
-                                 if k[0] == "neq" and k + (i,) not in prog)
                 gi = prog.atom(("goal", i))
                 prog.add_rule(gi,
                               [prog.atom(k + (i,)) for k, p in atoms if p],
                               [prog.atom(k + (i,)) for k, p in atoms if not p])
                 prog.add_rule(success, (gi,))
-        g.define_neqs(prog, goal_neqs)
+        g.define_neqs(prog, since)
         prog.add_constraint((), (success,))
 
         # occurrences: one consistency-restoring switch per action and step,

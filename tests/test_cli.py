@@ -868,6 +868,40 @@ def test_conflicting_attribute_values_are_a_located_semantic_error(
                    "attribute attr_1 of a\n")
 
 
+def test_attribute_on_a_sort_with_an_unknown_parent_is_a_located_error(
+        capsys, tmp_path):
+    """An attribute declared on two sorts is widened to their nearest
+    common ancestor.  A sort whose parent is unknown has none, and the
+    error is that parent, not a traceback from the widening."""
+    system = tmp_path / "t0_nowhere.alm"
+    text = read(CORPUS / "t0.alm")
+    assert text.count("            attr_2 : c3\n") == 1
+    system.write_text(text.replace(
+        "            attr_2 : c3\n",
+        "            attr_2 : c3\n        other :: nowhere\n"
+        "          attributes\n            attr_1 : c3\n"))
+    code, out, err = run(capsys, "check", str(system))
+    assert (code, out) == (3, "")
+    assert err == (f"almc: {system}:11:9: error: unknown parent sort "
+                   "'nowhere'\n")
+
+
+def test_negated_instance_in_a_where_clause_is_refused(capsys, tmp_path):
+    """`-instance(P, s)` in a where clause would need the complement of s,
+    which neither the parameter sorting nor the filter computes: it is a
+    located semantic error, and not read as `instance(P, s)`."""
+    system = tmp_path / "mb_neg.alm"
+    text = read(CORPUS / "monkey_and_banana.alm")
+    clause = "move(P) in move where instance(P, floor_points)"
+    assert text.count(clause) == 1
+    system.write_text(text.replace(clause, clause.replace("where ",
+                                                          "where -")))
+    code, out, err = run(capsys, "states", str(system), *LIB)
+    assert (code, out) == (3, "")
+    assert err == (f"almc: {system}:29:29: a negated instance(...) literal "
+                   "is not supported in a where clause\n")
+
+
 def test_unbounded_numeric_sort_is_located_at_its_function(capsys):
     code, out, err = run(capsys, "states", str(CORPUS / "cell_cycle1.alm"),
                          *LIB)

@@ -106,19 +106,70 @@ def test_t0_states_exact(t0):
     assert space.well_founded
 
 
+def numbered(states, trans, fixture):
+    """`trans` over the indices of `fixture`, a list of states as dicts,
+    with each action set as a set of strings."""
+    index = [fixture.index(dict(((f, a), v) for f, a, v in s.atoms()))
+             for s in states]
+    return {(index[i], frozenset(map(str, acts)), index[j])
+            for i, acts, j in trans}
+
+
 def test_t0_transitions_exact(t0):
     g, space = t0
-    index = {state_key(s): T0_STATES.index(dict(
-        ((f, a), v) for f, a, v in s.atoms())) for s in space.states}
-    order = sorted(range(len(space.states)),
-                   key=lambda i: index[state_key(space.states[i])])
-    # renumber into the fixture's order
     trans = compute_transitions(g, space.states)
-    renum = {i: index[state_key(space.states[i])]
-             for i in range(len(space.states))}
-    got = {(renum[i], frozenset(map(str, acts)), renum[j])
-           for i, acts, j in trans}
-    assert got == T0_TRANSITIONS
+    assert numbered(space.states, trans, T0_STATES) == T0_TRANSITIONS
+
+
+@pytest.mark.parametrize("condition", [
+    "impossible occurs(a) if instance(a, t0_actions), occurs(b).",
+    "impossible occurs(A) if instance(A, t0_actions), occurs(B), A != B.",
+])
+def test_occurrence_in_an_executability_condition(condition):
+    """With a forbidden together with b, or any two actions together, the
+    powerset of t0's actions gives the transitions of the empty set and
+    the single actions alone: the three of {a, b} go."""
+    src = read(CORPUS / "t0.alm")
+    last = "        false if -dom_g(X), instance(X, c2).\n"
+    assert src.count(last) == 1
+    g = grounder_of(compile_src(src.replace(
+        last, f"{last}        {condition}\n")))
+    space = enumerate_states(g)
+    trans = compute_transitions(g, space.states, "powerset")
+    assert numbered(space.states, trans, T0_STATES) == T0_TRANSITIONS
+
+
+# A counter over [0..3] that act0 steps up and a state constraint keeps
+# below 3: four states (no value, 0, 1, 2), each kept by the empty set; act0
+# keeps no value, steps 0 to 1 and 1 to 2, and from 2 has no transition
+COUNTER_STATES = [
+    {("dom_cnt", ("x",)): "false"},
+    *({("dom_cnt", ("x",)): "true", ("cnt", ("x",)): n} for n in range(3)),
+]
+COUNTER_TRANSITIONS = {
+    *((i, frozenset(), i) for i in range(4)),
+    (0, frozenset({"act0"}), 0), (1, frozenset({"act0"}), 2),
+    (2, frozenset({"act0"}), 3),
+}
+
+
+@pytest.mark.parametrize("reached", [
+    "cnt(X) = 3", "cnt(X) > 2", "2 < cnt(X)", "cnt(X) >= 3", "3 <= cnt(X)"])
+def test_order_comparisons_with_a_function_term(reached):
+    """An order comparison of a function term with a number, on either
+    side, says what the equality says on a counter over [0..3]."""
+    g = grounder_of(compile_src(fixture_source("""\
+          basic
+            cnt : elems -> [0..3]""", f"""\
+        occurs(A) causes cnt(X) = Y + 1 if instance(A, acts), cnt(X) = Y.
+        false if {reached}.""")))
+    space = enumerate_states(g)
+    assert {state_key(s) for s in space.states} == {
+        frozenset((f, a, v) for (f, a), v in d.items())
+        for d in COUNTER_STATES}
+    trans = compute_transitions(g, space.states)
+    assert numbered(space.states, trans, COUNTER_STATES) == \
+        COUNTER_TRANSITIONS
 
 
 def test_action_sets_take_the_cli_names(t0):
@@ -599,9 +650,8 @@ def reference_program(g, horizon):
                     add(("v", f.name, args, v, step + 1),
                         guard + [("v", f.name, args, v, step)],
                         [("neq", f.name, args, v, step + 1)])
-    # each disequality atom by one rule per sibling value, in `repr` order
-    # of the keys
-    for key in sorted(neqs, key=repr):
+    # each disequality atom by one rule per sibling value, in atom order
+    for key in sorted(neqs, key=prog.atom):
         _, f, args, v, step = key
         for w in g.values[f]:
             if w != v:
@@ -642,30 +692,29 @@ def test_templates_ground_the_reference_programs():
 
 
 def test_templates_ground_the_reference_programs_past_step_9():
-    """At horizon 11 the rules that define the disequality atoms of step 10
-    come before those of step 2, as `repr` orders their keys."""
+    """At horizon 11 the rules that define the disequality atoms come in
+    ascending atom order, past step 9 as before it."""
     t0 = compile_system(parse_path(CORPUS / "t0.alm"), [], DiagnosticSink())
     grounders = [*t0.grounders, *islice(random_bat_grounders(), 20)]
-    late = 0
+    ordered = 0
     for g in grounders:
         prog = g.build_program(11)
         assert program_fingerprint(prog) == \
             program_fingerprint(reference_program(g, 11))
-        steps = [prog.keys[h][4] for h, _, _ in prog.rules
+        heads = [h for h, _, _ in prog.rules
                  if h >= 0 and prog.keys[h][0] == "neq"]
-        late += bool(steps) and steps.index(10) < steps.index(2)
-    assert late == len(grounders) == 21
+        steps = {prog.keys[h][4] for h in heads}
+        ordered += heads == sorted(heads) and {2, 10} <= steps
+    assert ordered == len(grounders) == 21
 
 
 # ------------------------------------------------------------ group keys
 
-# The tests' own form of a template rule: (head, pos, neg, neqs), each key a
-# pair (step-free key, offset), a head of None for a constraint, and neqs
-# the disequality pairs among pos and neg.
+# The tests' own form of a template rule: (head, pos, neg), each key a pair
+# (step-free key, offset), and a head of None for a constraint.
 
 def pair_rule(head, pos=(), neg=()):
-    neqs = tuple(k for k in chain(pos, neg) if k[0][0] == "neq")
-    return (head, tuple(pos), tuple(neg), neqs)
+    return (head, tuple(pos), tuple(neg))
 
 
 def body_pairs(results):
@@ -683,8 +732,8 @@ def decoded(keys, groups):
 
     return tuple(
         tuple(tuple((pair(lits[0]), tuple(map(pair, lits[1:j])),
-                     tuple(map(pair, lits[j:])), tuple(map(pair, nq)))
-                    for lits, j, nq in template)
+                     tuple(map(pair, lits[j:])))
+                    for lits, j in template)
               for template in templates)
         for templates in groups)
 
@@ -810,7 +859,7 @@ def test_numbering_interns_only_used_keys():
               *compile_src(DROPPED_HEADS).grounders]:
         keys, groups = g._ground_templates(None)
         used = {c >> 1 for templates in groups for template in templates
-                for lits, _, _ in template for c in lits if c >= 0}
+                for lits, _ in template for c in lits if c >= 0}
         assert used == set(range(len(keys)))
 
 

@@ -166,6 +166,19 @@ def test_initial_coverage_counts_what_projection_grounds(t0):
     ("instance(a, t0_actions)", True), ("instance(x, c1)", True),
     ("instance(b, c2)", False), ("-instance(b, c2)", True),
     ("link(c2, c1)", True), ("g(x) = o", True), ("g(x) != o", False),
+    # t0's sorts: c1 and actions under universe, c2 and c3 under c1, and
+    # t0_actions under actions; subsort is the strict ancestor relation,
+    # a source has no child and the one sink is universe
+    ("subsort(c2, universe)", True), ("subsort(c2, c1)", True),
+    ("subsort(t0_actions, universe)", True), ("subsort(c1, c2)", False),
+    ("subsort(c2, c3)", False), ("subsort(c1, c1)", False),
+    ("has_child(universe)", True), ("has_child(c1)", True),
+    ("has_child(c2)", False), ("has_child(t0_actions)", False),
+    ("has_parent(c2)", True), ("has_parent(t0_actions)", True),
+    ("has_parent(universe)", False),
+    ("source(c2)", True), ("source(t0_actions)", True),
+    ("source(c1)", False), ("source(universe)", False),
+    ("sink(universe)", True), ("sink(c1)", False), ("sink(c2)", False),
 ])
 def test_static_and_hierarchy_queries_on_t0(t0, query, entailed):
     """Queries ground like goals: statics and the hierarchy are read off
@@ -190,8 +203,9 @@ def test_planner_and_validation_agree_on_static_goals(t0, goal, plans):
 def test_each_disequality_atom_is_defined_once(t0, monkeypatch):
     """An observation past step 0 and a `!=` goal name disequality atoms of
     basic fluents, which inertia defines at steps 1..horizon: they are not
-    defined again, so no rule of a history program repeats, and projection
-    and planning find what they find when those atoms are defined twice."""
+    defined again, so no rule of a history program repeats.  A
+    `define_neqs` that always starts from mark 0 defines them again, and
+    projection and planning find what they find without the repeats."""
     hist = parse_history(T0_HIST + "observed(g(x), o, 1).")
     goal = parse_goal("f(x) != z.")
     programs = []
@@ -211,9 +225,20 @@ def test_each_disequality_atom_is_defined_once(t0, monkeypatch):
     monkeypatch.setattr(tasks, "_history_programs", kept)
     found, repeats = run()
     assert repeats == [1, 1] and all(found)
-    monkeypatch.setattr(Program, "__contains__", lambda self, key: False)
+    define_neqs = Grounder.define_neqs
+    monkeypatch.setattr(Grounder, "define_neqs",
+                        lambda self, prog, since=0: define_neqs(self, prog))
     twice, repeats = run()
     assert twice == found and min(repeats) > 1
+
+
+def test_a_disequality_goal_at_step_0_is_defined_by_the_goal(t0):
+    """Inertia defines the disequality atoms of steps 1..horizon only; the
+    goal defines those of step 0 that it interns, so at horizon 0 the empty
+    plan reaches `f(x) != z` from `f(x) = o`."""
+    hist = parse_history(T0_HIST + "observed(f(x), o, 0).")
+    plans = find_plans(t0, hist, parse_goal("f(x) != z."), horizon=0).plans
+    assert [p.steps for p in plans] == [()]
 
 
 @pytest.mark.parametrize("sort,entailed", [

@@ -1,19 +1,18 @@
-"""List the statements of a package that a Python program never runs.
+"""List the statements of almc that a Python module never runs.
 
 Usage, from the root of the repository:
 
-    PYTHONPATH=src python tools/unreached.py [--package src/almc] \
-        -m pytest -q --continue-on-collection-errors
+    PYTHONPATH=src python tools/unreached.py -m pytest -q
 
-Everything after the options is run as ``python ...`` would run it (``-m
-module`` or a script path and its arguments), in this process, under a
-`sys.settrace` line tracer that records the lines of the package's files.
-A statement is reached when a line from its first (decorators included) to
-its last is traced.  Docstrings, ``global`` and ``nonlocal`` declarations
-and the body of ``if TYPE_CHECKING:`` are not counted, as they run no code.
-Code run in a subprocess is not seen.  The report goes to stderr: one line
-per unreached statement, ``file:line``, then a count per file and a total.
-Under the tracer the tier-1 tests take several times as long as without.
+``-m MODULE [ARGS...]`` is run as ``python -m MODULE ARGS...`` would run
+it, in this process, under a `sys.settrace` line tracer that records the
+lines of the files under ``src/almc``.  A statement is reached when a line
+from its first (decorators included) to its last is traced.  Docstrings,
+``global`` and ``nonlocal`` declarations and the body of ``if
+TYPE_CHECKING:`` are not counted, as they run no code.  Code run in a
+subprocess is not seen.  The report goes to stderr: one line per unreached
+statement, ``file:line``, then a count per file and a total.  Under the
+tracer the tier-1 tests take several times as long as without.
 
 Standard library only.
 """
@@ -21,9 +20,10 @@ Standard library only.
 import ast
 import runpy
 import sys
-import threading
 from collections import Counter
 from pathlib import Path
+
+PACKAGE = Path("src/almc")
 
 
 def statements(path: Path) -> list[tuple[int, int]]:
@@ -49,26 +49,19 @@ def statements(path: Path) -> list[tuple[int, int]]:
                       skip or (type_checking and field == "body"))
             for handler in getattr(node, "handlers", ()):
                 visit(handler.body, skip)
-            for case in getattr(node, "cases", ()):
-                visit(case.body, skip)
 
     visit(ast.parse(path.read_text(encoding="utf-8")).body)
     return spans
 
 
 def main(argv: list[str]) -> int:
-    package = "src/almc"
-    if argv[:1] == ["--package"] and len(argv) > 1:
-        package, argv = argv[1], argv[2:]
-    module = argv[1] if argv[:1] == ["-m"] and len(argv) > 1 else None
-    if module is None and (not argv or argv[0].startswith("-")):
-        print("usage: unreached.py [--package DIR] (-m MODULE | SCRIPT) "
-              "[ARGS...]", file=sys.stderr)
+    if argv[:1] != ["-m"] or len(argv) < 2:
+        print("usage: unreached.py -m MODULE [ARGS...]", file=sys.stderr)
         return 2
-    sys.argv = [module, *argv[2:]] if module is not None else list(argv)
+    module = argv[1]
+    sys.argv = [module, *argv[2:]]
 
-    package = Path(package).resolve()
-    files = {str(p): p for p in sorted(package.rglob("*.py"))}
+    files = {str(p): p for p in sorted(PACKAGE.resolve().rglob("*.py"))}
     seen: dict[str, set[int]] = {name: set() for name in files}
 
     def trace(frame, event, arg):
@@ -84,19 +77,14 @@ def main(argv: list[str]) -> int:
         lines.add(frame.f_lineno)
         return local
 
-    threading.settrace(trace)
     sys.settrace(trace)
     try:
-        if module is not None:
-            runpy.run_module(module, run_name="__main__", alter_sys=True)
-        else:
-            runpy.run_path(sys.argv[0], run_name="__main__")
+        runpy.run_module(module, run_name="__main__", alter_sys=True)
         status = 0
     except SystemExit as exc:
         status = exc.code if isinstance(exc.code, int) else 1
     finally:
         sys.settrace(None)
-        threading.settrace(None)
 
     root = Path.cwd()
     total = 0

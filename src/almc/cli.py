@@ -17,14 +17,12 @@ from collections import Counter
 from functools import cache
 from typing import Callable, Iterable, Iterator, Optional
 
-from almc.bat import build_action_theory
 from almc.errors import (
     AlmError, BudgetExceeded, InputError, SemanticError,
 )
 from almc.lpcore import Budget, Program
 from almc.modular import (
-    LIBRARY_PATH_VAR, flatten_system, flatten_theory, library_search_paths,
-    read_input,
+    LIBRARY_PATH_VAR, flatten_system, library_search_paths, read_input,
 )
 from almc.ontology import build_signature
 from almc.semantics import Diagram, State, build_diagrams
@@ -32,8 +30,8 @@ from almc.syntax import ast, parse_file, parse_literal_text, pretty
 from almc.errors import DiagnosticSink
 from almc.tasks import (
     CompiledSystem, check_well_founded, compile_system, entails_all,
-    find_plans, normalize_each, parse_goal,
-    parse_history, prefer_most_specific, temporal_project, validate_plan,
+    find_plans, normalize_each, parse_goal, parse_history,
+    prefer_most_specific, temporal_project, validate_plan,
 )
 
 EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_SEMANTIC, EXIT_BUDGET = 0, 1, 2, 3, 4
@@ -124,14 +122,6 @@ def load_source(path: str):
     return parse_file(read_input(path), path)
 
 
-def flatten_any(node, search_paths: list[str],
-                sink: DiagnosticSink) -> ast.Module:
-    """Flattened module of a system description or a bare theory."""
-    if isinstance(node, ast.System):
-        return flatten_system(node, search_paths, sink)
-    return flatten_theory(node, search_paths, sink)
-
-
 def compile_from_path(path: str, search_paths: list[str],
                       sink: Optional[DiagnosticSink] = None,
                       budget: Optional[Budget] = None) -> CompiledSystem:
@@ -163,16 +153,11 @@ def cmd_check(args, sink: DiagnosticSink) -> int:
         raise UsageError("--well-founded needs a system description with a "
                          f"structure; {args.file} holds a theory")
     # a theory file is validated as the union of its modules, imports expanded
-    flat = flatten_any(node, search_paths_of(args), sink)
-    sig = build_signature(flat, sink)
-    theory = build_action_theory(flat, sig, sink)
-    wf = None
-    if args.well_founded:
-        budget = make_budget(args)
-        cs = CompiledSystem(flat, sig, theory, node.structure, sink, budget)
-        wf = check_well_founded(cs, budget)
+    budget = make_budget(args)
+    cs = compile_system(node, search_paths_of(args), sink, budget)
+    wf = check_well_founded(cs, budget) if args.well_founded else None
     print(f"{args.file}: ok "
-          f"({len(sig.sorts)} sorts, {len(sig.functions)} functions)")
+          f"({len(cs.sig.sorts)} sorts, {len(cs.sig.functions)} functions)")
     if wf is not None:
         verdict = "well-founded" if wf.well_founded else "not well-founded"
         print(f"{args.file}: {verdict} ({wf.method} check)")
@@ -183,13 +168,14 @@ def cmd_check(args, sink: DiagnosticSink) -> int:
 
 def cmd_flatten(args, sink: DiagnosticSink) -> int:
     node = load_source(args.file)
-    sys.stdout.write(pretty(flatten_any(node, search_paths_of(args), sink)))
+    sys.stdout.write(pretty(flatten_system(node, search_paths_of(args),
+                                           sink)))
     return EXIT_OK
 
 
 def cmd_hierarchy(args, sink: DiagnosticSink) -> int:
     node = load_source(args.file)
-    sig = build_signature(flatten_any(node, search_paths_of(args), sink),
+    sig = build_signature(flatten_system(node, search_paths_of(args), sink),
                           sink)
     for name in sorted(sig.sorts):
         for parent in sorted(sig.parents(name)):
@@ -201,10 +187,8 @@ def cmd_hierarchy(args, sink: DiagnosticSink) -> int:
 
 
 def cmd_bat(args, sink: DiagnosticSink) -> int:
-    node = load_source(args.file)
-    flat = flatten_any(node, search_paths_of(args), sink)
-    sig = build_signature(flat, sink)
-    theory = build_action_theory(flat, sig, sink)
+    cs = compile_system(load_source(args.file), search_paths_of(args), sink)
+    sig, theory = cs.sig, cs.theory
     print(f"functions: {len(sig.functions)}")
     for f in sorted(sig.functions.values(), key=lambda f: f.name):
         arrow = " * ".join(f.args) + " -> " if f.args else ""

@@ -108,6 +108,60 @@ class Budget:
             self.check_time()
 
 
+def cyclic_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The strongly connected components that hold a cycle (more than one
+    node, or a self-loop) of the graph on nodes 0..len(succ)-1 with an edge
+    from each v to every node of succ[v].  An iterative Tarjan search
+    (*Depth-first search and linear graph algorithms*, SIAM J. Comput. 1972)
+    gives them in the order it completes them, each in the order its nodes
+    leave the search's stack, so a component's last node is the first of
+    its nodes that the search entered.  A root with no out-edge lies on no
+    cycle and starts no search."""
+    n = len(succ)
+    cyclic: list[list[int]] = []
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0 or not succ[root]:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    # a self-loop is a cycle of length one
+                    if len(component) > 1 or v in succ[v]:
+                        cyclic.append(component)
+    return cyclic
+
+
 class Program:
     """A ground program under construction."""
 
@@ -285,55 +339,14 @@ class Program:
         (`_Search`), kept per program shape, asks for it once.
         """
         n = len(self.keys)
-        # the spare last list takes the constraints' edges
+        # the spare last list takes the constraints' edges, and is dropped
         succ: list[list[int]] = [[] for _ in range(n + 1)]
         for head, pos, _ in self.rules:
             succ[head].extend(pos)
+        succ.pop()
         for a in self.choice:
             succ[a].clear()
-        # iterative Tarjan
-        cyclic: list[int] = []
-        index = [-1] * n
-        low = [0] * n
-        on_stack = [False] * n
-        stack: list[int] = []
-        counter = 0
-        for root in range(n):
-            if index[root] >= 0 or not succ[root]:
-                continue
-            index[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack[root] = True
-            work = [(root, iter(succ[root]))]
-            while work:
-                v, edges = work[-1]
-                for w in edges:
-                    if index[w] < 0:
-                        index[w] = low[w] = counter
-                        counter += 1
-                        stack.append(w)
-                        on_stack[w] = True
-                        work.append((w, iter(succ[w])))
-                        break
-                    if on_stack[w] and index[w] < low[v]:
-                        low[v] = index[w]
-                else:
-                    work.pop()
-                    if work and low[v] < low[work[-1][0]]:
-                        low[work[-1][0]] = low[v]
-                    if low[v] == index[v]:
-                        component = []
-                        while True:
-                            w = stack.pop()
-                            on_stack[w] = False
-                            component.append(w)
-                            if w == v:
-                                break
-                        # a self-loop is a cycle of length one
-                        if len(component) > 1 or v in succ[v]:
-                            cyclic.extend(component)
-        return cyclic
+        return list(chain.from_iterable(cyclic_components(succ)))
 
     def _certifier(self) -> tuple:
         """The certifier's index of the regular rules, built once per

@@ -30,6 +30,7 @@ from almc.ontology import (
 )
 from almc.bat import ActionTheory, Constraint, FunLit
 from almc.syntax import ast, parse_file
+from almc.syntax.printer import term_str
 
 LIBRARY_PATH_VAR = "ALM_LIBRARY_PATH"
 MAX_PLACEMENTS = 1_000_000
@@ -182,9 +183,15 @@ def flatten(modules: list[ast.Module], name: str,
                       functions=union("functions"), axioms=union("axioms"))
 
 
-def flatten_theory(theory: ast.Theory, search_paths: list[str],
+def flatten_system(node: Union[ast.System, ast.Theory],
+                   search_paths: list[str],
                    sink: DiagnosticSink) -> ast.Module:
-    """The modules of `theory`, imports expanded, flattened into one."""
+    """The modules of a system description's theory, or of a bare theory,
+    imports expanded, flattened into one."""
+    theory = node.theory if isinstance(node, ast.System) else node
+    if isinstance(theory, ast.ImportDirective):
+        theory = ast.Theory(theory.theory or theory.module, (theory,),
+                            span=theory.span)
     modules = resolve_theory(theory, search_paths, sink)
     sink.raise_if_errors()
     if not modules:
@@ -193,15 +200,6 @@ def flatten_theory(theory: ast.Theory, search_paths: list[str],
     flat = flatten(modules, theory.name, sink)
     sink.raise_if_errors()
     return flat
-
-
-def flatten_system(system: ast.System, search_paths: list[str],
-                   sink: DiagnosticSink) -> ast.Module:
-    theory = system.theory
-    if isinstance(theory, ast.ImportDirective):
-        theory = ast.Theory(theory.theory or theory.module, (theory,),
-                            span=theory.span)
-    return flatten_theory(theory, search_paths, sink)
 
 
 # ================================================================ pre-models
@@ -389,10 +387,15 @@ def build_universe(sig: Signature, structure: ast.Structure,
     plain_defs = []
     schema_defs = []
     for idef in structure.instances:
-        if any(isinstance(o, ast.App) for o in idef.objects):
+        plain = [o for o in idef.objects if not isinstance(o, ast.App)]
+        if not plain:
             schema_defs.append(idef)
-        else:
+        elif len(plain) == len(idef.objects):
             plain_defs.append(idef)
+        else:
+            # a schema's attributes and where clause would not bind them
+            sink.error(f"instance {term_str(plain[0])} cannot share a line "
+                       "with parameterised objects", plain[0].span)
 
     # Plain structure instances and module object constants first.
     for idef in plain_defs:

@@ -19,6 +19,7 @@ from functools import cached_property
 from typing import Optional
 
 from almc.errors import DiagnosticSink, Span
+from almc.lpcore import cyclic_components
 from almc.records import field, record
 from almc.syntax import ast
 
@@ -126,7 +127,7 @@ class Signature:
         return seen
 
     @cached_property
-    def _children(self) -> dict[str, list[str]]:
+    def children(self) -> dict[str, list[str]]:
         """Each node's children, built once: the sorts are final."""
         kids: dict[str, list[str]] = {n: [] for n in self.sorts}
         for child, ps in self.sorts.items():
@@ -135,7 +136,7 @@ class Signature:
         return kids
 
     def descendants(self, node: str) -> set[str]:
-        kids = self._children
+        kids = self.children
         seen: set[str] = set()
         stack = list(kids[node])
         while stack:
@@ -147,7 +148,7 @@ class Signature:
 
     def source_nodes(self) -> list[str]:
         """Nodes with no children, in declaration order."""
-        return [n for n, kids in self._children.items() if not kids]
+        return [n for n, kids in self.children.items() if not kids]
 
     def is_subsort(self, sub: str, sup: str) -> bool:
         return sub == sup or sup in self.ancestors(sub)
@@ -203,30 +204,14 @@ def build_signature(module: ast.Module, sink: DiagnosticSink) -> Signature:
         if pkey not in sorts[child]:
             sorts[child] = sorts[child] + (pkey,)
 
-    # Cycle check (iterative DFS, three colours).
-    colour: dict[str, int] = {}
-    for start in sorts:
-        if colour.get(start):
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        while stack:
-            node, i = stack.pop()
-            if i == 0:
-                if colour.get(node) == 2:
-                    continue
-                colour[node] = 1
-            ps = sorts[node]
-            if i < len(ps):
-                stack.append((node, i + 1))
-                nxt = ps[i]
-                if colour.get(nxt) == 1:
-                    sink.error(f"sort hierarchy has a cycle through {nxt!r}",
-                               module.span)
-                    colour[nxt] = 2
-                elif colour.get(nxt) != 2:
-                    stack.append((nxt, 0))
-            else:
-                colour[node] = 2
+    # One error per cycle of links, naming the first sort of its component
+    # that the search enters.
+    names = list(sorts)
+    ids = {s: i for i, s in enumerate(names)}
+    for component in cyclic_components(
+            [[ids[p] for p in sorts[s]] for s in names]):
+        sink.error(f"sort hierarchy has a cycle through "
+                   f"{names[component[-1]]!r}", module.span)
 
     sig = Signature(sorts=sorts, functions={}, objects={}, ranges=ranges)
 

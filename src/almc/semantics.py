@@ -107,7 +107,7 @@ from almc.bat import (
 from almc.errors import (
     BudgetExceeded, DiagnosticSink, SemanticError, Span,
 )
-from almc.lpcore import _NO_HEAD, Budget, Program
+from almc.lpcore import _NO_HEAD, Budget, Program, cyclic_components
 from almc.memo import ReadsMemo, TracedPreModel
 from almc.modular import (
     PreModel, UndefinedArithmetic, Value, compare, enumerate_placements,
@@ -143,12 +143,11 @@ def hier_true(pm: PreModel, name: str, args: tuple[Value, ...]) -> bool:
         c1, c2 = args
         return c1 in sig.sorts and c2 in sig.ancestors(c1)
     if name == "has_child":
-        return any(args[0] in ps for ps in sig.sorts.values())
+        return bool(sig.children.get(args[0]))
     if name == "has_parent":
         return args[0] in sig.sorts and bool(sig.parents(args[0]))
     if name == "source":
-        return args[0] in sig.sorts \
-            and not any(args[0] in ps for ps in sig.sorts.values())
+        return args[0] in sig.sorts and not sig.children[args[0]]
     if name == "sink":
         return args[0] == UNIVERSE
     raise SemanticError(f"unknown hierarchy function {name}")
@@ -974,7 +973,9 @@ def stratified(theory: ActionTheory) -> bool:
     a negated defined fluent can reach its own definition through a basic
     fluent that no state fixes (`certify_state` has an example)."""
     fns = theory.sig.functions
-    edges: dict[str, set[tuple[str, bool]]] = {}
+    ids = {f: i for i, f in enumerate(fns)}
+    succ: list[list[int]] = [[] for _ in fns]
+    negative: list[tuple[int, int]] = []
     for clause in chain(theory.definitions, theory.constraints):
         head = clause.head
         if head is None or not (fns[head.func].is_defined
@@ -983,24 +984,18 @@ def stratified(theory: ActionTheory) -> bool:
         for lit in clause.body:
             if not isinstance(lit, FunLit) or lit.func not in fns:
                 continue
-            positive = not fns[lit.func].is_defined or (
-                isinstance(lit.value, ast.Sym)
-                and (lit.op == "=") == (lit.value.name == TRUE))
-            edges.setdefault(head.func, set()).add((lit.func, not positive))
-    # look for a cycle containing a negative edge
-    for start in edges:
-        stack = [(start, False)]
-        seen: set[tuple[str, bool]] = set()
-        while stack:
-            node, has_neg = stack.pop()
-            for nxt, negated in edges.get(node, ()):
-                flag = has_neg or negated
-                if nxt == start and flag:
-                    return False
-                if (nxt, flag) not in seen:
-                    seen.add((nxt, flag))
-                    stack.append((nxt, flag))
-    return True
+            h, f = ids[head.func], ids[lit.func]
+            succ[h].append(f)
+            if fns[lit.func].is_defined and not (
+                    isinstance(lit.value, ast.Sym)
+                    and (lit.op == "=") == (lit.value.name == TRUE)):
+                negative.append((h, f))
+    # a cycle passes through a negative edge iff the edge joins two
+    # functions of one cyclic component
+    component = {v: i for i, c in enumerate(cyclic_components(succ))
+                 for v in c}
+    return not any(h in component and component[h] == component.get(f)
+                   for h, f in negative)
 
 
 def certify_state(g: Grounder, cand: State, budget: Optional[Budget] = None,

@@ -45,7 +45,7 @@ from __future__ import annotations
 from almc.records import field, record
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Optional, Sequence, Union
 
 from almc.bat import (
     ActionTheory, FunLit, _Normalizer, build_action_theory, lit_vars,
@@ -72,7 +72,7 @@ class CompiledSystem:
     module: ast.Module  # flattened
     sig: Signature
     theory: ActionTheory
-    structure: ast.Structure
+    structure: Optional[ast.Structure]  # None for a bare theory
     sink: DiagnosticSink
     #: the command's budget, which the derivation of the pre-models reads
     budget: Optional[Budget] = None
@@ -107,14 +107,20 @@ class CompiledSystem:
         return list(groups.values())
 
 
-def compile_system(node: ast.System, search_paths: list[str],
+def compile_system(node: Union[ast.System, ast.Theory],
+                   search_paths: list[str],
                    sink: Optional[DiagnosticSink] = None,
                    budget: Optional[Budget] = None) -> CompiledSystem:
+    """Flatten a system description, or a bare theory, and build its
+    signature and action theory.  A bare theory compiles with the
+    structure None: it has no pre-models, so only `check` and `bat`
+    compile one."""
     sink = sink if sink is not None else DiagnosticSink()
     module = flatten_system(node, search_paths, sink)
     sig = build_signature(module, sink)
     theory = build_action_theory(module, sig, sink)
-    return CompiledSystem(module, sig, theory, node.structure, sink, budget)
+    structure = node.structure if isinstance(node, ast.System) else None
+    return CompiledSystem(module, sig, theory, structure, sink, budget)
 
 
 # ================================================================ histories

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import re
 import sys
 import weakref
 from collections import Counter
@@ -211,6 +212,59 @@ SYSTEM = """system description s
     instances
       x in things
 """
+
+
+def records_of(out):
+    """Each line of `out` as a JSON record."""
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records and all(isinstance(r, dict) and "type" in r
+                           for r in records)
+    return records
+
+
+def test_hierarchy_json_lines_are_the_printed_links(capsys):
+    t0 = str(CORPUS / "t0.alm")
+    _, text, _ = run(capsys, "hierarchy", t0)
+    code, out, _ = run(capsys, "hierarchy", t0, "--json-lines")
+    assert code == 0
+    records = records_of(out)
+    assert {r["type"] for r in records} == {"link"}
+    assert [f"{r['sort']} :: {r['parent']}" for r in records] == \
+        text.splitlines()
+
+
+def test_project_json_lines_are_the_printed_trajectories_and_queries(capsys):
+    argv = ["project", str(CORPUS / "monkey_and_banana.alm"), *LIB,
+            "--history", str(CORPUS / "gamma1.hist"),
+            "--query", "loc_in(monkey) = initial_box", "--at", "1"]
+    _, text, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--json-lines")
+    assert code == 0
+    trajectories, queries = [], []
+    for line in text.splitlines():
+        if line.startswith("trajectory "):
+            trajectories.append(([], []))
+        elif line.startswith("  step "):
+            values = line.split(": ", 1)[1]
+            trajectories[-1][0].append(
+                dict(re.findall(r"([^=]+?)=([^,]*)(?:, |$)", values)))
+            trajectories[-1][1].append("")
+        elif line.startswith("  occurs: "):
+            trajectories[-1][1][-1] = line[len("  occurs: "):]
+        else:
+            literal, step, verdict = re.fullmatch(
+                r"query '(.*)' at step (\d+): (entailed|not entailed)",
+                line).groups()
+            queries.append((literal, int(step), verdict == "entailed"))
+    records = records_of(out)
+    assert {r["type"] for r in records} == {"trajectory", "query"}
+    assert [(r["steps"], [", ".join(o) for o in r["occurrences"]] + [""])
+            for r in records if r["type"] == "trajectory"] == trajectories
+    assert [r["index"] for r in records if r["type"] == "trajectory"] == \
+        list(range(len(trajectories)))
+    assert [(r["literal"], r["step"], r["entailed"]) for r in records
+            if r["type"] == "query"] == queries \
+        == [("loc_in(monkey) = initial_box", 1, True)]
 
 
 def test_flatten_of_a_system_builds_no_signature(capsys, tmp_path):
@@ -1038,3 +1092,23 @@ def test_non_decimal_digit_in_a_query_is_a_located_input_error(capsys):
                          "--query", "f(x) = ²")
     assert code == 2 and out == ""
     assert err == "almc: 1:8: unexpected character '²'\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["emit-asp"],
+    ["project", "--history", str(CORPUS / "gamma1.hist")],
+], ids=lambda c: c[0])
+def test_plain_name_on_a_schema_line_is_a_located_semantic_error(
+        capsys, tmp_path, command):
+    """A plain name on an instance line with parameterised objects is
+    refused at the name; it was dropped, in no sort and not an action."""
+    text = read(CORPUS / "monkey_and_banana.alm")
+    assert text.count("grasp(C) in grasp where") == 1
+    system = tmp_path / "mixed.alm"
+    system.write_text(text.replace("grasp(C) in grasp where",
+                                   "noop, grasp(C) in grasp where"))
+    code, out, err = run(capsys, command[0], str(system), *LIB, *command[1:])
+    assert code == 3 and out == ""
+    assert err.strip() == (
+        f"almc: {system}:36:7: error: instance noop cannot share a line "
+        "with parameterised objects")

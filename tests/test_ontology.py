@@ -163,6 +163,24 @@ def test_coherence_errors(src, needle):
     assert needle in str(err)
 
 
+@pytest.mark.parametrize("links,named", [
+    ("a :: b\n      b :: a\n      c :: d\n      d :: c\n", ["a", "c"]),
+    ("a :: a\n", ["a"]),
+    # a figure eight: the cycles a-b-c and b-c share one component
+    ("a :: b\n      b :: c\n      c :: b, a\n", ["a"]),
+], ids=["two-cycles", "self-loop", "figure-eight"])
+def test_one_cycle_message_per_component(links, named):
+    """Each cycle of links is reported once per strongly connected
+    component, at the first of its sorts that the search enters."""
+    sink = DiagnosticSink()
+    mod = parse_file("theory t\n  module m\n    sort declarations\n      "
+                     + links).items[0]
+    with pytest.raises(SemanticError):
+        build_signature(mod, sink)
+    assert [d.message for d in sink.errors] == [
+        f"sort hierarchy has a cycle through {s!r}" for s in named]
+
+
 def test_object_constants():
     sig = sig_of("""
 theory t
